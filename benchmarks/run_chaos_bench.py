@@ -6,7 +6,7 @@ whole fleet x time grid streams through ``MaskCampaignEngine`` in
 windows, with zero per-scenario Python in the hot loop.  This
 benchmark prices that claim at fleet x epochs >= 1e5 cells:
 
-* **chaos engine** — ``run_chaos_campaign`` (no-repair, exponential
+* **chaos engine** — ``_run_chaos_campaign`` (no-repair, exponential
   component lifetimes), wall-clock for the full grid, including the
   process simulation and SLO aggregation;
 * **scalar epoch loop** — the naive implementation: advance the same

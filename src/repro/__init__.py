@@ -38,7 +38,7 @@ Subpackages
 - :mod:`repro.experiments` — one module per paper figure/claim.
 """
 
-from .chaos import ChaosReport, run_chaos_campaign
+from .chaos import ChaosReport
 from .core import (
     BoundCheck,
     RobustnessCertificate,
@@ -59,7 +59,6 @@ from .faults import (
     CrashFault,
     FailureScenario,
     FaultInjector,
-    monte_carlo_campaign,
     random_failure_scenario,
     worst_case_crash_scenario,
 )
@@ -129,10 +128,8 @@ __all__ = [
     "ByzantineFault",
     "random_failure_scenario",
     "worst_case_crash_scenario",
-    "monte_carlo_campaign",
     # chaos (the deployment-lifecycle subsystem)
     "ChaosReport",
-    "run_chaos_campaign",
     # the declarative run-spec layer (the stable public API)
     "run",
     "SPEC_VERSION",

@@ -19,9 +19,9 @@ story made executable:
   CUSUM, the Fep-certified preventive alarm);
 * :mod:`~repro.chaos.policies` — repair/mitigation policies (none,
   boosted rejuvenation, detector-triggered repair, spare activation);
-* :mod:`~repro.chaos.campaign` — :func:`run_chaos_campaign`, the
-  orchestrator producing a :class:`ChaosReport` SLO summary with
-  fork-once parallelism across replica blocks;
+* :mod:`~repro.chaos.campaign` — the orchestrator behind
+  ``repro.run(ChaosSpec)``, producing a :class:`ChaosReport` SLO
+  summary with fork-once parallelism across replica blocks;
 * :mod:`~repro.chaos.telemetry` — the typed columnar
   :class:`TelemetryTrace` the epoch loop emits, and
   :func:`report_from_trace`, the pure derivation every report now
@@ -45,7 +45,7 @@ from .aiops import (
     score_rca,
     scorecard,
 )
-from .campaign import REPLICA_BLOCK, ChaosReport, run_chaos_campaign
+from .campaign import REPLICA_BLOCK, ChaosReport
 from .replay import replay_detectors, replay_report
 from .telemetry import (
     ACTION_REPAIR,
@@ -91,7 +91,6 @@ from .traffic import (
 __all__ = [
     "REPLICA_BLOCK",
     "ChaosReport",
-    "run_chaos_campaign",
     "DeployedNetwork",
     "EpochWindow",
     "FleetState",

@@ -1,9 +1,10 @@
 """The chaos orchestrator: lifecycle simulation → telemetry → SLO report.
 
-``run_chaos_campaign`` is the fifth subsystem's entry point.  Per
-epoch it (1) applies due repairs, (2) steps every fault process over
-the whole replica fleet, (3) snapshots the fleet into the window
-buffers; per *window* of ``epochs_chunk`` epochs it compiles one
+``_run_chaos_campaign`` (behind ``repro.run(ChaosSpec)``) is the fifth
+subsystem's entry point.  Per epoch it (1) applies due repairs, (2)
+steps every fault process over the whole replica fleet, (3) snapshots
+the fleet into the window buffers; per *window* of ``epochs_chunk``
+epochs it compiles one
 :class:`~repro.faults.injector.CompiledScenarioBatch` of ``W * R``
 scenario rows and streams it through a single
 :class:`~repro.faults.masks.MaskCampaignEngine` evaluation — the hot
@@ -40,7 +41,6 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..deprecation import warn_spec_deprecation
 from ..faults.injector import FaultInjector
 from ..faults.masks import MaskCampaignEngine
 from ..network.model import FeedForwardNetwork
@@ -58,7 +58,7 @@ from .telemetry import (
 )
 from .traffic import TrafficModel
 
-__all__ = ["ChaosReport", "run_chaos_campaign", "REPLICA_BLOCK"]
+__all__ = ["ChaosReport", "REPLICA_BLOCK"]
 
 #: Fixed parallel quantum: replica block ``b`` always covers replicas
 #: ``[b * REPLICA_BLOCK, ...)`` and always simulates with the same
@@ -324,55 +324,6 @@ def _worker_simulate_block(job):  # pragma: no cover - subprocess body
     finally:
         engine.profile = None
     return trace, ob.worker_payload()
-
-
-def run_chaos_campaign(
-    network: FeedForwardNetwork,
-    x: np.ndarray,
-    processes: Sequence[FaultProcess],
-    *,
-    epochs: int,
-    n_replicas: int,
-    epsilon: float,
-    epsilon_prime: float,
-    traffic: Optional[TrafficModel] = None,
-    detectors: Sequence[DriftDetector] = (),
-    policy: Optional[RepairPolicy] = None,
-    capacity: Optional[float] = None,
-    seed: "int | np.random.SeedSequence | None" = 0,
-    epochs_chunk: int = 32,
-    chunk_size: Optional[int] = None,
-    dtype: "str | np.dtype" = np.float64,
-    n_workers: int = 0,
-    keep_errors: bool = False,
-) -> ChaosReport:
-    """Deprecated direct-kwargs shim over :func:`_run_chaos_campaign`.
-
-    Build a :class:`repro.ChaosSpec` and pass it to ``repro.run()``
-    instead — the spec form is serializable, content-hashable, and
-    replayable.  This shim warns once per process and forwards
-    unchanged.
-    """
-    warn_spec_deprecation("run_chaos_campaign", "repro.ChaosSpec")
-    return _run_chaos_campaign(
-        network,
-        x,
-        processes,
-        epochs=epochs,
-        n_replicas=n_replicas,
-        epsilon=epsilon,
-        epsilon_prime=epsilon_prime,
-        traffic=traffic,
-        detectors=detectors,
-        policy=policy,
-        capacity=capacity,
-        seed=seed,
-        epochs_chunk=epochs_chunk,
-        chunk_size=chunk_size,
-        dtype=dtype,
-        n_workers=n_workers,
-        keep_errors=keep_errors,
-    )
 
 
 def _run_chaos_campaign(

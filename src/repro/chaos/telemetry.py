@@ -547,7 +547,7 @@ def episode_runs(
     ordered replica-major then onset-ascending.  Vectorised: the grid
     is padded with healthy sentinel rows and differenced, so run
     starts/ends fall out of two ``nonzero`` calls — no per-column
-    Python (:func:`_episode_runs_scalar` is the test oracle).
+    Python (``tests/oracles.py`` holds the per-column test oracle).
     """
     viol = np.asarray(viol, dtype=bool)
     empty = np.zeros(0, dtype=np.int64)
@@ -564,31 +564,6 @@ def episode_runs(
         onset.astype(np.int64),
         (end - onset).astype(np.int64),
     )
-
-
-def _episode_runs_scalar(
-    viol: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-column Python oracle for :func:`episode_runs` (tests only)."""
-    viol = np.asarray(viol, dtype=bool)
-    rows: List[Tuple[int, int, int]] = []
-    if viol.size:
-        E, R = viol.shape
-        for r in range(R):
-            e = 0
-            while e < E:
-                if viol[e, r]:
-                    start = e
-                    while e < E and viol[e, r]:
-                        e += 1
-                    rows.append((r, start, e - start))
-                else:
-                    e += 1
-    if not rows:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z.copy(), z.copy()
-    rep, onset, length = (np.asarray(c, dtype=np.int64) for c in zip(*rows))
-    return rep, onset, length
 
 
 # ---------------------------------------------------------------------------

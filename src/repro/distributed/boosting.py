@@ -299,7 +299,7 @@ def boosting_report(
     batch, evaluated in a single sweep on the mask-native engine
     instead of ``n_trials`` scalar injector runs (see DESIGN.md).
     """
-    from ..faults.masks import empty_mask_batch
+    from ..faults.masks import MaskCampaignEngine, empty_mask_batch
 
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -331,9 +331,9 @@ def boosting_report(
             zero_masks[l0][t, resets] = True
 
     injector = FaultInjector(network, capacity=network.output_bound)
-    outs = injector.run_many(xb, batch)  # (n_trials, B, n_out)
-    baseline = network.forward(xb)
-    errors = np.abs(outs - baseline[None]).max(axis=(1, 2))
+    engine = MaskCampaignEngine(injector, xb)
+    outs = engine.outputs(batch)  # (n_trials, B, n_out)
+    errors = np.abs(outs - engine.nominal[None]).max(axis=(1, 2))
 
     bound = network_fep(network, tolerated, mode="crash")
     return {

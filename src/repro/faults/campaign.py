@@ -31,7 +31,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from ..deprecation import warn_spec_deprecation
 from ..network.model import FeedForwardNetwork
 from ..parallel import bounded_map, fork_once_pool, worker_state
 from .injector import FaultInjector
@@ -49,7 +48,6 @@ from .types import CrashFault, FaultModel, SynapseFault
 __all__ = [
     "CampaignResult",
     "run_campaign",
-    "monte_carlo_campaign",
     "exhaustive_crash_campaign",
     "count_crash_configurations",
 ]
@@ -129,18 +127,17 @@ def _evaluate_chunk(
     x: np.ndarray,
     chunk: Sequence[FailureScenario],
     reduction: str,
-    seed: "np.random.SeedSequence | None" = None,
-    engine: "MaskCampaignEngine | None" = None,
+    seed: "np.random.SeedSequence | None",
+    engine: MaskCampaignEngine,
 ) -> np.ndarray:
     """Errors for one chunk of object scenarios.
 
     Scenarios lower through ``compile_batch`` (the whole fault
     taxonomy compiles to mask channels) and stream through the
-    campaign engine when one is supplied; the per-scenario scalar path
-    survives only as the fallback for fault models outside the
-    taxonomy.  ``seed`` drives the stochastic draws: each chunk
-    evaluates with a stream spawned off the campaign seed, so no two
-    chunks replay the same noise.
+    campaign engine; the per-scenario scalar path survives only as the
+    fallback for fault models outside the taxonomy.  ``seed`` drives
+    the stochastic draws: each chunk evaluates with a stream spawned
+    off the campaign seed, so no two chunks replay the same noise.
     """
     rng = np.random.default_rng(seed)
     try:
@@ -151,9 +148,7 @@ def _evaluate_chunk(
         return np.array(
             [injector.output_error(x, sc, rng=rng, reduction=reduction) for sc in chunk]
         )
-    if engine is not None:
-        return engine.evaluate(batch, rng=rng)
-    return injector.output_errors_many(x, batch, reduction=reduction, rng=rng)
+    return engine.evaluate(batch, rng=rng)
 
 
 def _build_object_state(network, capacity, x, reduction, chunk_size):  # pragma: no cover
@@ -194,9 +189,9 @@ def run_campaign(
 
     This is the object-scenario entry point — it accepts any
     :class:`FailureScenario`, including synapse and stochastic faults.
-    Static neuron-fault campaigns generated programmatically should
-    prefer :func:`monte_carlo_campaign` / :func:`exhaustive_crash_campaign`,
-    which route to the mask-native engine.
+    Campaigns over sampled fault populations should prefer a
+    :class:`repro.CampaignSpec` through ``repro.run`` (or
+    :func:`exhaustive_crash_campaign`), which sample masks directly.
 
     Parameters
     ----------
@@ -252,43 +247,6 @@ def run_campaign(
         np.concatenate(all_errors) if all_errors else np.empty(0, dtype=np.float64)
     )
     return CampaignResult(errors, names if keep_names else [], reduction)
-
-
-def monte_carlo_campaign(
-    injector: FaultInjector,
-    x: np.ndarray,
-    distribution: Sequence[int],
-    *,
-    n_scenarios: int = 1000,
-    fault: Optional[FaultModel] = None,
-    sampler: Optional[MaskSampler] = None,
-    seed: Optional[int] = None,
-    chunk_size: int = 256,
-    reduction: str = "max",
-    n_workers: int = 0,
-    dtype: "str | np.dtype" = np.float64,
-) -> CampaignResult:
-    """Deprecated direct-kwargs shim over :func:`_monte_carlo_campaign`.
-
-    Build a :class:`repro.CampaignSpec` and pass it to ``repro.run()``
-    instead — the spec form is serializable, content-hashable, and
-    replayable.  This shim warns once per process and forwards
-    unchanged.
-    """
-    warn_spec_deprecation("monte_carlo_campaign", "repro.CampaignSpec")
-    return _monte_carlo_campaign(
-        injector,
-        x,
-        distribution,
-        n_scenarios=n_scenarios,
-        fault=fault,
-        sampler=sampler,
-        seed=seed,
-        chunk_size=chunk_size,
-        reduction=reduction,
-        n_workers=n_workers,
-        dtype=dtype,
-    )
 
 
 def _monte_carlo_campaign(
@@ -392,8 +350,8 @@ def exhaustive_crash_campaign(
     if total > max_configurations:
         raise ValueError(
             f"exhaustive campaign would evaluate {total} configurations "
-            f"(> {max_configurations}); use monte_carlo_campaign or raise "
-            "max_configurations"
+            f"(> {max_configurations}); sample it with a CampaignSpec or "
+            "raise max_configurations"
         )
     errors = exhaustive_crash_errors(
         injector,

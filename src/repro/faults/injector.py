@@ -20,23 +20,24 @@ masked tensor algebra:
   error is at most ``w_m * C``, the per-synapse term of Theorem 4 and
   Lemma 2); a crashed synapse delivers ``v = 0``.
 
-Two execution paths are provided:
+This module holds the scalar oracle and the mask kernels:
 
 * :meth:`FaultInjector.run` — one scenario, batch of inputs; supports
-  every fault model including stochastic ones.
-* :meth:`FaultInjector.run_many` — a *batch of scenarios* compiled to
-  per-layer mask channels, evaluated with one GEMM per layer for all
-  S x B (scenario, input) pairs.  The whole fault taxonomy lowers:
-  static faults as value channels, stochastic faults (noise,
-  intermittent gates) as evaluation-time draws from a threaded RNG,
-  synapse faults as sparse per-stage received-sum corrections.
+  every fault model including stochastic ones.  It is the reference
+  the batched evaluator is tested against.
+* :func:`apply_mask_channels` / :func:`apply_synapse_corrections` —
+  the per-layer mask kernels of the one dense evaluator,
+  :class:`repro.faults.masks.MaskCampaignEngine`, which runs a *batch
+  of scenarios* with one GEMM per layer for all S x B (scenario,
+  input) pairs.  The whole fault taxonomy lowers: static faults as
+  value channels, stochastic faults (noise, intermittent gates) as
+  evaluation-time draws from a threaded RNG, synapse faults as sparse
+  per-stage received-sum corrections.
 
-For large campaigns, :mod:`repro.faults.masks` provides the
-*mask-native* engine: samplers draw :class:`CompiledScenarioBatch`
-masks directly as arrays (no per-scenario Python objects), and a
-streaming evaluator reuses preallocated chunk buffers.
 :meth:`FaultInjector.compile_batch` is the thin adapter that lowers
-object scenarios into that same mask representation.
+object scenarios into the :class:`CompiledScenarioBatch` mask
+representation the engine consumes; the engine's samplers draw the
+same batches directly as arrays.
 """
 
 from __future__ import annotations
@@ -75,15 +76,7 @@ __all__ = [
     "apply_neuron_fault",
     "apply_mask_channels",
     "apply_synapse_corrections",
-    "apply_synapse_corrections_reference",
 ]
-
-#: Synapse-correction kernel selector.  ``"segment"`` (the default)
-#: routes through the precompiled per-stage segment plans below;
-#: ``"scatter"`` retains the original ``np.add.at`` scatter as the
-#: bitwise reference.  The equivalence tests flip this module global to
-#: prove the two paths agree bit for bit.
-SYNAPSE_KERNEL = "segment"
 
 #: A channel write goes through the sparse gather/scatter kernel when
 #: the affected cells cover at most ``1 / _SPARSE_ROWS_LIMIT`` of the
@@ -274,10 +267,8 @@ def apply_mask_channels(
 ) -> np.ndarray:
     """Apply one layer's fault channels in place on ``(S, B, N)`` activations.
 
-    The single definition of the mask semantics, shared by
-    :meth:`FaultInjector.run_many` and the streaming engine in
-    :mod:`repro.faults.masks` (so the two evaluation paths cannot
-    diverge):
+    The single definition of the mask semantics, used by the
+    streaming engine in :mod:`repro.faults.masks`:
 
     * ``zero`` cells read exactly 0 (crash);
     * ``set`` cells are pulled toward the requested value but stay
@@ -497,7 +488,8 @@ class _SynapseStagePlan:
 
     Built once per ``(stage, N_out)`` and cached on the stage: the
     entries are concatenated in channel order (zero, add, noise) —
-    exactly the reference kernel's application order — and
+    exactly the application order of the plain ``np.add.at`` reference
+    kernel (kept as a test oracle in ``tests/oracles.py``) — and
     stable-sorted by the key ``scenario * N_out + receiving neuron``
     into CSR-style segments.  Each target's *first* occurrence lands in
     one buffered fancy-index ``+=`` over the unique ``(u_s, u_j)``
@@ -673,79 +665,23 @@ def apply_synapse_corrections(
     ``(S, B, N_in)`` faulty upstream activations, or ``(B, N_in)``
     scenario-independent inputs for stage 1.  Each faulty synapse
     ``(s, j, i)`` adds ``w_ji * clip(delivered - y_i, -C, +C)`` to
-    ``pre[s, :, j]`` — Lemma 2 / Theorem 4's per-synapse error term,
-    shared verbatim between :meth:`FaultInjector.run_many` and the
-    streaming engine.  Duplicate ``(s, j)`` targets accumulate (several
-    faulty synapses into one neuron).
+    ``pre[s, :, j]`` — Lemma 2 / Theorem 4's per-synapse error term.
+    Duplicate ``(s, j)`` targets accumulate (several faulty synapses
+    into one neuron).
 
-    Dispatches on :data:`SYNAPSE_KERNEL`: the default ``"segment"``
-    kernel goes through the precompiled :class:`_SynapseStagePlan`
-    (buffered fancy-index scatter, cached gathers); ``"scatter"``
-    retains the original per-entry ``np.add.at``.  Both are
-    bitwise-identical (same RNG draw order, same per-target
-    accumulation order).
+    Goes through the precompiled :class:`_SynapseStagePlan` (buffered
+    fancy-index scatter, cached gathers), bitwise-identical to a plain
+    per-entry ``np.add.at`` scatter (same RNG draw order, same
+    per-target accumulation order; the test suite keeps that scatter
+    as its oracle).
     """
     if stage is None or stage.is_empty:
         return pre
-    if SYNAPSE_KERNEL != "segment":
-        return apply_synapse_corrections_reference(
-            pre, stage, source, weights, capacity, rng
-        )
     plan = _stage_plan(stage, pre.shape[2])
     contrib = _stage_contributions(
         stage, plan, source, weights, capacity, rng, pre.shape[1]
     )
     _apply_plan_to_view(pre.transpose(0, 2, 1), plan, contrib)
-    return pre
-
-
-def apply_synapse_corrections_reference(
-    pre: np.ndarray,
-    stage: "SynapseStageChannels | None",
-    source: np.ndarray,
-    weights: np.ndarray,
-    capacity: Optional[float],
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """The original ``np.add.at`` scatter kernel, kept as the bitwise
-    reference for the segment plan (see :data:`SYNAPSE_KERNEL`)."""
-    if stage is None or stage.is_empty:
-        return pre
-    B = pre.shape[1]
-    view = pre.transpose(0, 2, 1)  # (S, N_out, B) view: scatter target
-
-    if stage.zero_s.size:
-        dev = _bound_deviation(
-            -_synapse_emissions(source, stage.zero_s, stage.zero_i), capacity
-        )
-        np.add.at(
-            view,
-            (stage.zero_s, stage.zero_j),
-            weights[stage.zero_j, stage.zero_i][:, None] * dev,
-        )
-    if stage.add_s.size:
-        dev = _bound_deviation(stage.add_values, capacity)
-        np.add.at(
-            view,
-            (stage.add_s, stage.add_j),
-            (weights[stage.add_j, stage.add_i] * dev)[:, None],
-        )
-    if stage.noise_s.size:
-        if rng is None:
-            raise ValueError(
-                "synapse noise channels need an rng; pass the campaign "
-                "generator"
-            )
-        dev = _bound_deviation(
-            rng.standard_normal((stage.noise_s.size, B))
-            * stage.noise_sigma[:, None],
-            capacity,
-        )
-        np.add.at(
-            view,
-            (stage.noise_s, stage.noise_j),
-            weights[stage.noise_j, stage.noise_i][:, None] * dev,
-        )
     return pre
 
 
@@ -1083,7 +1019,7 @@ class FaultInjector:
         raise ValueError(f"unknown reduction {reduction!r}")
 
     # ------------------------------------------------------------------
-    # Batched path (many static scenarios at once)
+    # Lowering to mask channels (evaluated by MaskCampaignEngine)
     # ------------------------------------------------------------------
 
     def compile_batch(
@@ -1219,109 +1155,3 @@ class FaultInjector:
         return SynapseStageChannels(
             z_s, z_j, z_i, a_s, a_j, a_i, a_v, n_s, n_j, n_i, n_v
         )
-
-    def run_many(
-        self,
-        x: np.ndarray,
-        batch: "CompiledScenarioBatch | Sequence[FailureScenario]",
-        *,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Faulty outputs for S scenarios x B inputs in one sweep.
-
-        Returns an array of shape ``(S, B, n_outputs)``.  One GEMM per
-        layer serves every (scenario, input) pair; neuron faults are
-        vectorised mask writes, synapse faults sparse received-sum
-        corrections between the GEMM and the squashing.  Stochastic
-        batches (noise channels, intermittent gates) draw from ``rng``
-        — unseeded use warns once, because it is irreproducible.
-        """
-        if not isinstance(batch, CompiledScenarioBatch):
-            batch = self.compile_batch(batch)
-        net = self.network
-        xb, _ = net._as_batch(x)
-        S = batch.num_scenarios
-        if S == 0:
-            return np.empty((0, xb.shape[0], net.n_outputs))
-        if rng is None and batch.is_stochastic:
-            rng = unseeded_rng("FaultInjector.run_many")
-
-        B = xb.shape[0]
-        stages = batch.synapse_stages
-
-        def stage(l0: int) -> Optional[SynapseStageChannels]:
-            return stages[l0] if stages is not None else None
-
-        def chan(lst: Optional[List[np.ndarray]], l0: int):
-            return lst[l0] if lst is not None else None
-
-        def masked(y: np.ndarray, l0: int) -> np.ndarray:
-            """Apply the layer-l0 fault channels to (S, B, N) activations."""
-            return apply_mask_channels(
-                y,
-                batch.zero_masks[l0],
-                batch.set_masks[l0],
-                batch.set_values[l0],
-                batch.add_masks[l0],
-                batch.add_values[l0],
-                self.capacity,
-                scale_mask=chan(batch.scale_masks, l0),
-                scale_values=chan(batch.scale_values, l0),
-                noise_mask=chan(batch.noise_masks, l0),
-                noise_sigma=chan(batch.noise_sigma, l0),
-                gate_p=chan(batch.gate_p, l0),
-                rng=rng,
-            )
-
-        st0 = stage(0)
-        if st0 is not None and not st0.is_empty:
-            # Stage-1 synapse faults corrupt the input emissions: the
-            # received sums become scenario-dependent before squashing.
-            s = net.layers[0].pre_activation(xb)  # (B, N_1)
-            s = np.broadcast_to(s[None, :, :], (S, B, s.shape[1])).copy()
-            apply_synapse_corrections(
-                s, st0, xb, net.layers[0].dense_weights(), self.capacity, rng
-            )
-            y = net.layers[0].activation(s)
-        else:
-            # Layer 1 is scenario-independent before masking: compute
-            # once for the B inputs, then broadcast across S scenarios
-            # (materialised — the shared mask helper works in place).
-            y1 = net.layers[0].forward(xb)  # (B, N_1)
-            y = np.broadcast_to(y1[None, :, :], (S, B, y1.shape[1])).copy()
-        y = masked(y, 0)
-        for l0, layer in enumerate(net.layers[1:], start=1):
-            st = stage(l0)
-            if st is not None and not st.is_empty:
-                s = layer.pre_activation(y.reshape(S * B, -1)).reshape(S, B, -1)
-                apply_synapse_corrections(
-                    s, st, y, layer.dense_weights(), self.capacity, rng
-                )
-                y = layer.activation(s)
-            else:
-                y = layer.forward(y.reshape(S * B, -1)).reshape(S, B, -1)
-            y = masked(y, l0)
-        out = y @ net.output_weights.T + net.output_bias
-        apply_synapse_corrections(
-            out, stage(net.depth), y, net.output_weights, self.capacity, rng
-        )
-        return out
-
-    def output_errors_many(
-        self,
-        x: np.ndarray,
-        batch: "CompiledScenarioBatch | Sequence[FailureScenario]",
-        *,
-        reduction: str = "max",
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Per-scenario output error over the input batch, shape ``(S,)``."""
-        xb, _ = self.network._as_batch(x)
-        nominal = self.network.forward(xb)  # (B, n_outputs)
-        faulty = self.run_many(xb, batch, rng=rng)  # (S, B, n_outputs)
-        err = np.abs(faulty - nominal[None]).max(axis=2)  # (S, B)
-        if reduction == "max":
-            return err.max(axis=1)
-        if reduction == "mean":
-            return err.mean(axis=1)
-        raise ValueError(f"unknown reduction {reduction!r}")

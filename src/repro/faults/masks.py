@@ -44,7 +44,6 @@ import numpy as np
 from ..network.model import FeedForwardNetwork
 from ..obs.recorder import RunObserver, block_span_if, fold_worker_payload
 from ..parallel import bounded_map, fork_once_pool, worker_state
-from . import injector as _injector_mod
 from .injector import (
     CompiledScenarioBatch,
     FaultInjector,
@@ -996,8 +995,8 @@ class MaskCampaignEngine:
         hi: int,
         rng: "np.random.Generator | None" = None,
     ) -> None:
-        """In-place fault application on ``(S, B, N_l)`` activations,
-        through the semantics shared with ``FaultInjector.run_many``."""
+        """In-place fault application on ``(S, B, N_l)`` activations
+        through :func:`~repro.faults.injector.apply_mask_channels`."""
         if batch.neuron_channels_clear:
             return  # scan-free, draw-free skip (see CompiledScenarioBatch)
 
@@ -1036,8 +1035,9 @@ class MaskCampaignEngine:
         corrections there (same per-target order as the dense
         reference), squash the ``(T, B)`` cells, and scatter them over
         the broadcast nominal activations.  Elementwise identical to
-        the dense path — untouched cells squash the identical base sums
-        — hence bitwise-equal results.
+        correcting and squashing the full broadcast tensor — untouched
+        cells squash the identical base sums — hence bitwise-equal
+        results (``tests/oracles.py`` keeps that dense form).
         """
         plan = _stage_plan(st0, Y.shape[2])
         contrib = _stage_contributions(
@@ -1086,19 +1086,7 @@ class MaskCampaignEngine:
             tick("compile")
         if st0 is not None:
             # Stage-1 synapse faults corrupt the received sums of layer 1.
-            if _injector_mod.SYNAPSE_KERNEL == "segment":
-                self._corrected_first_layer(Y, st0, rng)
-            else:
-                # Reference path: broadcast the cached pre-activations,
-                # correct densely, squash everything.
-                Y[...] = self._ensure_base_pre1()
-                apply_synapse_corrections(
-                    Y, st0, self.xb, self._stage_weights(0), self.capacity,
-                    rng,
-                )
-                Y2 = Y.reshape(S * B, -1)
-                net.layers[0].activation.evaluate_into(Y2, Y2)
-                self._post_activation(0, Y2)
+            self._corrected_first_layer(Y, st0, rng)
             if tick is not None:
                 tick("corrections")
         else:

@@ -32,7 +32,6 @@ from .masks import (
     empty_mask_batch,
     sampled_campaign_errors,
 )
-from .scenarios import FailureScenario
 from .types import CrashFault, FaultModel, IntermittentFault, SynapseFault
 
 __all__ = [
@@ -437,9 +436,8 @@ def mean_failures_to_violation(
     Trials are chunked (``trials_per_chunk`` rows of ``num_neurons``
     scenarios each) to bound the mask batch; ``engine`` lets callers
     sharing a network/probe batch reuse one campaign engine.  The
-    scalar path survives as :func:`_mean_failures_to_violation_scalar`
-    — the test oracle this path must reproduce permutation for
-    permutation.
+    scalar one-crash-at-a-time loop lives in ``tests/oracles.py`` — the
+    oracle this path must reproduce permutation for permutation.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -495,35 +493,3 @@ def mean_failures_to_violation(
         )
         done += m
     return float(np.mean(np.concatenate(counts)))
-
-
-def _mean_failures_to_violation_scalar(
-    network: FeedForwardNetwork,
-    epsilon: float,
-    epsilon_prime: float,
-    x: np.ndarray,
-    *,
-    n_trials: int = 200,
-    seed: Optional[int] = 0,
-) -> float:
-    """The original one-crash-at-a-time loop — kept verbatim as the
-    oracle :func:`mean_failures_to_violation` must match (same seed,
-    same permutations, same counts)."""
-    budget = epsilon - epsilon_prime
-    injector = FaultInjector(network, capacity=network.output_bound)
-    rng = np.random.default_rng(seed)
-    addresses = list(network.iter_addresses())
-    counts = []
-    for _ in range(n_trials):
-        order = rng.permutation(len(addresses))
-        faults = {}
-        violated_at = len(addresses)
-        for step, idx in enumerate(order, start=1):
-            faults[addresses[idx]] = CrashFault()
-            scenario = FailureScenario(dict(faults))
-            err = injector.output_error(x, scenario)
-            if err > budget + 1e-12:
-                violated_at = step
-                break
-        counts.append(violated_at)
-    return float(np.mean(counts))

@@ -259,6 +259,7 @@ class CampaignService:
             self._server = await asyncio.start_server(
                 self._handle_connection, host=self.spec.host,
                 port=self.spec.port, backlog=LISTEN_BACKLOG,
+                limit=MAX_LINE_BYTES,
             )
         else:
             socket_path = Path(self.spec.socket or DEFAULT_SOCKET)
@@ -267,7 +268,7 @@ class CampaignService:
                 socket_path.unlink()
             self._server = await asyncio.start_unix_server(
                 self._handle_connection, path=str(socket_path),
-                backlog=LISTEN_BACKLOG,
+                backlog=LISTEN_BACKLOG, limit=MAX_LINE_BYTES,
             )
         self.started.set()
         try:
@@ -294,14 +295,17 @@ class CampaignService:
             while True:
                 try:
                     line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
+                except ConnectionError:
                     break
-                if not line:
-                    break
-                if len(line) > MAX_LINE_BYTES:
+                except ValueError:
+                    # The stream's ``limit`` is MAX_LINE_BYTES: a longer
+                    # frame cannot be parsed or resynchronised, so answer
+                    # once with a typed error and close.
                     await self._send(
                         writer, self._error("frame too large", kind="protocol")
                     )
+                    break
+                if not line:
                     break
                 try:
                     request = parse_request(line)

@@ -63,7 +63,7 @@ def build_sampler(
     ``fault`` is the campaign-level default; a sampler carrying its own
     ``fault`` (mixed components always do) overrides it.  Neuron
     faults route to the neuron samplers, synapse faults to the sparse
-    synapse samplers — the same dispatch ``monte_carlo_campaign`` and
+    synapse samplers — the same dispatch ``_monte_carlo_campaign`` and
     ``monte_carlo_survival`` perform.
     """
     from ..faults.masks import (

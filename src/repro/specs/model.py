@@ -1275,9 +1275,9 @@ class TelemetrySpec(Spec):
 class ChaosSpec(Spec):
     """A temporal chaos campaign over a deployed replica fleet.
 
-    The spec form of :func:`repro.chaos.run_chaos_campaign`: fault
-    ``processes`` degrade ``replicas`` replicas over ``epochs`` epochs
-    while ``detectors`` watch the error series, ``policy`` heals, and
+    The spec form of :func:`repro.chaos.campaign._run_chaos_campaign`:
+    fault ``processes`` degrade ``replicas`` replicas over ``epochs``
+    epochs while ``detectors`` watch the error series, ``policy`` heals, and
     ``traffic`` weights the SLO report.  ``seed`` drives the whole
     fault/traffic schedule; ``probe_seed`` (default: ``seed``) draws
     the ``batch`` random probe inputs.  ``telemetry`` (optional)

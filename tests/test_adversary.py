@@ -9,7 +9,7 @@ from repro.faults.adversary import (
     output_sensitivities,
     worst_input_search,
 )
-from repro.faults.campaign import monte_carlo_campaign, run_campaign
+from repro.faults.campaign import _monte_carlo_campaign, run_campaign
 from repro.faults.injector import FaultInjector
 from repro.faults.scenarios import crash_scenario
 
@@ -50,7 +50,7 @@ class TestAdversarialScenarios:
     def test_adversarial_crash_beats_random_average(self, small_net, batch):
         inj = FaultInjector(small_net, capacity=1.0)
         dist = (2, 1)
-        mc = monte_carlo_campaign(inj, batch, dist, n_scenarios=60, seed=0)
+        mc = _monte_carlo_campaign(inj, batch, dist, n_scenarios=60, seed=0)
         adv = adversarial_crash_scenario(small_net, dist, batch)
         adv_err = run_campaign(inj, batch, [adv]).max_error
         assert adv_err >= mc.mean_error
@@ -60,7 +60,7 @@ class TestAdversarialScenarios:
 
         inj = FaultInjector(small_net, capacity=1.0)
         dist = (2, 1)
-        mc = monte_carlo_campaign(
+        mc = _monte_carlo_campaign(
             inj, batch, dist, n_scenarios=60, seed=0, fault=ByzantineFault()
         )
         adv = adversarial_byzantine_scenario(small_net, dist, batch, capacity=1.0)

@@ -6,8 +6,9 @@ Three contracts under test:
 * the ``repro.backends`` registry routes ``EngineSpec.backend`` names
   to engine factories and rejects unknown names loudly;
 * the precompiled segment-sum synapse kernels are bitwise-identical to
-  the retained ``np.add.at`` reference across every golden campaign
-  spec fixture (same RNG draw order, same accumulation order);
+  the ``np.add.at`` reference in ``tests/oracles.py`` across every
+  golden campaign spec fixture (same RNG draw order, same accumulation
+  order);
 * ``threaded`` results are worker-count invariant, and match the
   ``numpy`` engine bitwise for deterministic batches at matched slice
   layout; ``quantized-*`` nominals match ``QuantizedNetwork`` bitwise.
@@ -41,6 +42,8 @@ from repro.quantization import (
     QuantizedNetwork,
 )
 from repro.specs import CampaignSpec, load_spec, run as run_spec
+
+from oracles import use_scatter_reference
 
 FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures" / "specs"
 
@@ -110,9 +113,8 @@ class TestSegmentKernelBitwise:
         assert isinstance(spec, CampaignSpec)
         spec = spec.replace(n_scenarios=min(spec.n_scenarios, 1500))
 
-        monkeypatch.setattr("repro.faults.injector.SYNAPSE_KERNEL", "segment")
         segment = run_spec(spec)
-        monkeypatch.setattr("repro.faults.injector.SYNAPSE_KERNEL", "scatter")
+        use_scatter_reference(monkeypatch)
         scatter = run_spec(spec)
 
         assert segment.errors.dtype == np.float64

@@ -7,14 +7,37 @@ from repro.faults.campaign import (
     CampaignResult,
     count_crash_configurations,
     exhaustive_crash_campaign,
-    monte_carlo_campaign,
     run_campaign,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.scenarios import all_single_neuron_faults, crash_scenario
-from repro.faults.types import ByzantineFault, NoiseFault
+from repro.faults.types import NoiseFault
 from repro.faults.scenarios import FailureScenario
 from repro.network.model import NeuronAddress
+from repro.specs import CampaignSpec, FaultSpec, NetworkRef, SamplerSpec, run
+
+#: The ``small_net`` fixture as a builder recipe, so specs can name it.
+SMALL_NET = NetworkRef(
+    builder="mlp",
+    params={
+        "input_dim": 3,
+        "hidden": [8, 6],
+        "activation": {"name": "sigmoid", "k": 1.0},
+        "init": {"name": "uniform", "scale": 0.5},
+        "output_scale": 0.5,
+        "seed": 0,
+    },
+)
+
+
+def _campaign_spec(distribution, *, fault="crash", **kw):
+    return CampaignSpec(
+        network=SMALL_NET,
+        sampler=SamplerSpec(kind="fixed", distribution=distribution),
+        fault=FaultSpec(kind=fault),
+        capacity=1.0,
+        **kw,
+    )
 
 
 class TestCampaignResult:
@@ -83,25 +106,21 @@ class TestRunCampaign:
 
 
 class TestMonteCarloCampaign:
-    def test_seed_reproducibility(self, small_net, batch):
-        inj = FaultInjector(small_net, capacity=1.0)
-        a = monte_carlo_campaign(inj, batch, (2, 1), n_scenarios=20, seed=1)
-        b = monte_carlo_campaign(inj, batch, (2, 1), n_scenarios=20, seed=1)
-        np.testing.assert_array_equal(a.errors, b.errors)
+    def test_seed_reproducibility(self):
+        spec = _campaign_spec((2, 1), n_scenarios=20, seed=1)
+        np.testing.assert_array_equal(run(spec).errors, run(spec).errors)
 
-    def test_byzantine_fault_injection(self, small_net, batch):
-        inj = FaultInjector(small_net, capacity=1.0)
-        crash = monte_carlo_campaign(inj, batch, (2, 1), n_scenarios=30, seed=2)
-        byz = monte_carlo_campaign(
-            inj, batch, (2, 1), n_scenarios=30, seed=2, fault=ByzantineFault()
+    def test_byzantine_fault_injection(self):
+        crash = run(_campaign_spec((2, 1), n_scenarios=30, seed=2))
+        byz = run(
+            _campaign_spec((2, 1), fault="byzantine", n_scenarios=30, seed=2)
         )
         # Byzantine deviation (C=1) hurts at least as much as a crash on
         # average (crash deviation is |y| <= 1).
         assert byz.mean_error >= 0.5 * crash.mean_error
 
-    def test_zero_failures_zero_error(self, small_net, batch):
-        inj = FaultInjector(small_net, capacity=1.0)
-        r = monte_carlo_campaign(inj, batch, (0, 0), n_scenarios=5, seed=0)
+    def test_zero_failures_zero_error(self):
+        r = run(_campaign_spec((0, 0), n_scenarios=5, seed=0))
         np.testing.assert_allclose(r.errors, 0.0)
 
 

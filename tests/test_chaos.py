@@ -22,8 +22,8 @@ from repro.chaos import (
     ThresholdDetector,
     TransientBurstProcess,
     recommended_spares,
-    run_chaos_campaign,
 )
+from repro.chaos.campaign import _run_chaos_campaign
 from repro.distributed.boosting import (
     LatencyModel,
     boosted_reset_masks,
@@ -31,10 +31,13 @@ from repro.distributed.boosting import (
 )
 from repro.distributed.replication import ReplicatedEnsemble
 from repro.faults.injector import FaultInjector
+from repro.faults.masks import MaskCampaignEngine
 from repro.faults.reliability import mission_survival_curve
 from repro.faults.scenarios import crash_scenario
 from repro.network import build_mlp
 from repro.network.model import NeuronAddress
+
+from oracles import scalar_errors
 
 
 @pytest.fixture
@@ -60,7 +63,7 @@ def _campaign(net, x, processes, **kw):
         epochs=24, n_replicas=20, epsilon=0.5, epsilon_prime=0.1, seed=11
     )
     defaults.update(kw)
-    return run_chaos_campaign(net, x, processes, **defaults)
+    return _run_chaos_campaign(net, x, processes, **defaults)
 
 
 class TestProcesses:
@@ -227,23 +230,21 @@ class TestDeployment:
         injector = FaultInjector(
             sensitive_net, capacity=sensitive_net.output_bound
         )
-        errors = injector.output_errors_many(probes, batch)
-        for e in range(W):
-            for r in range(R):
-                addresses = [
+        errors = MaskCampaignEngine(injector, probes).evaluate(batch)
+        scenarios = [
+            crash_scenario(
+                [
                     NeuronAddress(l0 + 1, int(i))
                     for l0, mask in enumerate(snapshots[e])
                     for i in np.nonzero(mask[r])[0]
                 ]
-                scenario = (
-                    crash_scenario(addresses) if addresses else None
-                )
-                expected = (
-                    injector.output_error(probes, scenario)
-                    if scenario
-                    else 0.0
-                )
-                assert errors[e * R + r] == pytest.approx(expected, abs=1e-12)
+            )
+            for e in range(W)
+            for r in range(R)
+        ]
+        np.testing.assert_allclose(
+            errors, scalar_errors(injector, probes, scenarios), atol=1e-12
+        )
 
     def test_window_overflow_guard(self):
         win = EpochWindow((4,), 1, 2)

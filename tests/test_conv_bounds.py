@@ -10,7 +10,7 @@ from repro.core.conv import (
     receptive_field_fep,
 )
 from repro.core.fep import network_fep
-from repro.faults.campaign import monte_carlo_campaign
+from repro.faults.campaign import _monte_carlo_campaign
 from repro.faults.injector import FaultInjector
 from repro.network import build_conv_net, build_mlp
 
@@ -68,7 +68,7 @@ class TestRefinedFep:
         x = rng.random((24, conv_net.input_dim))
         inj = FaultInjector(conv_net, capacity=conv_net.output_bound)
         dist = (2, 0)
-        campaign = monte_carlo_campaign(inj, x, dist, n_scenarios=60, seed=0)
+        campaign = _monte_carlo_campaign(inj, x, dist, n_scenarios=60, seed=0)
         assert campaign.max_error <= receptive_field_fep(
             conv_net, dist, mode="crash"
         ) + 1e-9

@@ -154,13 +154,13 @@ class TestDeterminism:
     def test_campaign_deterministic_across_chunk_sizes_and_workers(
         self, small_net, batch
     ):
-        from repro.faults.campaign import monte_carlo_campaign
+        from repro.faults.campaign import _monte_carlo_campaign
 
         inj = FaultInjector(small_net, capacity=1.0)
-        a = monte_carlo_campaign(inj, batch, (2, 1), n_scenarios=30, seed=9,
-                                 chunk_size=7)
-        b = monte_carlo_campaign(inj, batch, (2, 1), n_scenarios=30, seed=9,
-                                 chunk_size=30)
+        a = _monte_carlo_campaign(inj, batch, (2, 1), n_scenarios=30, seed=9,
+                                  chunk_size=7)
+        b = _monte_carlo_campaign(inj, batch, (2, 1), n_scenarios=30, seed=9,
+                                  chunk_size=30)
         np.testing.assert_array_equal(a.errors, b.errors)
 
     def test_experiments_are_deterministic(self):

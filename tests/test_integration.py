@@ -12,7 +12,7 @@ from repro.core.certification import certify
 from repro.core.fep import network_fep
 from repro.distributed.boosting import LatencyModel, simulate_boosted_run
 from repro.distributed.simulator import DistributedNetwork
-from repro.faults.campaign import monte_carlo_campaign
+from repro.faults.campaign import _monte_carlo_campaign
 from repro.faults.injector import FaultInjector
 from repro.faults.scenarios import random_failure_scenario
 from repro.network import build_mlp, load_network, save_network
@@ -69,7 +69,7 @@ class TestTrainCertifyInject:
         epsilon = eps_prime + 0.15
         cert = certify(net, epsilon, eps_prime, mode="crash")
         injector = FaultInjector(net, capacity=net.output_bound)
-        campaign = monte_carlo_campaign(
+        campaign = _monte_carlo_campaign(
             injector, grid[::7], cert.maximal_distribution, n_scenarios=50, seed=1
         )
         assert campaign.max_error <= cert.budget + 1e-9

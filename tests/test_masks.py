@@ -14,8 +14,8 @@ import pytest
 
 from repro.distributed.simulator import DistributedNetwork
 from repro.faults.campaign import (
+    _monte_carlo_campaign,
     exhaustive_crash_campaign,
-    monte_carlo_campaign,
     run_campaign,
 )
 from repro.faults.injector import FaultInjector
@@ -32,6 +32,7 @@ from repro.faults.masks import (
     sampled_campaign_errors,
 )
 from repro.faults.scenarios import (
+    FailureScenario,
     exhaustive_crash_scenarios,
     random_failure_scenario,
     random_synapse_scenario,
@@ -45,6 +46,9 @@ from repro.faults.types import (
     StuckAtFault,
 )
 from repro.network import build_mlp
+from repro.network.model import NeuronAddress
+
+from oracles import scalar_errors
 
 
 @pytest.fixture
@@ -77,7 +81,7 @@ class TestEngineEquivalence:
         engine = MaskCampaignEngine(injector, batch, chunk_size=7)
         np.testing.assert_allclose(
             engine.evaluate(compiled),
-            injector.output_errors_many(batch, compiled),
+            scalar_errors(injector, batch, scenarios),
             rtol=1e-12,
             atol=1e-14,
         )
@@ -132,10 +136,12 @@ class TestEngineEquivalence:
         ]
         compiled = injector.compile_batch(scenarios)
         engine = MaskCampaignEngine(injector, batch, reduction="mean")
+        scalar = [
+            injector.output_error(batch, sc, reduction="mean")
+            for sc in scenarios
+        ]
         np.testing.assert_allclose(
-            engine.evaluate(compiled),
-            injector.output_errors_many(batch, compiled, reduction="mean"),
-            rtol=1e-12,
+            engine.evaluate(compiled), scalar, rtol=1e-12
         )
 
     @pytest.mark.parametrize(
@@ -145,14 +151,27 @@ class TestEngineEquivalence:
         self, small_net, batch, rng, fault
     ):
         """Sampler batches carry unresolved add-channel sentinels /
-        unclipped offsets; run_many must resolve them like the engine."""
+        unclipped offsets; the engine must resolve them at evaluation
+        exactly like the scalar injector does for the same faults."""
         inj = FaultInjector(small_net, capacity=0.3)
         sampler = FixedDistributionSampler(small_net, (2, 1), fault=fault)
         compiled = sampler.sample(12, rng)
-        via_injector = inj.output_errors_many(batch, compiled)
+        scenarios = [
+            FailureScenario(
+                {
+                    NeuronAddress(l0 + 1, int(i)): fault
+                    for l0, mask in enumerate(compiled.add_masks)
+                    for i in np.flatnonzero(mask[s])
+                }
+            )
+            for s in range(compiled.num_scenarios)
+        ]
+        assert all(len(sc.neuron_faults) == 3 for sc in scenarios)
         via_engine = MaskCampaignEngine(inj, batch).evaluate(compiled)
-        assert np.all(np.isfinite(via_injector))
-        np.testing.assert_allclose(via_injector, via_engine, rtol=1e-12)
+        assert np.all(np.isfinite(via_engine))
+        np.testing.assert_allclose(
+            via_engine, scalar_errors(inj, batch, scenarios), rtol=1e-12
+        )
 
     def test_unbounded_capacity_rejects_sentinels(self, small_net, batch, rng):
         inj = FaultInjector(small_net, capacity=None)
@@ -319,7 +338,7 @@ class TestSampledCampaigns:
         np.testing.assert_array_equal(a, b)
 
     def test_monte_carlo_routes_static_faults_to_masks(self, injector, batch):
-        result = monte_carlo_campaign(
+        result = _monte_carlo_campaign(
             injector, batch, (2, 1), n_scenarios=30, seed=1, dtype="float32"
         )
         assert result.num_scenarios == 30
@@ -329,7 +348,7 @@ class TestSampledCampaigns:
         """Stochastic fault models no longer fall back to the ~25x
         slower object path: they sample mask channels like everything
         else (and therefore carry no per-scenario names)."""
-        result = monte_carlo_campaign(
+        result = _monte_carlo_campaign(
             injector, batch, (1, 0), n_scenarios=4, seed=1,
             fault=NoiseFault(sigma=0.05),
         )
@@ -340,7 +359,7 @@ class TestSampledCampaigns:
     def test_stochastic_chunks_draw_independent_noise(self, injector, batch):
         """Regression: the seed-era scalar fallback used a fixed rng(0)
         per chunk, replaying identical noise in every chunk."""
-        result = monte_carlo_campaign(
+        result = _monte_carlo_campaign(
             injector, batch, (1, 1), n_scenarios=8, seed=0, chunk_size=1,
             fault=NoiseFault(sigma=0.5),
         )
@@ -349,7 +368,7 @@ class TestSampledCampaigns:
     def test_monte_carlo_synapse_distribution(self, injector, batch):
         from repro.faults.types import SynapseByzantineFault
 
-        result = monte_carlo_campaign(
+        result = _monte_carlo_campaign(
             injector, batch, (2, 1, 1), n_scenarios=16, seed=3,
             fault=SynapseByzantineFault(),
         )
@@ -392,13 +411,6 @@ class TestSampledCampaigns:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_errors(injector, x, scenarios, seed=1234):
-    rng = np.random.default_rng(seed)
-    return np.array(
-        [injector.output_error(x, sc, rng=rng) for sc in scenarios]
-    )
-
-
 class TestTaxonomyEquivalence:
     """Satellite: statistical-equivalence suite between the scalar
     injector and the new mask channels, for every fault kind."""
@@ -421,7 +433,7 @@ class TestTaxonomyEquivalence:
         compiled = injector.compile_batch(scenarios)
         engine = MaskCampaignEngine(injector, batch, chunk_size=7)
         np.testing.assert_allclose(
-            engine.evaluate(compiled), _scalar_errors(injector, batch, scenarios),
+            engine.evaluate(compiled), scalar_errors(injector, batch, scenarios),
             rtol=1e-10,
         )
 
@@ -439,11 +451,8 @@ class TestTaxonomyEquivalence:
         ]
         compiled = injector.compile_batch(scenarios)
         engine = MaskCampaignEngine(injector, batch, chunk_size=5)
-        scalar = _scalar_errors(injector, batch, scenarios)
+        scalar = scalar_errors(injector, batch, scenarios)
         np.testing.assert_allclose(engine.evaluate(compiled), scalar, rtol=1e-9)
-        np.testing.assert_allclose(
-            injector.output_errors_many(batch, compiled), scalar, rtol=1e-9
-        )
 
     @staticmethod
     def _assert_statistically_equivalent(scalar, mask):
@@ -481,7 +490,7 @@ class TestTaxonomyEquivalence:
         compiled = injector.compile_batch(scenarios)
         assert compiled.is_stochastic
         engine = MaskCampaignEngine(injector, batch)
-        scalar = _scalar_errors(injector, batch, scenarios, seed=11)
+        scalar = scalar_errors(injector, batch, scenarios, seed=11)
         mask = engine.evaluate(compiled, rng=np.random.default_rng(12))
         self._assert_statistically_equivalent(scalar, mask)
 
@@ -499,7 +508,7 @@ class TestTaxonomyEquivalence:
         compiled = injector.compile_batch(scenarios)
         assert compiled.is_stochastic
         engine = MaskCampaignEngine(injector, batch)
-        scalar = _scalar_errors(injector, batch, scenarios, seed=21)
+        scalar = scalar_errors(injector, batch, scenarios, seed=21)
         mask = engine.evaluate(compiled, rng=np.random.default_rng(22))
         self._assert_statistically_equivalent(scalar, mask)
 
@@ -519,7 +528,7 @@ class TestTaxonomyEquivalence:
             random_failure_scenario(small_net, (2, 1), fault=fault, rng=rng)
             for _ in range(400)
         ]
-        scalar = _scalar_errors(injector, batch, scenarios, seed=7)
+        scalar = scalar_errors(injector, batch, scenarios, seed=7)
         self._assert_statistically_equivalent(scalar, mask)
 
     def test_intermittent_crash_emits_exact_zero_on_hit(self, small_net, batch):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core.fep import forward_error_propagation, network_fep
 from repro.distributed.simulator import DistributedNetwork
 from repro.faults.injector import FaultInjector
+from repro.faults.masks import MaskCampaignEngine
 from repro.faults.scenarios import random_failure_scenario, random_synapse_scenario
 from repro.faults.types import ByzantineFault, CrashFault, StuckAtFault
 from repro.network import build_mlp
@@ -254,6 +255,8 @@ class TestBatchedPathProperty:
     @settings(max_examples=25, **COMMON)
     @given(data=st.data())
     def test_run_many_equals_scalar_run(self, data):
+        """``MaskCampaignEngine.outputs`` == ``FaultInjector.run`` on
+        generated networks and scenarios."""
         net = _network_from(data)
         dist = _distribution_from(data, net)
         fault = data.draw(
@@ -268,7 +271,8 @@ class TestBatchedPathProperty:
         ]
         injector = FaultInjector(net, capacity=1.0)
         x = rng.random((6, net.input_dim))
-        batched = injector.run_many(x, scenarios)
+        engine = MaskCampaignEngine(injector, x)
+        batched = engine.outputs(injector.compile_batch(scenarios))
         for i, sc in enumerate(scenarios):
             np.testing.assert_allclose(
                 batched[i], injector.run(x, sc), atol=1e-12

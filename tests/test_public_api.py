@@ -144,11 +144,16 @@ class TestSpecLayerPromises:
         for name in ("CampaignSpec", "SurvivalSpec", "ChaosSpec"):
             assert name in doc
 
-    def test_deprecated_entry_points_still_exported(self):
+    def test_deprecated_entry_points_are_gone(self):
+        """The direct-kwargs shims were removed in favour of specs."""
         import repro
+        import repro.chaos
+        import repro.faults
 
-        assert "monte_carlo_campaign" in repro.__all__
-        assert "run_chaos_campaign" in repro.__all__
+        for module in (repro, repro.faults, repro.chaos):
+            for name in ("monte_carlo_campaign", "run_chaos_campaign"):
+                assert name not in module.__all__
+                assert not hasattr(module, name)
 
 
 class TestDocstringCoverage:

@@ -180,16 +180,14 @@ class TestMeanFailuresToViolation:
     def test_matches_scalar_oracle(self, robust_net, rng):
         """The prefix-mask engine path reproduces the sequential scalar
         loop exactly: same seed, same permutations, same counts."""
-        from repro.faults.reliability import (
-            _mean_failures_to_violation_scalar,
-        )
+        from oracles import mean_failures_to_violation_scalar
 
         x = rng.random((12, 2))
         for eps_prime in (0.45, 0.3):
             fast = mean_failures_to_violation(
                 robust_net, 0.5, eps_prime, x, n_trials=25, seed=3
             )
-            oracle = _mean_failures_to_violation_scalar(
+            oracle = mean_failures_to_violation_scalar(
                 robust_net, 0.5, eps_prime, x, n_trials=25, seed=3
             )
             assert fast == oracle

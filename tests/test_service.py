@@ -232,6 +232,31 @@ class TestServedResults:
         assert "not a servable workload" in message["detail"]
 
 
+class TestFrameLimits:
+    def test_frame_over_64_kib_gets_a_typed_terminal(self, service):
+        """asyncio's default 64 KiB stream limit must not cap frames."""
+        spec = {"spec": "campaign", "pad": "x" * 70_000}
+        with client_for(service) as client:
+            client._request({"op": "submit", "spec": spec, "stream": False})
+            message = client._read()
+        assert message["type"] == "error"
+        assert message["kind"] == "spec"
+
+    def test_over_limit_frame_is_a_typed_protocol_error(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr("repro.service.daemon.MAX_LINE_BYTES", 1024)
+        spec = ServiceSpec(socket=str(tmp_path / "svc.sock"))
+        with ServiceThread(spec) as svc, client_for(svc) as client:
+            client._request({"op": "ping", "pad": "x" * 4096})
+            message = client._read()
+            assert message["type"] == "error"
+            assert message["kind"] == "protocol"
+            assert message["detail"] == "frame too large"
+            with pytest.raises(ServiceUnavailable, match="closed"):
+                client._read()
+
+
 class TestCacheAndCoalesce:
     def test_second_submit_is_a_cache_hit_without_engine_run(self, service):
         spec = campaign(n_scenarios=1024)

@@ -1,14 +1,11 @@
 """The declarative run-spec layer: validation, serialization, hashing,
-dispatch equivalence, deprecation shims, and spec-keyed artifacts."""
+dispatch equivalence, and spec-keyed artifacts."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
 
-import repro
-from repro.deprecation import reset_spec_deprecation_warnings
 from repro.specs import (
     SPEC_VERSION,
     CampaignSpec,
@@ -438,58 +435,6 @@ class TestDispatchEquivalence:
         np.testing.assert_array_equal(
             run(spec).errors, run(spec, engine=engine).errors
         )
-
-
-class TestDeprecationShims:
-    """The direct-kwargs entry points still work, warning exactly once."""
-
-    def _campaign_args(self):
-        from repro.faults.injector import FaultInjector
-
-        network = NET.resolve()
-        injector = FaultInjector(network, capacity=network.output_bound)
-        x = np.random.default_rng(0).random((4, network.input_dim))
-        return injector, x
-
-    def test_monte_carlo_campaign_warns_once(self):
-        injector, x = self._campaign_args()
-        reset_spec_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="repro.CampaignSpec"):
-            first = repro.monte_carlo_campaign(
-                injector, x, (1, 1), n_scenarios=5, seed=0
-            )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            second = repro.monte_carlo_campaign(
-                injector, x, (1, 1), n_scenarios=5, seed=0
-            )
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ], "the shim must warn once per process, not per call"
-        np.testing.assert_array_equal(first.errors, second.errors)
-
-    def test_run_chaos_campaign_warns_once(self):
-        from repro.chaos import ComponentLifetimeProcess
-
-        network = NET.resolve()
-        x = np.random.default_rng(0).random((4, network.input_dim))
-        kwargs = dict(
-            epochs=4, n_replicas=4, epsilon=0.5, epsilon_prime=0.1, seed=0
-        )
-        reset_spec_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="repro.ChaosSpec"):
-            first = repro.run_chaos_campaign(
-                network, x, [ComponentLifetimeProcess(0.1)], **kwargs
-            )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            second = repro.run_chaos_campaign(
-                network, x, [ComponentLifetimeProcess(0.1)], **kwargs
-            )
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert first.to_dict() == second.to_dict()
 
 
 class TestSpecKeyedArtifacts:

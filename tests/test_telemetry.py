@@ -41,8 +41,9 @@ from repro.chaos.processes import (
     ComponentLifetimeProcess,
     TransientBurstProcess,
 )
-from repro.chaos.telemetry import _episode_runs_scalar
 from repro.network import build_mlp
+
+from oracles import episode_runs_scalar
 
 FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures" / "specs"
 
@@ -99,7 +100,7 @@ def live_trace(live_report):
 class TestEpisodeRuns:
     def _assert_matches_oracle(self, grid):
         got = episode_runs(grid)
-        want = _episode_runs_scalar(grid)
+        want = episode_runs_scalar(grid)
         for g, w in zip(got, want):
             assert g.dtype == np.int64
             np.testing.assert_array_equal(g, w)
