@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test fast-test test-stats docs-check spec-roundtrip experiments report bench bench-faults bench-chaos bench-service serve-smoke
+.PHONY: test fast-test test-stats docs-check spec-roundtrip experiments report bench serve-smoke
 
 test:            ## tier-1: the full pytest suite
 	$(PYTHON) -m pytest -x -q
@@ -25,17 +25,13 @@ experiments:     ## run the experiment registry through the artifact pipeline
 report:          ## regenerate EXPERIMENTS.md from stored artifacts
 	$(PYTHON) -m repro report
 
-bench:           ## refresh BENCH_campaign.json
-	$(PYTHON) benchmarks/run_campaign_bench.py
+# The BENCHMARK.json workloads; `make bench` runs each once, untraced.
+BENCH_WORKLOADS := campaign-crash-wide campaign-synapse chaos-fleet service-mixed
 
-bench-faults:    ## the extended fault-taxonomy benchmark matrix
-	$(PYTHON) benchmarks/run_campaign_bench.py --full-matrix
-
-bench-chaos:     ## the temporal chaos campaign vs a scalar epoch loop
-	$(PYTHON) benchmarks/run_chaos_bench.py
-
-bench-service:   ## refresh BENCH_service.json (daemon under closed-loop traffic)
-	$(PYTHON) benchmarks/run_service_bench.py
+bench:           ## one 20-s untraced perfbench run of every workload (seed 1)
+	for w in $(BENCH_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done
 
 serve-smoke:     ## start the daemon, stream one campaign + a cached repeat, drain
 	$(PYTHON) benchmarks/serve_smoke.py

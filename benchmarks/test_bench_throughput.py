@@ -131,9 +131,8 @@ def test_bench_mask_campaign_1k(benchmark, setup):
 def test_bench_seed_pipeline_1k(benchmark, setup):
     """The seed path at S=1k: object sampling + compile_batch lowering.
 
-    The ratio against ``test_bench_mask_campaign_1k`` is the headline
-    speedup of the mask-native engine (see BENCH_campaign.json for the
-    S=100k comparison, where it exceeds 10x).
+    The ratio against ``test_bench_mask_campaign_1k`` is the speedup
+    of the mask-native engine over the object-scenario pipeline.
     """
     net, x, _ = setup
     injector = FaultInjector(net, capacity=1.0)

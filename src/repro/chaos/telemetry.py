@@ -323,8 +323,8 @@ class TelemetryRecorder:
     # scratch; every reduction — per-layer health counts, per-process
     # damage attribution — is deferred to the window flush where it
     # vectorises over the whole ``(W, R, N_l)`` block.  That deferral
-    # is what keeps full ground-truth recording inside the < 10%
-    # overhead budget (``BENCH_campaign.json``, ``"telemetry"``).
+    # is what keeps full ground-truth recording cheap; its cost is the
+    # ``chaos.telemetry_overhead`` metric of the benchmark (perfbench).
 
     def damage_counts(self, state) -> np.ndarray:
         """Per-replica damaged-component count (crashed + intermittent),

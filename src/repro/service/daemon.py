@@ -551,7 +551,7 @@ class CampaignService:
             # The evaluation thread cannot be interrupted; it keeps
             # running and its (still-correct) result lands in the
             # cache on completion, but this job answers now.
-            future.add_done_callback(lambda f: f.exception())
+            future.add_done_callback(lambda f: f.cancelled() or f.exception())
             self._finish(
                 job,
                 {
@@ -562,6 +562,12 @@ class CampaignService:
                 },
                 outcome="timeout",
             )
+            # The abandoned evaluation still holds an executor thread.
+            # Keep this runner until it ends, so later jobs wait in the
+            # admission queue (visible, sheddable, clock not started)
+            # rather than in the executor's hidden one.
+            with contextlib.suppress(Exception):
+                await asyncio.shield(future)
             return
         except Exception as exc:  # engine/spec failures become typed errors
             self._finish(

@@ -11,6 +11,7 @@ The serving contract under test (DESIGN.md, ninth subsystem):
   daemons and malformed specs.
 """
 
+import asyncio
 import json
 import threading
 import time
@@ -28,7 +29,13 @@ from repro.service import (
     result_payload,
     summarize_result,
 )
-from repro.service.protocol import ProtocolError, parse_request
+from repro.service.protocol import (
+    MAX_LINE_BYTES,
+    TERMINAL_TYPES,
+    ProtocolError,
+    encode,
+    parse_request,
+)
 from repro.specs import (
     CampaignSpec,
     ChaosSpec,
@@ -377,6 +384,55 @@ class TestAdmissionControl:
                 terminal = client.submit(blocker(seed=77))
         assert terminal["type"] == "timeout"
         assert terminal["timeout_s"] == 0.05
+
+    def test_timed_out_job_does_not_starve_the_next(self, tmp_path):
+        # The abandoned blocker keeps the only executor thread busy for
+        # ~0.7s; the next job must wait for it in the admission queue,
+        # where its own 0.3s timeout has not started yet.
+        svc_spec = ServiceSpec(
+            socket=str(tmp_path / "svc.sock"), max_inflight=1
+        )
+        with ServiceThread(svc_spec):
+            with ServiceClient(svc_spec.socket) as client:
+                first = client.submit(blocker(seed=78), timeout=0.05)
+                second = client.submit(
+                    campaign(n_scenarios=1024, seed=31), timeout=0.3
+                )
+        assert first["type"] == "timeout"
+        assert second["type"] == "result"
+
+    def test_overload_burst_answers_every_client(self, tmp_path):
+        # 256 simultaneous clients, 32 distinct specs, one runner and a
+        # 2-slot queue: each reads one terminal, then a clean close.
+        svc_spec = ServiceSpec(
+            socket=str(tmp_path / "svc.sock"), max_inflight=1, queue_depth=2
+        )
+        specs = [campaign(n_scenarios=1024, seed=i % 32) for i in range(256)]
+
+        async def one_client(spec):
+            reader, writer = await asyncio.open_unix_connection(
+                svc_spec.socket, limit=MAX_LINE_BYTES
+            )
+            writer.write(encode({"op": "submit", "spec": spec.to_dict()}))
+            message = {}
+            while message.get("type") not in TERMINAL_TYPES:
+                line = await reader.readline()
+                assert line, "daemon closed before a terminal"
+                message = json.loads(line)
+            writer.write_eof()
+            assert await reader.read() == b""  # nothing after the terminal
+            writer.close()
+            await writer.wait_closed()
+            return message["type"]
+
+        async def burst():
+            return await asyncio.gather(*map(one_client, specs))
+
+        with ServiceThread(svc_spec) as svc:
+            kinds = asyncio.run(burst())
+            assert set(kinds) <= {"result", "rejected"}
+            assert svc.metrics.value("repro_service_shed") > 0
+            assert svc.metrics.value("repro_service_coalesce_hits") > 0
 
     def test_shutdown_drains_in_flight_jobs(self, tmp_path):
         svc_spec = ServiceSpec(
