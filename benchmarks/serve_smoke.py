@@ -5,8 +5,12 @@ submits one streamed campaign (asserting at least one ``chunk`` event
 arrives before the ``result``), repeats the same submission and
 asserts it comes back from the cache with a bitwise-identical error
 vector, then shuts the daemon down with a drain and checks the ack.
+It then restarts the daemon on the same ``results_dir`` and asserts a
+third submission is answered from the store tier
+(``repro_service_cache_hits{tier="store"}`` = 1), again bitwise equal.
 Exit code 0 means the serve path — admission, engine hand-off,
-streaming, caching, drain — works end to end on this platform.
+streaming, memory and store caching, drain — works end to end on this
+platform.
 
 Run from the repo root::
 
@@ -19,8 +23,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from repro.service import ServiceClient, ServiceThread
 from repro.specs import CampaignSpec, FaultSpec, NetworkRef, SamplerSpec, ServiceSpec
+
+
+def _bits(terminal) -> bytes:
+    """The raw float64 bytes of a campaign terminal's error vector."""
+    return np.asarray(terminal["result"]["errors"], dtype=np.float64).tobytes()
 
 
 def main() -> int:
@@ -67,6 +78,21 @@ def main() -> int:
                 assert ack["type"] == "shutdown-ack", ack
                 assert ack["drained"] == 0, ack
                 print("drained shutdown: ack ok")
+
+        with ServiceThread(svc_spec) as service:
+            with ServiceClient(svc_spec.socket) as client:
+                third = client.submit(spec)
+                assert third["type"] == "result", third
+                assert third["cached"], "restarted daemon missed the store"
+                store_hits = service.metrics.value(
+                    "repro_service_cache_hits", tier="store"
+                )
+                assert store_hits == 1, store_hits
+                assert _bits(third) == _bits(first), (
+                    "store-tier error vector drifted from the evaluated one"
+                )
+                print("restart, store-tier hit: bitwise identical")
+                client.shutdown(drain=True)
     print("serve smoke: OK")
     return 0
 

@@ -31,6 +31,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -326,29 +327,25 @@ class ArtifactStore:
     ) -> Path:
         """Persist one run result keyed by its spec's ``content_hash``.
 
-        The artifact is written to a process-unique temp file and
-        renamed (atomic — a concurrent reader sees the old file or the
-        new one, never a torn write), then the manifest's ``runs``
-        index is updated under the lockfile.  Safe for any number of
-        concurrent writers; identical specs overwrite in place.
+        The record is encoded compactly in one ``json.dumps`` call (the
+        C encoder), written to a thread-unique temp file and renamed —
+        atomic: a concurrent reader sees the old file or the new one,
+        never a torn write.  ``runs/<hash>.json`` is its own index, so
+        the manifest is not touched and the cost does not grow with the
+        number of stored runs.  Safe for any number of concurrent
+        writers; identical specs overwrite in place.
         """
         path = self.run_result_path(spec_hash)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(dict(record), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        tmp = path.with_name(
+            f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
+        tmp.write_text(
+            json.dumps(dict(record), sort_keys=True, separators=(",", ":"))
+            + "\n",
+            encoding="utf-8",
+        )
         tmp.replace(path)
-
-        def _mutate(manifest: Dict[str, Any]) -> None:
-            runs = manifest.setdefault("runs", {})
-            runs[spec_hash] = {
-                "artifact": str(path.relative_to(self.root)),
-                "kind": record.get("kind"),
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            }
-
-        self.update_manifest(_mutate)
         return path
 
     def load_run_result(self, spec_hash: str) -> Optional[Dict[str, Any]]:

@@ -16,13 +16,16 @@ in order:
    instead of spawning a second evaluation.  N identical concurrent
    submissions cost one engine run.
 3. **Cache** — before queueing, the spec hash is looked up in a
-   bounded in-memory LRU and then in the
-   :class:`~repro.artifacts.ArtifactStore` run index
-   (``results_dir``).  Hits answer immediately, no engine call.
+   bounded in-memory LRU of *encoded* results and then in the
+   :class:`~repro.artifacts.ArtifactStore` record
+   ``runs/<hash>.json`` (``results_dir``).  Hits answer immediately,
+   no engine call and no JSON encode: the cached bytes are spliced
+   into the terminal frame (:func:`~.protocol.result_frame`).
 4. **Evaluation** — runner tasks hand the spec to ``repro.run`` on a
    thread pool (the engines are numpy-bound and release the GIL in
-   the kernels; the loop stays responsive).  A per-job timeout turns
-   a stuck evaluation into a typed ``timeout`` response.
+   the kernels; the loop stays responsive).  The job thread also
+   lowers and encodes the result, once.  A per-job timeout turns a
+   stuck evaluation into a typed ``timeout`` response.
 
 Streaming rides the observability plane: the job's
 :class:`_StreamingObserver` (a :class:`~repro.obs.RunObserver`) emits
@@ -48,7 +51,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..artifacts import ArtifactStore
 from ..obs import MetricsRegistry, RunObserver, render_openmetrics
@@ -67,7 +70,9 @@ from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     encode,
+    encode_result,
     parse_request,
+    result_frame,
     result_payload,
 )
 
@@ -155,6 +160,13 @@ class _StreamingObserver(RunObserver):
         )
 
 
+#: What a job publishes to its subscribers: ``chunk`` / ``adaptive``
+#: progress dicts, then one terminal — the encoded result (bytes, which
+#: each subscriber splices with its own provenance flags) or a
+#: ``timeout`` / ``error`` dict.
+Event = Union[bytes, Dict[str, Any]]
+
+
 class _Job:
     """One in-flight evaluation; subscribers share its event stream."""
 
@@ -175,7 +187,7 @@ class _Job:
         self.created = time.perf_counter()
         self.subscribers: List[asyncio.Queue] = []
         self.finished = asyncio.Event()
-        self.terminal: Optional[Dict[str, Any]] = None
+        self.terminal: Optional[Event] = None
 
     def subscribe(self) -> asyncio.Queue:
         queue: asyncio.Queue = asyncio.Queue()
@@ -201,7 +213,7 @@ class CampaignService:
         self.store = store
         self.metrics = MetricsRegistry()
         self._jobs: Dict[str, _Job] = {}
-        self._cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._cache: "OrderedDict[str, bytes]" = OrderedDict()
         self._cache_lock = threading.Lock()
         self._queue: Optional[asyncio.Queue] = None
         self._runners: List[asyncio.Task] = []
@@ -348,7 +360,10 @@ class CampaignService:
     async def _send(
         self, writer: asyncio.StreamWriter, message: Dict[str, Any]
     ) -> None:
-        writer.write(encode(message))
+        await self._write(writer, encode(message))
+
+    async def _write(self, writer: asyncio.StreamWriter, frame: bytes) -> None:
+        writer.write(frame)
         await writer.drain()
 
     def _error(self, detail: str, *, kind: str) -> Dict[str, Any]:
@@ -400,9 +415,8 @@ class CampaignService:
                 writer,
                 self._accepted(spec_hash, cached=True, coalesced=False),
             )
-            await self._send(
-                writer,
-                self._terminal_result(cached, cached=True, coalesced=False),
+            await self._write(
+                writer, result_frame(cached, cached=True, coalesced=False)
             )
             return
 
@@ -448,10 +462,16 @@ class CampaignService:
         )
         while True:
             event = await subscription.get()
-            if event.get("type") in ("chunk", "adaptive") and not stream:
-                continue
-            await self._send(writer, event)
-            if event.get("type") not in ("chunk", "adaptive"):
+            if isinstance(event, bytes):
+                await self._write(
+                    writer,
+                    result_frame(event, cached=False, coalesced=coalesced),
+                )
+                break
+            progress = event["type"] in ("chunk", "adaptive")
+            if stream or not progress:
+                await self._send(writer, event)
+            if not progress:
                 break
 
     def _accepted(
@@ -473,52 +493,59 @@ class CampaignService:
             "queue_depth": self.spec.queue_depth,
         }
 
-    def _terminal_result(
-        self, payload: Dict[str, Any], *, cached: bool, coalesced: bool
-    ) -> Dict[str, Any]:
-        return {
-            "type": "result",
-            "protocol": PROTOCOL_VERSION,
-            "cached": cached,
-            "coalesced": coalesced,
-            "result": payload,
-        }
-
     # -- the result cache --------------------------------------------------
 
-    async def _cache_lookup(self, spec_hash: str) -> Optional[Dict[str, Any]]:
+    async def _cache_lookup(self, spec_hash: str) -> Optional[bytes]:
+        """The encoded result for ``spec_hash`` from memory or the store."""
         with self._cache_lock:
-            payload = self._cache.get(spec_hash)
-            if payload is not None:
+            result = self._cache.get(spec_hash)
+            if result is not None:
                 self._cache.move_to_end(spec_hash)
-        if payload is not None:
+        if result is not None:
             self._count(
                 "repro_service_cache_hits",
                 "Submits answered from the result cache.",
                 tier="memory",
             )
-            return payload
+            return result
         if self.store is None:
             return None
-        record = await self._loop.run_in_executor(
-            None, self.store.load_run_result, spec_hash
+        result = await self._loop.run_in_executor(
+            None, self._load_stored, spec_hash
         )
-        if record is None or record.get("version") != RUN_RECORD_VERSION:
+        if result is None:
             return None
-        payload = record["result"]
-        self._cache_put(spec_hash, payload)
+        self._cache_put(spec_hash, result)
         self._count(
             "repro_service_cache_hits",
             "Submits answered from the result cache.",
             tier="store",
         )
-        return payload
+        return result
 
-    def _cache_put(self, spec_hash: str, payload: Dict[str, Any]) -> None:
+    def _load_stored(self, spec_hash: str) -> Optional[bytes]:
+        """Thread body: the stored record's encoded result, or None.
+
+        An unreadable or malformed record (bad JSON, wrong version, no
+        ``result``) is a miss; the fresh run overwrites it atomically.
+        """
+        try:
+            record = self.store.load_run_result(spec_hash)
+        except (OSError, ValueError):  # JSON and UTF-8 errors are ValueErrors
+            return None
+        if (
+            not isinstance(record, dict)
+            or record.get("version") != RUN_RECORD_VERSION
+            or not isinstance(record.get("result"), dict)
+        ):
+            return None
+        return encode_result(record["result"])
+
+    def _cache_put(self, spec_hash: str, result: bytes) -> None:
         if self.spec.cache_entries == 0:
             return
         with self._cache_lock:
-            self._cache[spec_hash] = payload
+            self._cache[spec_hash] = result
             self._cache.move_to_end(spec_hash)
             while len(self._cache) > self.spec.cache_entries:
                 self._cache.popitem(last=False)
@@ -546,7 +573,7 @@ class CampaignService:
         )
         timeout = job.timeout or self.spec.job_timeout
         try:
-            payload = await asyncio.wait_for(asyncio.shield(future), timeout)
+            result = await asyncio.wait_for(asyncio.shield(future), timeout)
         except asyncio.TimeoutError:
             # The evaluation thread cannot be interrupted; it keeps
             # running and its (still-correct) result lands in the
@@ -574,23 +601,20 @@ class CampaignService:
                 job, self._error(str(exc), kind="internal"), outcome="error"
             )
             return
-        self._finish(
-            job,
-            self._terminal_result(payload, cached=False, coalesced=False),
-            outcome="completed",
-        )
+        self._finish(job, result, outcome="completed")
 
     def _evaluate(
         self, job: _Job, emit: Callable[[Dict[str, Any]], None]
-    ) -> Dict[str, Any]:
+    ) -> bytes:
         """Thread body: run the engines, encode, write through the cache."""
         obs = _StreamingObserver(emit)
         outcome = run(job.spec, obs=obs)
         payload = result_payload(job.spec, outcome)
+        result = encode_result(payload)
         self._count(
             "repro_service_engine_runs", "Engine evaluations executed."
         )
-        self._cache_put(job.spec_hash, payload)
+        self._cache_put(job.spec_hash, result)
         if self.store is not None:
             self.store.save_run_result(
                 job.spec_hash,
@@ -602,15 +626,13 @@ class CampaignService:
                     "result": payload,
                 },
             )
-        return payload
+        return result
 
-    def _publish(self, job: _Job, event: Dict[str, Any]) -> None:
+    def _publish(self, job: _Job, event: Event) -> None:
         for queue in job.subscribers:
             queue.put_nowait(event)
 
-    def _finish(
-        self, job: _Job, terminal: Dict[str, Any], *, outcome: str
-    ) -> None:
+    def _finish(self, job: _Job, terminal: Event, *, outcome: str) -> None:
         self._count(
             "repro_service_jobs", "Finished jobs by outcome.", outcome=outcome
         )

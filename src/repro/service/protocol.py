@@ -49,6 +49,8 @@ __all__ = [
     "REQUEST_OPS",
     "ProtocolError",
     "encode",
+    "encode_result",
+    "result_frame",
     "decode",
     "parse_request",
     "result_payload",
@@ -78,11 +80,37 @@ class ProtocolError(ValueError):
     """A malformed frame or request."""
 
 
+def _dumps(obj: Any) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def encode(message: Mapping[str, Any]) -> bytes:
     """One JSONL frame: compact JSON + newline."""
-    return (
-        json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    return (_dumps(message) + "\n").encode("utf-8")
+
+
+def encode_result(payload: Mapping[str, Any]) -> bytes:
+    """The ``result`` member of a terminal frame, encoded once.
+
+    The daemon caches these bytes per spec hash and answers every hit
+    by splicing them into a frame with :func:`result_frame`.
+    """
+    return _dumps(payload).encode("utf-8")
+
+
+def result_frame(result: bytes, *, cached: bool, coalesced: bool) -> bytes:
+    """The terminal ``result`` frame around pre-encoded ``result`` bytes.
+
+    Keys are sorted on the wire, so ``result`` sits between
+    ``protocol`` and ``type`` and the splice is byte-identical to
+    :func:`encode` of the same frame.
+    """
+    return b"".join((
+        b'{"cached":', b"true" if cached else b"false",
+        b',"coalesced":', b"true" if coalesced else b"false",
+        b',"protocol":%d,"result":' % PROTOCOL_VERSION, result,
+        b',"type":"result"}\n',
+    ))
 
 
 def decode(line: bytes) -> Dict[str, Any]:

@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.artifacts import ArtifactStore
 from repro.cli import main
 from repro.service import (
     CampaignService,
@@ -29,12 +30,16 @@ from repro.service import (
     result_payload,
     summarize_result,
 )
+from repro.service.daemon import RUN_RECORD_VERSION
 from repro.service.protocol import (
     MAX_LINE_BYTES,
+    PROTOCOL_VERSION,
     TERMINAL_TYPES,
     ProtocolError,
     encode,
+    encode_result,
     parse_request,
+    result_frame,
 )
 from repro.specs import (
     CampaignSpec,
@@ -161,6 +166,40 @@ class TestProtocol:
         payload = result_payload(spec, run(spec))
         wire = json.dumps(payload, sort_keys=True)
         assert json.dumps(json.loads(wire), sort_keys=True) == wire
+
+    @pytest.mark.parametrize("kind", ["campaign", "adaptive", "certified",
+                                      "monte_carlo", "chaos"])
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("coalesced", [False, True])
+    def test_result_frame_splice_equals_encode(self, kind, cached, coalesced):
+        spec = {
+            "campaign": lambda: campaign(n_scenarios=256),
+            "adaptive": lambda: campaign(
+                n_scenarios=4096, threshold=0.02,
+                stopping=StoppingSpec(method="hoeffding", target_ci=0.05),
+            ),
+            "certified": lambda: SurvivalSpec(
+                network=NET, p_fail=0.05, epsilon=0.5, epsilon_prime=0.1
+            ),
+            "monte_carlo": lambda: SurvivalSpec(
+                network=NET, p_fail=0.05, epsilon=0.5, epsilon_prime=0.1,
+                method="monte_carlo", n_trials=256, seed=3,
+            ),
+            "chaos": lambda: ChaosSpec(
+                network=NET, epsilon=0.5, epsilon_prime=0.1,
+                processes=(ProcessSpec(kind="lifetime", rate=0.1),),
+                epochs=4, replicas=3, batch=4, seed=3,
+            ),
+        }[kind]()
+        payload = result_payload(spec, run(spec))
+        frame = {
+            "type": "result", "protocol": PROTOCOL_VERSION,
+            "cached": cached, "coalesced": coalesced, "result": payload,
+        }
+        spliced = result_frame(
+            encode_result(payload), cached=cached, coalesced=coalesced
+        )
+        assert spliced == encode(frame)
 
     def test_summarize_result_covers_every_kind(self):
         camp = campaign(n_scenarios=256)
@@ -341,6 +380,114 @@ class TestCacheAndCoalesce:
             assert attached + cached == 3
         payloads = [r["result"] for r in results]
         assert all(p == payloads[0] for p in payloads)
+
+    def test_coalesced_terminal_carries_each_subscribers_flag(
+        self, tmp_path
+    ):
+        svc_spec = ServiceSpec(
+            socket=str(tmp_path / "svc.sock"), max_inflight=1, queue_depth=8
+        )
+        target = campaign(n_scenarios=1024, seed=5)
+        submit = {"op": "submit", "spec": target.to_dict(), "stream": False}
+        with ServiceThread(svc_spec) as svc:
+            hold = threading.Thread(
+                target=lambda: ServiceClient(svc_spec.socket).submit(
+                    blocker()
+                )
+            )
+            hold.start()
+            while not svc._jobs:  # blocker admitted, runner busy
+                time.sleep(0.005)
+            clients = [ServiceClient(svc_spec.socket) for _ in range(3)]
+            accepted = []
+            for client in clients:  # all three attach before the run
+                client._request(submit)
+                accepted.append(client._read())
+            terminals = [client._read() for client in clients]
+            for client in clients:
+                client.close()
+            hold.join(timeout=30)
+        flags = [
+            (a["coalesced"], t["coalesced"])
+            for a, t in zip(accepted, terminals)
+        ]
+        assert flags == [(False, False), (True, True), (True, True)]
+        assert all(t["result"] == terminals[0]["result"] for t in terminals)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text[: len(text) // 2],  # truncated JSON
+            lambda text: json.dumps(
+                {k: v for k, v in json.loads(text).items() if k != "result"}
+            ),
+            lambda text: json.dumps(
+                {**json.loads(text), "version": RUN_RECORD_VERSION + 1}
+            ),
+        ],
+        ids=["truncated", "no-result", "wrong-version"],
+    )
+    def test_malformed_stored_record_is_a_miss(self, tmp_path, damage):
+        spec = campaign(n_scenarios=1024)
+        results = str(tmp_path / "results")
+        store = ArtifactStore(results)
+        path = store.run_result_path(spec.content_hash())
+
+        def one_daemon(n):
+            return ServiceThread(ServiceSpec(
+                socket=str(tmp_path / f"svc{n}.sock"), results_dir=results
+            ))
+
+        with one_daemon(1) as first, client_for(first) as client:
+            fresh = client.submit(spec)
+        path.write_text(damage(path.read_text()))
+        with one_daemon(2) as second:
+            with client_for(second) as client:
+                rerun = client.submit(spec)
+            assert second.metrics.value("repro_service_engine_runs") == 1
+            assert second.metrics.value(
+                "repro_service_cache_hits", tier="store"
+            ) is None
+        assert rerun["type"] == "result"
+        assert rerun["cached"] is False
+        assert rerun["result"] == fresh["result"]
+        # The fresh run overwrote the damaged record.
+        assert store.load_run_result(spec.content_hash())["result"] == (
+            fresh["result"]
+        )
+
+    def test_indented_legacy_record_is_served_bitwise(self, tmp_path):
+        """Records written in the old ``indent=2`` layout still answer
+        from the store tier, byte-for-byte as the direct run encodes."""
+        spec = campaign(n_scenarios=1024)
+        spec_hash = spec.content_hash()
+        direct = result_payload(spec, run(spec))
+        store = ArtifactStore(tmp_path / "results")
+        path = store.run_result_path(spec_hash)
+        path.parent.mkdir(parents=True)
+        record = {
+            "version": RUN_RECORD_VERSION, "spec_hash": spec_hash,
+            "kind": spec.spec_tag, "spec": spec.to_dict(), "result": direct,
+        }
+        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        svc_spec = ServiceSpec(
+            socket=str(tmp_path / "svc.sock"),
+            results_dir=str(tmp_path / "results"),
+        )
+        with ServiceThread(svc_spec) as svc, client_for(svc) as client:
+            client._request(
+                {"op": "submit", "spec": spec.to_dict(), "stream": False}
+            )
+            assert client._read()["cached"] is True  # accepted
+            line = client._reader.readline()
+            assert svc.metrics.value(
+                "repro_service_cache_hits", tier="store"
+            ) == 1
+            assert svc.metrics.value("repro_service_engine_runs") is None
+        assert line == encode({
+            "type": "result", "protocol": PROTOCOL_VERSION,
+            "cached": True, "coalesced": False, "result": direct,
+        })
 
 
 class TestAdmissionControl:
