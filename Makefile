@@ -30,7 +30,7 @@ BENCH_WORKLOADS := campaign-crash-wide campaign-synapse chaos-fleet service-mixe
 
 bench:           ## one 20-s untraced perfbench run of every workload (seed 1)
 	for w in $(BENCH_WORKLOADS); do \
-		python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
 	done
 
 serve-smoke:     ## start the daemon, stream one campaign + a cached repeat, drain

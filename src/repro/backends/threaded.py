@@ -12,12 +12,12 @@ Determinism contract: the tile layout and the per-tile generators
 depend only on the batch size and the engine's tile width — never on
 the pool size or scheduling order — so results are identical across
 worker counts (``serial == threaded``).  Deterministic fault batches
-are additionally bitwise-identical to the ``numpy`` backend evaluated
-at the same slice layout (``chunk_size == tile``); across layouts
-they agree to float associativity, exactly like the serial engine
-across chunk sizes.  Stochastic batches draw from per-tile spawned
-generators, so they are reproducible for a fixed seed but follow a
-different (equally distributed) stream than the serial engine.
+are additionally bitwise-identical to the ``numpy`` backend: every
+scenario's arithmetic (stacked GEMMs, rank-k route) is independent of
+the slice it shares, so the tile layout is immaterial.  Stochastic
+batches draw from per-tile spawned generators, so they are
+reproducible for a fixed seed but follow a different (equally
+distributed) stream than the serial engine.
 """
 
 from __future__ import annotations

@@ -20,7 +20,9 @@ makes the whole pipeline live at the array level (see DESIGN.md):
 * **evaluation** — :class:`MaskCampaignEngine` streams mask batches
   through preallocated ``(chunk, B, N_l)`` buffers with a ``dtype``
   option (float32 fast path, float64 default) and per-campaign cached
-  weights, producing per-scenario output errors;
+  weights, producing per-scenario output errors; on wide first layers,
+  scenarios with few faulty first-layer cells skip the second layer's
+  GEMM for a rank-``k`` update of its nominal sums;
 * **distribution** — the fork-once worker pool ships the network to
   each worker exactly once (pool initializer); jobs afterwards carry
   only chunk sizes + spawned ``SeedSequence`` children (Monte-Carlo)
@@ -849,6 +851,13 @@ def masks_from_flat_indices(
 # Streaming evaluation
 # ---------------------------------------------------------------------------
 
+#: The rank-k route's ratio ``R``: a scenario whose faults leave ``k``
+#: of the ``N_1`` first-layer cells off nominal gets its second-layer
+#: sums as the nominal sums plus a rank-``k`` update when
+#: ``k * R < N_1``; the rest, and every net with ``N_1 <= R``, run the
+#: dense GEMM.  Chosen by the width sweep in DESIGN.md.
+RANK_K_RATIO = 16
+
 
 class MaskCampaignEngine:
     """Streams mask batches through preallocated activation buffers.
@@ -917,33 +926,38 @@ class MaskCampaignEngine:
         )
         self._out_bias = np.asarray(self.network.output_bias, dtype=self.dtype)
 
-        # First-layer activations are scenario-independent: compute once.
-        self._base_first = self._layer_forward(0, self.xb)
-        # Nominal outputs through the same cached path (so float32
-        # campaigns compare faulty vs nominal in the same precision).
-        y = self._base_first
-        for l0 in range(1, self.network.depth):
-            y = self._layer_forward(l0, y)
+        # The nominal forward pass, once per campaign through the same
+        # cached weights (so float32 campaigns compare faulty vs nominal
+        # in the same precision).  It keeps every layer's nominal
+        # pre-activation sums ``(B, N_l)``: layer 1's seed the stage-1
+        # synapse corrections, layer 2's the rank-k route.
+        self._base_pre: List[np.ndarray] = []
+        y = self.xb
+        for l0, layer in enumerate(self.network.layers):
+            s = y @ self._weights_t[l0]
+            if self._biases[l0] is not None:
+                s += self._biases[l0]
+            self._base_pre.append(s.copy())
+            y = layer.activation.evaluate_into(s, s)
+            self._post_activation(l0, y)
+            if l0 == 0:
+                # First-layer activations are scenario-independent.
+                self._base_first = y
         self._nominal = y @ self._out_weights_t + self._out_bias  # (B, n_out)
+        # Contiguous (N_1, B) twins: the compact first-layer cells
+        # gather per-neuron rows, which is fastest off this layout.
+        self._base_first_t = np.ascontiguousarray(self._base_first.T)
+        self._base_pre0_t = np.ascontiguousarray(self._base_pre[0].T)
 
         self._buffers: Optional[List[np.ndarray]] = None
         self._out_buffer: Optional[np.ndarray] = None
-        self._base_pre1: Optional[np.ndarray] = None
-        self._base_pre1_t: Optional[np.ndarray] = None
+        self._rank_k_buffer: Optional[np.ndarray] = None
         self._workspace = MaskWorkspace()
         #: Optional :class:`~repro.profiling.PhaseProfile`; when set,
         #: :meth:`_evaluate_slice` charges wall time to its buckets.
         self.profile = None
 
     # -- internals ---------------------------------------------------------
-
-    def _layer_forward(self, l0: int, y: np.ndarray) -> np.ndarray:
-        s = y @ self._weights_t[l0]
-        if self._biases[l0] is not None:
-            s += self._biases[l0]
-        out = self.network.layers[l0].activation.evaluate_into(s, s)
-        self._post_activation(l0, out)
-        return out
 
     def _post_activation(self, l0: int, arr: np.ndarray) -> None:
         """Hook on every layer's post-activation values (in place).
@@ -959,20 +973,6 @@ class MaskCampaignEngine:
         if stage == self.network.depth:
             return self._out_weights_t.T
         return self._weights_t[stage].T
-
-    def _ensure_base_pre1(self) -> np.ndarray:
-        """Cached layer-1 *pre-activation* sums ``(B, N_1)``; needed only
-        by scenarios with stage-1 synapse faults, where the received
-        sums must be corrected before squashing."""
-        if self._base_pre1 is None:
-            s = self.xb @ self._weights_t[0]
-            if self._biases[0] is not None:
-                s += self._biases[0]
-            self._base_pre1 = s
-            # Contiguous (N_1, B) twin: the sparse stage-1 kernel
-            # gathers per-neuron rows, which is fastest off this layout.
-            self._base_pre1_t = np.ascontiguousarray(s.T)
-        return self._base_pre1
 
     def _ensure_buffers(self) -> None:
         if self._buffers is not None:
@@ -994,22 +994,36 @@ class MaskCampaignEngine:
         lo: int,
         hi: int,
         rng: "np.random.Generator | None" = None,
+        cells: "tuple | None" = None,
     ) -> None:
         """In-place fault application on ``(S, B, N_l)`` activations
-        through :func:`~repro.faults.injector.apply_mask_channels`."""
+        through :func:`~repro.faults.injector.apply_mask_channels`.
+
+        ``cells = (s, j)`` instead applies layer ``l0``'s channels to
+        the compact ``(T, B, 1)`` tensor of those slice cells, given in
+        row-major order: each channel is gathered at the cells, so the
+        kernel visits (and draws for) the faulty cells in the same
+        order as the dense pass — the same values, the same stream.
+        """
         if batch.neuron_channels_clear:
             return  # scan-free, draw-free skip (see CompiledScenarioBatch)
 
-        def chan(lst):
-            return lst[l0][lo:hi] if lst is not None else None
+        if cells is None:
+            def chan(lst):
+                return lst[l0][lo:hi] if lst is not None else None
+        else:
+            rows, cols = cells[0] + lo, cells[1]
+
+            def chan(lst):
+                return lst[l0][rows, cols][:, None] if lst is not None else None
 
         apply_mask_channels(
             Y,
-            batch.zero_masks[l0][lo:hi],
-            batch.set_masks[l0][lo:hi],
-            batch.set_values[l0][lo:hi],
-            batch.add_masks[l0][lo:hi],
-            batch.add_values[l0][lo:hi],
+            chan(batch.zero_masks),
+            chan(batch.set_masks),
+            chan(batch.set_values),
+            chan(batch.add_masks),
+            chan(batch.add_values),
             self.capacity,
             scale_mask=chan(batch.scale_masks),
             scale_values=chan(batch.scale_values),
@@ -1020,32 +1034,29 @@ class MaskCampaignEngine:
             workspace=self._workspace,
         )
 
-    def _corrected_first_layer(
+    def _stage1_cells(
         self,
-        Y: np.ndarray,
         st0: SynapseStageChannels,
         rng: "np.random.Generator | None",
-    ) -> None:
-        """Stage-1 synapse corrections via the sparse segment plan.
+    ) -> tuple:
+        """First-layer emissions at the stage-1 synapse targets.
 
         Only the ``T`` distinct ``(scenario, neuron)`` targets differ
-        from the nominal first layer, so instead of broadcasting and
-        re-squashing all ``S x B x N_1`` received sums, gather the
-        cached base pre-activations of the targets, accumulate the
-        corrections there (same per-target order as the dense
-        reference), squash the ``(T, B)`` cells, and scatter them over
-        the broadcast nominal activations.  Elementwise identical to
+        from the nominal first layer, so gather the cached nominal
+        pre-activations of the targets, accumulate the corrections
+        there (same per-target order as the dense reference), and
+        squash the ``(T, B)`` cells.  Elementwise identical to
         correcting and squashing the full broadcast tensor — untouched
         cells squash the identical base sums — hence bitwise-equal
-        results (``tests/oracles.py`` keeps that dense form).
+        results (``tests/oracles.py`` keeps that dense form).  Returns
+        ``(u_s, u_j, cells)``.
         """
-        plan = _stage_plan(st0, Y.shape[2])
+        plan = _stage_plan(st0, self._base_pre0_t.shape[0])
         contrib = _stage_contributions(
             st0, plan, self.xb, self._stage_weights(0), self.capacity, rng,
             self.batch_size,
         )
-        self._ensure_base_pre1()
-        tgt = self._base_pre1_t[plan.u_j]  # (T, B) gather-copy
+        tgt = self._base_pre0_t[plan.u_j]  # (T, B) gather-copy
         if plan.first is None:
             tgt += contrib  # identity plan: entries already in target order
         else:
@@ -1054,8 +1065,167 @@ class MaskCampaignEngine:
             np.add.at(tgt, plan.rest_rows, contrib[plan.rest])
         self.network.layers[0].activation.evaluate_into(tgt, tgt)
         self._post_activation(0, tgt)
-        Y[...] = self._base_first  # broadcast (B, N_1) over S scenarios
-        Y.transpose(0, 2, 1)[plan.u_s, plan.u_j] = tgt
+        return plan.u_s, plan.u_j, tgt
+
+    def _compact_first_layer(
+        self,
+        batch: CompiledScenarioBatch,
+        lo: int,
+        hi: int,
+        st0: "SynapseStageChannels | None",
+        cell_s: np.ndarray,
+        cell_j: np.ndarray,
+        rng: "np.random.Generator | None",
+    ) -> np.ndarray:
+        """The faulty first layer on compact cells only: ``(T, B)``
+        emissions at the row-major ``(cell_s, cell_j)`` cells, which must
+        cover every cell a fault can touch.
+
+        Nominal emissions gathered from the cache, the
+        :meth:`_stage1_cells` written over their targets, then the
+        neuron channels through :meth:`_apply_masks` — the same values
+        and the same draws as the dense first-layer pass at those cells.
+        """
+        n = self._base_first.shape[1]
+        vals = self._base_first_t[cell_j]  # (T, B) gather-copy
+        if st0 is not None:
+            u_s, u_j, tgt = self._stage1_cells(st0, rng)
+            vals[np.searchsorted(cell_s * n + cell_j, u_s * n + u_j)] = tgt
+        self._apply_masks(
+            vals[:, :, None], batch, 0, lo, hi, rng, cells=(cell_s, cell_j)
+        )
+        return vals
+
+    def _rank_k_route(
+        self,
+        batch: CompiledScenarioBatch,
+        lo: int,
+        hi: int,
+        st0: "SynapseStageChannels | None",
+    ) -> "tuple | None":
+        """``(flat, k)`` when the slice takes the rank-k route, else None.
+
+        ``flat`` lists, in row-major order, the flat ``s * N_1 + j``
+        indices of the first-layer cells that may leave nominal (any
+        neuron channel, any stage-1 synapse target); ``k`` counts them
+        per scenario.  The route needs a second hidden layer, a first
+        layer wider than :data:`RANK_K_RATIO` and at least one scenario
+        with ``k * RANK_K_RATIO < N_1``.
+        """
+        n = self._base_first.shape[1]
+        if self.network.depth < 2 or n <= RANK_K_RATIO:
+            return None
+        changed = None
+        if not batch.neuron_channels_clear:
+            changed = batch.zero_masks[0][lo:hi] | batch.set_masks[0][lo:hi]
+            changed |= batch.add_masks[0][lo:hi]
+            for masks in (batch.scale_masks, batch.noise_masks):
+                if masks is not None:
+                    changed |= masks[0][lo:hi]
+        if st0 is not None:
+            if changed is None:
+                changed = np.zeros((hi - lo, n), dtype=bool)
+            plan = _stage_plan(st0, n)
+            changed[plan.u_s, plan.u_j] = True
+        if changed is None:
+            return np.empty(0, dtype=np.intp), np.zeros(hi - lo, np.intp)
+        k = np.count_nonzero(changed, axis=1)
+        if not np.any(k * RANK_K_RATIO < n):
+            return None
+        return np.flatnonzero(changed), k
+
+    def _rank_k_first_layers(
+        self,
+        batch: CompiledScenarioBatch,
+        lo: int,
+        hi: int,
+        st0: "SynapseStageChannels | None",
+        route: tuple,
+        need_source: bool,
+        rng: "np.random.Generator | None",
+        tick=None,
+    ) -> None:
+        """The rank-k route: faulty first layer, second-layer sums.
+
+        The faulty first layer is computed on the compact cells of
+        ``route`` (:meth:`_compact_first_layer`).  A *sparse* scenario
+        (``k * RANK_K_RATIO < N_1``) gets its second-layer received sums
+        as the nominal sums plus a rank-``k`` update,
+        ``base_pre + D @ W[:, C(s)]`` with ``D`` the deviations of its
+        ``k`` cells — one stacked ``np.matmul`` per distinct ``k``.  The
+        *dense* scenarios go through the stacked GEMM.  Each scenario's
+        sums therefore depend only on its own cells and route, never on
+        the slice it shares, however the slice's mix lays out the work.
+        """
+        flat, k = route
+        S, B = hi - lo, self.batch_size
+        n = self._base_first.shape[1]
+        sparse = k * RANK_K_RATIO < n
+        dense = np.flatnonzero(~sparse)
+        Y, pre = self._buffers[0][:S], self._buffers[1][:S]
+        weights = self._weights_t[1]
+        cell_s, cell_j = np.divmod(flat, n)
+        vals = self._compact_first_layer(
+            batch, lo, hi, st0, cell_s, cell_j, rng
+        )
+        # A majority of dense rows (or a stage-2 source) fills the whole
+        # buffer and multiplies every row, the sparse ones overwritten
+        # below; a minority is packed into the head of the buffer.
+        full = need_source or 2 * dense.size > S
+        if full:
+            Y[...] = self._base_first  # broadcast (B, N_1) over S scenarios
+            Y.transpose(0, 2, 1)[cell_s, cell_j] = vals
+            src, out = Y, pre
+        elif dense.size:
+            src, out = Y[:dense.size], self._scratch(dense.size)
+            src[...] = self._base_first
+            on = ~sparse[cell_s]
+            row = np.cumsum(~sparse) - 1  # slice row -> row of ``src``
+            src.transpose(0, 2, 1)[row[cell_s[on]], cell_j[on]] = vals[on]
+        if tick is not None:
+            tick("corrections")
+        if dense.size:
+            np.matmul(src, weights, out=out)
+            if self._biases[1] is not None:
+                out += self._biases[1]
+            if not full:
+                pre[dense] = out
+            if tick is not None:
+                tick("gemm")
+            on = sparse[cell_s]
+            cell_j, vals = cell_j[on], vals[on]
+
+        # ``vals`` now holds exactly the sparse rows' cells, row-major.
+        delta = np.subtract(vals, self._base_first_t[cell_j], out=vals)
+        base = self._base_pre[1]
+        k = np.where(sparse, k, 0)
+        starts = np.cumsum(k) - k  # each scenario's first cell in ``delta``
+        for kv in np.unique(k[sparse]).tolist():
+            rows = np.flatnonzero(sparse & (k == kv))
+            if kv == 0:
+                pre[rows] = base
+                continue
+            if rows.size == S:  # every row has kv cells: ``delta`` is (S, kv)
+                d = delta.reshape(S, kv, B)
+                j = cell_j.reshape(S, kv)
+                out = pre
+            else:
+                idx = starts[rows, None] + np.arange(kv)
+                d, j = delta[idx], cell_j[idx]
+                out = self._scratch(rows.size)
+            np.matmul(d.transpose(0, 2, 1), weights[j], out=out)
+            out += base
+            if rows.size < S:
+                pre[rows] = out
+        if tick is not None:
+            tick("corrections")
+
+    def _scratch(self, rows: int) -> np.ndarray:
+        """A reusable ``(rows, B, N_2)`` buffer for the rank-k route's
+        partial-slice products (allocated on first use only)."""
+        if self._rank_k_buffer is None:
+            self._rank_k_buffer = np.empty_like(self._buffers[1])
+        return self._rank_k_buffer[:rows]
 
     def _evaluate_slice(
         self,
@@ -1066,7 +1236,7 @@ class MaskCampaignEngine:
         rng: "np.random.Generator | None" = None,
     ) -> np.ndarray:
         self._ensure_buffers()
-        S, B = hi - lo, self.batch_size
+        S = hi - lo
         net = self.network
         stages = batch.synapse_stages
         prof = self.profile
@@ -1080,35 +1250,44 @@ class MaskCampaignEngine:
             st = stages[l0].sliced(lo, hi)
             return None if st.is_empty else st
 
-        Y = self._buffers[0][:S]
         st0 = stage(0)
+        route = self._rank_k_route(batch, lo, hi, st0)
         if tick is not None:
             tick("compile")
-        if st0 is not None:
-            # Stage-1 synapse faults corrupt the received sums of layer 1.
-            self._corrected_first_layer(Y, st0, rng)
+        if route is None:
+            Y = self._buffers[0][:S]
+            Y[...] = self._base_first  # broadcast (B, N_1) over S scenarios
+            if st0 is not None:
+                # Stage-1 synapse faults corrupt the received sums of
+                # layer 1.
+                u_s, u_j, tgt = self._stage1_cells(st0, rng)
+                Y.transpose(0, 2, 1)[u_s, u_j] = tgt
+            if tick is not None:
+                tick("gemm" if st0 is None else "corrections")
+            self._apply_masks(Y, batch, 0, lo, hi, rng)
             if tick is not None:
                 tick("corrections")
         else:
-            Y[...] = self._base_first  # broadcast (B, N_1) over S scenarios
-            if tick is not None:
-                tick("gemm")
-        self._apply_masks(Y, batch, 0, lo, hi, rng)
-        if tick is not None:
-            tick("corrections")
+            self._rank_k_first_layers(
+                batch, lo, hi, st0, route,
+                stages is not None and not stages[1].is_empty, rng, tick,
+            )
         for l0 in range(1, net.depth):
-            src = self._buffers[l0 - 1][:S].reshape(S * B, -1)
-            dst = self._buffers[l0][:S].reshape(S * B, -1)
-            np.matmul(src, self._weights_t[l0], out=dst)
-            if self._biases[l0] is not None:
-                dst += self._biases[l0]
-            if tick is not None:
-                tick("gemm")
+            # Stacked GEMMs: one (B, N_l) @ (N_l, N_{l+1}) product per
+            # scenario, so a scenario's sums never depend on how many
+            # scenarios share its slice (BLAS kernels pick their
+            # blocking, hence their rounding, by the row count).
+            src, dst = self._buffers[l0 - 1][:S], self._buffers[l0][:S]
+            if l0 > 1 or route is None:  # the rank-k route filled layer 2
+                np.matmul(src, self._weights_t[l0], out=dst)
+                if self._biases[l0] is not None:
+                    dst += self._biases[l0]
+                if tick is not None:
+                    tick("gemm")
             st = stage(l0)
             if st is not None:
                 apply_synapse_corrections(
-                    self._buffers[l0][:S], st, self._buffers[l0 - 1][:S],
-                    self._stage_weights(l0), self.capacity, rng,
+                    dst, st, src, self._stage_weights(l0), self.capacity, rng,
                 )
                 if tick is not None:
                     tick("corrections")
@@ -1116,19 +1295,16 @@ class MaskCampaignEngine:
             self._post_activation(l0, dst)
             if tick is not None:
                 tick("gemm")
-            self._apply_masks(self._buffers[l0][:S], batch, l0, lo, hi, rng)
+            self._apply_masks(dst, batch, l0, lo, hi, rng)
             if tick is not None:
                 tick("corrections")
-        out2d = self._out_buffer[:S].reshape(S * B, -1)
+        out = self._out_buffer[:S]
         np.matmul(
-            self._buffers[net.depth - 1][:S].reshape(S * B, -1),
-            self._out_weights_t,
-            out=out2d,
+            self._buffers[net.depth - 1][:S], self._out_weights_t, out=out
         )
-        out2d += self._out_bias
+        out += self._out_bias
         if tick is not None:
             tick("gemm")
-        out = self._out_buffer[:S]
         st = stage(net.depth)
         if st is not None:
             apply_synapse_corrections(

@@ -84,8 +84,11 @@ DEFAULT_SOCKET = "repro-service.sock"
 #: The workload kinds the daemon evaluates.
 RUNNABLE_SPECS = (CampaignSpec, SurvivalSpec, ChaosSpec)
 
-#: Schema version of the persisted run-result records.
-RUN_RECORD_VERSION = 1
+#: Schema version of the persisted run-result records.  Bumped whenever
+#: the engine's results change bits, so a daemon restarted on an old
+#: ``results_dir`` re-runs instead of serving stale bits (version 2:
+#: stacked per-scenario GEMMs and the rank-k route).
+RUN_RECORD_VERSION = 2
 
 #: Listen backlog — sized for benchmark-scale connect bursts (>= 1000
 #: concurrent clients), not the kernel default of ~100.

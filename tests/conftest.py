@@ -40,6 +40,26 @@ def deep_net():
 
 
 @pytest.fixture
+def wide_net():
+    """A 3-layer net whose first layer (48) is wider than
+    ``RANK_K_RATIO``: scenarios with at most two faulty first-layer
+    cells take the rank-k route, the rest the dense GEMM.  Its biases
+    are nonzero, so both routes' bias handling is observable."""
+    net = build_mlp(
+        4,
+        [48, 32, 16],
+        activation={"name": "sigmoid", "k": 1.0},
+        init={"name": "uniform", "scale": 0.3},
+        output_scale=0.3,
+        seed=3,
+    )
+    rng = np.random.default_rng(3)
+    for layer in net.layers:
+        layer.bias = rng.uniform(-0.3, 0.3, layer.n_out)
+    return net
+
+
+@pytest.fixture
 def single_layer_net():
     """A 1-layer net for Theorem-1 level tests."""
     return build_mlp(

@@ -8,7 +8,7 @@ associativity otherwise.  None of them is imported by the package.
   scalar :meth:`FaultInjector.run` path, the oracle for every batched
   evaluation (:class:`~repro.faults.masks.MaskCampaignEngine`);
 * :func:`apply_synapse_corrections_reference` /
-  :func:`corrected_first_layer_reference` — the plain ``np.add.at``
+  :func:`stage1_cells_reference` — the plain ``np.add.at``
   scatter the segment-sum synapse kernels must reproduce bit for bit;
   :func:`use_scatter_reference` swaps them into the engine;
 * :func:`episode_runs_scalar` — per-column run-length encoding, the
@@ -87,21 +87,27 @@ def apply_synapse_corrections_reference(
     return pre
 
 
-def corrected_first_layer_reference(engine, Y, st0, rng):
+def stage1_cells_reference(engine, st0, rng):
     """Dense stage-1 corrections: broadcast the cached pre-activations,
-    scatter every correction, squash the whole ``(S, B, N_1)`` tensor.
+    scatter every correction, squash the whole ``(S, B, N_1)`` tensor,
+    then read the corrected targets back.
 
-    Drop-in for ``MaskCampaignEngine._corrected_first_layer``, which
-    touches only the corrected cells.
+    Drop-in for ``MaskCampaignEngine._stage1_cells``, which touches
+    only the corrected cells.
     """
-    S, B = Y.shape[:2]
-    Y[...] = engine._ensure_base_pre1()
+    s = np.concatenate((st0.zero_s, st0.add_s, st0.noise_s))
+    j = np.concatenate((st0.zero_j, st0.add_j, st0.noise_j))
+    pre0 = engine._base_pre[0]
+    n = pre0.shape[1]
+    Y = np.empty((int(s.max()) + 1,) + pre0.shape, dtype=pre0.dtype)
+    Y[...] = pre0
     apply_synapse_corrections_reference(
         Y, st0, engine.xb, engine._stage_weights(0), engine.capacity, rng
     )
-    Y2 = Y.reshape(S * B, -1)
-    engine.network.layers[0].activation.evaluate_into(Y2, Y2)
-    engine._post_activation(0, Y2)
+    engine.network.layers[0].activation.evaluate_into(Y, Y)
+    engine._post_activation(0, Y)
+    u_s, u_j = np.divmod(np.unique(s * n + j), n)
+    return u_s, u_j, Y.transpose(0, 2, 1)[u_s, u_j]
 
 
 def use_scatter_reference(monkeypatch) -> None:
@@ -111,8 +117,8 @@ def use_scatter_reference(monkeypatch) -> None:
         apply_synapse_corrections_reference,
     )
     monkeypatch.setattr(
-        "repro.faults.masks.MaskCampaignEngine._corrected_first_layer",
-        corrected_first_layer_reference,
+        "repro.faults.masks.MaskCampaignEngine._stage1_cells",
+        stage1_cells_reference,
     )
 
 

@@ -10,7 +10,7 @@ Three contracts under test:
   golden campaign spec fixture (same RNG draw order, same accumulation
   order);
 * ``threaded`` results are worker-count invariant, and match the
-  ``numpy`` engine bitwise for deterministic batches at matched slice
+  ``numpy`` engine bitwise for deterministic batches at any slice
   layout; ``quantized-*`` nominals match ``QuantizedNetwork`` bitwise.
 """
 
@@ -30,6 +30,7 @@ from repro.backends.quantized import QuantizedMaskEngine
 from repro.backends.threaded import ThreadedMaskEngine
 from repro.faults.injector import FaultInjector
 from repro.faults.masks import (
+    BernoulliSampler,
     FixedSynapseDistributionSampler,
     MaskCampaignEngine,
     sampled_campaign_errors,
@@ -162,6 +163,26 @@ class TestThreadedDeterminism:
         assert np.array_equal(ref, got)
 
 
+    def test_matches_numpy_on_the_rank_k_route(self, wide_net):
+        """The same at a width where slices mix rank-k and dense rows."""
+        inj = FaultInjector(wide_net, capacity=1.0)
+        x = np.random.default_rng(2).random((8, wide_net.input_dim))
+        sampler = BernoulliSampler(wide_net, 0.05)
+        serial = build_engine("numpy", inj, x, chunk_size=128)
+        ref = sampled_campaign_errors(inj, x, sampler, 700, seed=4,
+                                      engine=serial)
+        with build_engine(
+            "threaded", inj, x, chunk_size=128, workers=2
+        ) as eng:
+            assert eng.tile == 128
+            got = sampled_campaign_errors(inj, x, sampler, 700, seed=4,
+                                          engine=eng)
+        assert np.array_equal(ref, got)
+        # Per-scenario arithmetic: the slice layout is immaterial too.
+        assert np.array_equal(
+            ref, sampled_campaign_errors(inj, x, sampler, 700, seed=4)
+        )
+
 class TestQuantizedTiers:
     def test_nominal_matches_quantized_network(self, net, injector, probes):
         for name, quantizers in (
@@ -176,6 +197,20 @@ class TestQuantizedTiers:
             np.testing.assert_array_equal(
                 eng.nominal, qnet.forward(probes)
             )
+
+    def test_wide_nominal_matches_quantized_network(self, wide_net):
+        inj = FaultInjector(wide_net, capacity=1.0)
+        x = np.random.default_rng(6).random((8, wide_net.input_dim))
+        eng = build_engine("quantized-int8", inj, x)
+        qnet = QuantizedNetwork(
+            wide_net, [FixedPointQuantizer(8) for _ in range(wide_net.depth)]
+        )
+        np.testing.assert_array_equal(eng.nominal, qnet.forward(x))
+        # Zero-fault scenarios take the rank-0 update: exactly nominal.
+        compiled = BernoulliSampler(wide_net, 0.0).sample(
+            5, np.random.default_rng(0)
+        )
+        np.testing.assert_array_equal(eng.evaluate(compiled), 0.0)
 
     def test_quantized_tier_shifts_campaign_errors(self, net, injector, probes):
         """The tier actually quantizes: campaign errors differ from the

@@ -12,7 +12,9 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core.fep import network_fep
 from repro.distributed.simulator import DistributedNetwork
+from repro.faults import masks as masks_mod
 from repro.faults.campaign import (
     _monte_carlo_campaign,
     exhaustive_crash_campaign,
@@ -43,7 +45,10 @@ from repro.faults.types import (
     IntermittentFault,
     NoiseFault,
     OffsetFault,
+    SignFlipFault,
     StuckAtFault,
+    SynapseByzantineFault,
+    SynapseCrashFault,
 )
 from repro.network import build_mlp
 from repro.network.model import NeuronAddress
@@ -185,6 +190,207 @@ class TestEngineEquivalence:
         engine = MaskCampaignEngine(injector, batch)
         assert engine.evaluate(compiled).shape == (0,)
         assert engine.outputs(compiled).shape[0] == 0
+
+
+class TestWideNetRankK:
+    """Engine equivalence on a net wide enough for the rank-k route.
+
+    The route changes the float summation order of the second layer's
+    received sums, so it meets the oracle (and the dense route) within
+    the unchanged ``rtol=1e-12``, while chunking stays bitwise.
+    """
+
+    #: First-layer fault counts cycled over the scenarios: 0-2 take the
+    #: rank-k route on the 48-wide first layer, 3+ the dense GEMM.
+    FIRST_LAYER_COUNTS = (0, 1, 2, 3, 5, 1, 2)
+
+    @pytest.fixture
+    def wide_injector(self, wide_net):
+        return FaultInjector(wide_net, capacity=1.0)
+
+    @pytest.fixture
+    def probes(self, rng, wide_net):
+        return rng.random((16, wide_net.input_dim))
+
+    def _neuron_scenarios(self, net, fault, rng, n=28):
+        return [
+            random_failure_scenario(
+                net,
+                (self.FIRST_LAYER_COUNTS[s % len(self.FIRST_LAYER_COUNTS)], 1, 1),
+                fault=fault,
+                rng=rng,
+            )
+            for s in range(n)
+        ]
+
+    @staticmethod
+    def _routes(engine, compiled):
+        """``(sparse, dense)`` scenario counts of one full-batch slice."""
+        st0 = (
+            compiled.synapse_stages[0]
+            if compiled.has_synapse_faults else None
+        )
+        route = engine._rank_k_route(
+            compiled, 0, compiled.num_scenarios, st0
+        )
+        assert route is not None
+        sparse = int(np.sum(route[1] * masks_mod.RANK_K_RATIO < 48))
+        return sparse, compiled.num_scenarios - sparse
+
+    def test_route_needs_a_wide_first_layer(self, small_net, wide_net, rng):
+        for net, expect in ((small_net, False), (wide_net, True)):
+            inj = FaultInjector(net, capacity=1.0)
+            compiled = inj.compile_batch(
+                [random_failure_scenario(net, (1,) + (0,) * (net.depth - 1),
+                                         rng=rng)]
+            )
+            engine = MaskCampaignEngine(inj, rng.random((4, net.input_dim)))
+            route = engine._rank_k_route(compiled, 0, 1, None)
+            assert (route is not None) is expect
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            CrashFault(),
+            ByzantineFault(),
+            ByzantineFault(value=0.7),
+            StuckAtFault(value=0.9),
+            OffsetFault(offset=0.3),
+            SignFlipFault(),
+        ],
+        ids=lambda f: repr(f),
+    )
+    def test_neuron_faults_match_scalar(
+        self, wide_net, wide_injector, probes, rng, fault
+    ):
+        scenarios = self._neuron_scenarios(wide_net, fault, rng)
+        compiled = wide_injector.compile_batch(scenarios)
+        engine = MaskCampaignEngine(wide_injector, probes, chunk_size=9)
+        sparse, dense = self._routes(engine, compiled)
+        assert sparse and dense
+        np.testing.assert_allclose(
+            engine.evaluate(compiled),
+            scalar_errors(wide_injector, probes, scenarios),
+            rtol=1e-12,
+            atol=1e-14,
+        )
+
+    @pytest.mark.parametrize(
+        "dist",
+        [(2, 0, 0, 0), (2, 2, 1, 1), (0, 3, 1, 1), (6, 0, 0, 0)],
+        ids=["stage1", "stage1+2", "stage2-only", "stage1-dense"],
+    )
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            SynapseCrashFault(),
+            SynapseByzantineFault(),
+            SynapseByzantineFault(offset=0.4, sign=-1),
+        ],
+        ids=lambda f: repr(f),
+    )
+    def test_synapse_faults_match_scalar(
+        self, wide_net, wide_injector, probes, rng, fault, dist
+    ):
+        scenarios = [
+            random_synapse_scenario(wide_net, dist, fault=fault, rng=rng)
+            for _ in range(20)
+        ]
+        compiled = wide_injector.compile_batch(scenarios)
+        engine = MaskCampaignEngine(wide_injector, probes, chunk_size=6)
+        np.testing.assert_allclose(
+            engine.evaluate(compiled),
+            scalar_errors(wide_injector, probes, scenarios),
+            rtol=1e-12,
+            atol=1e-14,
+        )
+
+    def test_mixed_batches_match_scalar(
+        self, wide_net, wide_injector, probes, rng
+    ):
+        neuron = self._neuron_scenarios(wide_net, ByzantineFault(value=0.2), rng)
+        scenarios = [
+            sc.merged_with(
+                random_synapse_scenario(
+                    wide_net, (1, 1, 0, 1),
+                    fault=SynapseCrashFault(), rng=rng,
+                )
+            )
+            for sc in neuron
+        ]
+        compiled = wide_injector.compile_batch(scenarios)
+        engine = MaskCampaignEngine(wide_injector, probes, chunk_size=8)
+        sparse, dense = self._routes(engine, compiled)
+        assert sparse and dense
+        np.testing.assert_allclose(
+            engine.evaluate(compiled),
+            scalar_errors(wide_injector, probes, scenarios),
+            rtol=1e-12,
+            atol=1e-14,
+        )
+
+    def test_bernoulli_chunk_invariance_is_bitwise(
+        self, wide_net, wide_injector, probes
+    ):
+        """Rank-k and dense rows share slices, at every chunk size."""
+        compiled = BernoulliSampler(wide_net, 0.05).sample(
+            300, np.random.default_rng(4)
+        )
+        k = compiled.zero_masks[0].sum(axis=1)
+        assert np.any(k * masks_mod.RANK_K_RATIO < 48)
+        assert np.any(k * masks_mod.RANK_K_RATIO >= 48)
+        runs = [
+            MaskCampaignEngine(
+                wide_injector, probes, chunk_size=chunk
+            ).evaluate(compiled)
+            for chunk in (1, 7, 64, 300)
+        ]
+        for other in runs[1:]:
+            np.testing.assert_array_equal(runs[0], other)
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            CrashFault(),
+            NoiseFault(sigma=0.3),
+            IntermittentFault(p=0.5, fault=ByzantineFault(value=0.9)),
+        ],
+        ids=lambda f: repr(f),
+    )
+    def test_rank_k_route_matches_dense_route(
+        self, wide_net, wide_injector, probes, monkeypatch, fault
+    ):
+        """The compact first-layer pass visits the faulty cells in the
+        dense pass's order, so even stochastic faults realise the same
+        draws: the two routes differ only in summation order."""
+        sampler = BernoulliSampler(wide_net, 0.05, fault=fault)
+        rank_k = sampled_campaign_errors(
+            wide_injector, probes, sampler, 700, seed=8, chunk_size=128
+        )
+        monkeypatch.setattr(masks_mod, "RANK_K_RATIO", 10**9)
+        dense = sampled_campaign_errors(
+            wide_injector, probes, sampler, 700, seed=8, chunk_size=128
+        )
+        np.testing.assert_allclose(rank_k, dense, rtol=1e-12, atol=1e-14)
+
+    def test_zero_fault_scenarios_report_exactly_zero(
+        self, wide_net, wide_injector, probes
+    ):
+        compiled = BernoulliSampler(wide_net, 0.0).sample(
+            10, np.random.default_rng(0)
+        )
+        errors = MaskCampaignEngine(wide_injector, probes).evaluate(compiled)
+        np.testing.assert_array_equal(errors, 0.0)
+
+    def test_crash_errors_within_fep(self, wide_net, probes):
+        dist = (2, 2, 1)
+        injector = FaultInjector(wide_net, capacity=wide_net.output_bound)
+        errors = sampled_campaign_errors(
+            injector, probes, FixedDistributionSampler(wide_net, dist),
+            3000, seed=2,
+        )
+        assert errors.max() > 0
+        assert errors.max() <= network_fep(wide_net, dist, mode="crash")
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,22 @@ from hypothesis import strategies as st
 from repro.core.fep import forward_error_propagation, network_fep
 from repro.distributed.simulator import DistributedNetwork
 from repro.faults.injector import FaultInjector
-from repro.faults.masks import MaskCampaignEngine
+from repro.faults.masks import (
+    BernoulliSampler,
+    MaskCampaignEngine,
+    MixedFaultSampler,
+    SynapseBernoulliSampler,
+)
 from repro.faults.scenarios import random_failure_scenario, random_synapse_scenario
-from repro.faults.types import ByzantineFault, CrashFault, StuckAtFault
+from repro.faults.types import (
+    ByzantineFault,
+    CrashFault,
+    OffsetFault,
+    SignFlipFault,
+    StuckAtFault,
+    SynapseByzantineFault,
+    SynapseCrashFault,
+)
 from repro.network import build_mlp
 from repro.quantization.quantizers import FixedPointQuantizer, UniformQuantizer
 
@@ -34,7 +47,12 @@ COMMON = dict(
 
 def _network_from(data):
     depth = data.draw(st.integers(1, 3), label="depth")
-    widths = [data.draw(st.integers(2, 7), label=f"N{l}") for l in range(depth)]
+    # The first layer straddles RANK_K_RATIO (16), so the mask engine
+    # runs both its dense and its rank-k route.
+    widths = [data.draw(st.integers(2, 48), label="N1")] + [
+        data.draw(st.integers(2, 7), label=f"N{l + 1}")
+        for l in range(1, depth)
+    ]
     k = data.draw(
         st.floats(0.25, 2.0, allow_nan=False, allow_infinity=False), label="K"
     )
@@ -254,7 +272,7 @@ class TestSerializationProperty:
 class TestBatchedPathProperty:
     @settings(max_examples=25, **COMMON)
     @given(data=st.data())
-    def test_run_many_equals_scalar_run(self, data):
+    def test_engine_outputs_equal_scalar_run(self, data):
         """``MaskCampaignEngine.outputs`` == ``FaultInjector.run`` on
         generated networks and scenarios."""
         net = _network_from(data)
@@ -277,6 +295,43 @@ class TestBatchedPathProperty:
             np.testing.assert_allclose(
                 batched[i], injector.run(x, sc), atol=1e-12
             )
+
+    @settings(max_examples=30, **COMMON)
+    @given(data=st.data())
+    def test_deterministic_errors_are_chunk_invariant(self, data):
+        """Bitwise-equal errors at any two chunk sizes, for every
+        deterministic neuron and synapse fault kind — whichever route
+        each scenario takes."""
+        net = _network_from(data)
+        fault = data.draw(
+            st.sampled_from(
+                [CrashFault(), ByzantineFault(sign=-1), StuckAtFault(0.3),
+                 OffsetFault(0.2), SignFlipFault()]
+            )
+        )
+        p = data.draw(st.floats(0.0, 0.3), label="p_fail")
+        samplers = [BernoulliSampler(net, p, fault=fault)]
+        if data.draw(st.booleans(), label="synapse"):
+            samplers.append(SynapseBernoulliSampler(
+                net, p / 4, fault=data.draw(st.sampled_from(
+                    [SynapseCrashFault(), SynapseByzantineFault()]
+                )),
+            ))
+        S = data.draw(st.integers(1, 40), label="S")
+        compiled = MixedFaultSampler(samplers).sample(
+            S, np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        )
+        injector = FaultInjector(net, capacity=1.0)
+        x = np.random.default_rng(0).random(
+            (data.draw(st.integers(1, 8), label="B"), net.input_dim)
+        )
+        a, b = (
+            MaskCampaignEngine(
+                injector, x, chunk_size=data.draw(st.integers(1, S))
+            ).evaluate(compiled)
+            for _ in range(2)
+        )
+        np.testing.assert_array_equal(a, b)
 
 
 class TestCombinedBoundProperty:

@@ -456,6 +456,41 @@ class TestCacheAndCoalesce:
             fresh["result"]
         )
 
+    def test_version_1_record_is_a_miss(self, tmp_path):
+        """Version-1 records hold results of an older engine, which can
+        differ from today's in the last ulp: serving one would break
+        served == direct, so the daemon re-runs and overwrites it."""
+        assert RUN_RECORD_VERSION == 2
+        spec = campaign(n_scenarios=1024)
+        spec_hash = spec.content_hash()
+        direct = result_payload(spec, run(spec))
+        stale = {  # one ulp off, like a result of the older engine
+            **direct,
+            "errors": [float(np.nextafter(e, 1.0)) for e in direct["errors"]],
+        }
+        store = ArtifactStore(tmp_path / "results")
+        path = store.run_result_path(spec_hash)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({
+            "version": 1, "spec_hash": spec_hash, "kind": spec.spec_tag,
+            "spec": spec.to_dict(), "result": stale,
+        }))
+        svc_spec = ServiceSpec(
+            socket=str(tmp_path / "svc.sock"),
+            results_dir=str(tmp_path / "results"),
+        )
+        with ServiceThread(svc_spec) as svc, client_for(svc) as client:
+            served = client.submit(spec)
+            assert svc.metrics.value("repro_service_engine_runs") == 1
+            assert svc.metrics.value(
+                "repro_service_cache_hits", tier="store"
+            ) is None
+        assert served["cached"] is False
+        assert served["result"] == direct
+        record = store.load_run_result(spec_hash)
+        assert record["version"] == RUN_RECORD_VERSION
+        assert record["result"] == direct
+
     def test_indented_legacy_record_is_served_bitwise(self, tmp_path):
         """Records written in the old ``indent=2`` layout still answer
         from the store tier, byte-for-byte as the direct run encodes."""
