@@ -1073,24 +1073,26 @@ class MaskCampaignEngine:
         lo: int,
         hi: int,
         st0: "SynapseStageChannels | None",
+        flat: np.ndarray,
         cell_s: np.ndarray,
         cell_j: np.ndarray,
         rng: "np.random.Generator | None",
     ) -> np.ndarray:
         """The faulty first layer on compact cells only: ``(T, B)``
-        emissions at the row-major ``(cell_s, cell_j)`` cells, which must
-        cover every cell a fault can touch.
+        emissions at the row-major flat ``s * N_1 + j`` indices ``flat``
+        (split as ``(cell_s, cell_j)``), which must cover every cell a
+        fault can touch.
 
         Nominal emissions gathered from the cache, the
         :meth:`_stage1_cells` written over their targets, then the
         neuron channels through :meth:`_apply_masks` — the same values
         and the same draws as the dense first-layer pass at those cells.
         """
-        n = self._base_first.shape[1]
         vals = self._base_first_t[cell_j]  # (T, B) gather-copy
         if st0 is not None:
             u_s, u_j, tgt = self._stage1_cells(st0, rng)
-            vals[np.searchsorted(cell_s * n + cell_j, u_s * n + u_j)] = tgt
+            n = self._base_first.shape[1]
+            vals[np.searchsorted(flat, u_s * n + u_j)] = tgt
         self._apply_masks(
             vals[:, :, None], batch, 0, lo, hi, rng, cells=(cell_s, cell_j)
         )
@@ -1153,9 +1155,11 @@ class MaskCampaignEngine:
         as the nominal sums plus a rank-``k`` update,
         ``base_pre + D @ W[:, C(s)]`` with ``D`` the deviations of its
         ``k`` cells — one stacked ``np.matmul`` per distinct ``k``.  The
-        *dense* scenarios go through the stacked GEMM.  Each scenario's
-        sums therefore depend only on its own cells and route, never on
-        the slice it shares, however the slice's mix lays out the work.
+        *dense* scenarios are packed into the head of the first-layer
+        buffer and go through the stacked GEMM; the whole buffer is
+        filled only when stage-2 synapse faults (``need_source``) read
+        it.  Each scenario's sums therefore depend only on its own cells
+        and route, never on the slice it shares.
         """
         flat, k = route
         S, B = hi - lo, self.batch_size
@@ -1166,32 +1170,28 @@ class MaskCampaignEngine:
         weights = self._weights_t[1]
         cell_s, cell_j = np.divmod(flat, n)
         vals = self._compact_first_layer(
-            batch, lo, hi, st0, cell_s, cell_j, rng
+            batch, lo, hi, st0, flat, cell_s, cell_j, rng
         )
-        # A majority of dense rows (or a stage-2 source) fills the whole
-        # buffer and multiplies every row, the sparse ones overwritten
-        # below; a minority is packed into the head of the buffer.
-        full = need_source or 2 * dense.size > S
-        if full:
-            Y[...] = self._base_first  # broadcast (B, N_1) over S scenarios
-            Y.transpose(0, 2, 1)[cell_s, cell_j] = vals
-            src, out = Y, pre
-        elif dense.size:
+        if dense.size:
+            # The dense rows, packed into the head of the buffer.
             src, out = Y[:dense.size], self._scratch(dense.size)
             src[...] = self._base_first
             on = ~sparse[cell_s]
             row = np.cumsum(~sparse) - 1  # slice row -> row of ``src``
             src.transpose(0, 2, 1)[row[cell_s[on]], cell_j[on]] = vals[on]
-        if tick is not None:
-            tick("corrections")
-        if dense.size:
+            if tick is not None:
+                tick("corrections")
             np.matmul(src, weights, out=out)
             if self._biases[1] is not None:
                 out += self._biases[1]
-            if not full:
-                pre[dense] = out
+            pre[dense] = out
             if tick is not None:
                 tick("gemm")
+        if need_source:
+            # Stage-2 synapse faults read every scenario's first layer.
+            Y[...] = self._base_first
+            Y.transpose(0, 2, 1)[cell_s, cell_j] = vals
+        if dense.size:
             on = sparse[cell_s]
             cell_j, vals = cell_j[on], vals[on]
 

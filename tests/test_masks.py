@@ -121,6 +121,41 @@ class TestEngineEquivalence:
         b = MaskCampaignEngine(injector, batch, chunk_size=64).evaluate(compiled)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "n_in, hidden, scale, out_scale, seed, n_probes, chunks",
+        [
+            # The generated-input chunk-invariance example: one 2-row
+            # GEMM rounds differently from two 1-row GEMMs.
+            (2, [2], 0.75, 0.75, 1, 1, (1, 2)),
+            # The 4-[16,12]-1 bench net at its default chunk.
+            (4, [16, 12], 0.4, 0.3, 21, 16, (1, 1024)),
+        ],
+        ids=["2-[2]-1", "4-[16,12]-1"],
+    )
+    def test_fault_free_scenarios_read_zero_at_every_chunk(
+        self, n_in, hidden, scale, out_scale, seed, n_probes, chunks
+    ):
+        """A flat ``(S*B, N)`` GEMM lets BLAS pick its kernel by the row
+        count, so a fault-free scenario's sums drift from the ``(B, N)``
+        nominal pass by an ulp at some slice sizes (errors of 2.8e-17
+        and 5.6e-17 here with a flat GEMM); the per-scenario stacked
+        GEMMs keep them exact."""
+        net = build_mlp(
+            n_in, hidden, activation={"name": "sigmoid", "k": 1.0},
+            init={"name": "uniform", "scale": scale},
+            output_scale=out_scale, seed=seed,
+        )
+        injector = FaultInjector(net, capacity=1.0)
+        x = np.random.default_rng(0).random((n_probes, n_in))
+        compiled = BernoulliSampler(net, 0.0).sample(
+            max(chunks), np.random.default_rng(0)
+        )
+        for chunk in chunks:
+            errors = MaskCampaignEngine(
+                injector, x, chunk_size=chunk
+            ).evaluate(compiled)
+            np.testing.assert_array_equal(errors, 0.0)
+
     def test_float32_fast_path_tolerance(self, injector, batch, rng):
         scenarios = [
             random_failure_scenario(injector.network, (2, 1), rng=rng)
