@@ -27,11 +27,11 @@ Determinism and parallelism follow the repo's campaign discipline
 (DESIGN.md): replicas are partitioned into fixed blocks of
 :data:`REPLICA_BLOCK`; block ``b`` always simulates with the ``b+1``-th
 spawned child of ``SeedSequence(seed)`` (child 0 drives the traffic
-draw), and the fork-once pool ships the network, probe batch, traffic
-series, processes, detectors and policy to each worker exactly once —
-jobs carry only ``(block size, seed)``.  The serial path iterates the
-same blocks with the same seeds, so the fault schedule, detector
-firings and SLO report are bitwise identical, serial == parallel.
+draw).  The blocks run through the campaigns' block driver
+(:func:`~repro.faults.masks._run_blocks`) with :func:`_simulate_block`
+as the block function — jobs carry only ``(block size, seed)`` — so the
+fault schedule, detector firings and SLO report are bitwise identical,
+serial == parallel.
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..faults.injector import FaultInjector
-from ..faults.masks import MaskCampaignEngine
+from ..faults.masks import MaskCampaignEngine, _run_blocks
 from ..network.model import FeedForwardNetwork
-from ..obs.recorder import RunObserver, block_span_if, fold_worker_payload
-from ..parallel import bounded_map, fork_once_pool, worker_state
 from .deployment import DeployedNetwork
 from .detectors import DriftDetector
 from .policies import NoRepairPolicy, RepairPolicy
@@ -174,18 +172,7 @@ class ChaosReport:
 
 
 def _simulate_block(
-    engine: MaskCampaignEngine,
-    processes: Sequence[FaultProcess],
-    detectors: Sequence[DriftDetector],
-    policy: RepairPolicy,
-    n_replicas: int,
-    epochs: int,
-    epochs_chunk: int,
-    epsilon: float,
-    epsilon_prime: float,
-    probe_counts: Optional[np.ndarray],
-    seed: np.random.SeedSequence,
-    ground_truth: bool,
+    engine: MaskCampaignEngine, shared: tuple, job: tuple
 ) -> TelemetryTrace:
     """Full lifecycle of one replica block; emits the block's trace.
 
@@ -195,8 +182,12 @@ def _simulate_block(
     installed as the fleet state's telemetry seam, so repair and
     rejuvenation-reset actions are captured where they happen; it
     never touches the RNG, so the fault schedule is bitwise identical
-    with ground-truth recording on or off.
+    with ground-truth recording on or off.  ``job`` is ``(n_replicas,
+    SeedSequence)``; ``shared`` holds the campaign-wide objects.
     """
+    (processes, detectors, policy, epochs, epochs_chunk, epsilon,
+     epsilon_prime, probe_counts, ground_truth) = shared
+    n_replicas, seed = job
     rng = np.random.default_rng(seed)
     network = engine.network
     fleet = DeployedNetwork(
@@ -269,63 +260,6 @@ def _simulate_block(
     return recorder.finish(policy.stats())
 
 
-def _build_chaos_state(  # pragma: no cover - subprocess body
-    network, capacity, xb, chunk_size, dtype, processes, detectors, policy,
-    epochs, epochs_chunk, epsilon, epsilon_prime, probe_counts, ground_truth,
-    instrument=False,
-):
-    injector = FaultInjector(network, capacity=capacity)
-    engine = MaskCampaignEngine(
-        injector, xb, chunk_size=chunk_size, dtype=dtype
-    )
-    return {
-        "engine": engine,
-        "processes": processes,
-        "detectors": detectors,
-        "policy": policy,
-        "epochs": epochs,
-        "epochs_chunk": epochs_chunk,
-        "epsilon": epsilon,
-        "epsilon_prime": epsilon_prime,
-        "probe_counts": probe_counts,
-        "ground_truth": ground_truth,
-        "instrument": instrument,
-    }
-
-
-def _worker_simulate_block(job):  # pragma: no cover - subprocess body
-    """Job payload: ``(block index, replica count, SeedSequence)``.
-
-    Returns ``(trace, payload)`` — the block's telemetry trace plus
-    its observation payload when the pool was built with
-    ``instrument=True`` (else None); recording draws no randomness, so
-    the fault schedule stays bitwise identical either way.
-    """
-    index, size, seed = job
-    s = worker_state()
-    engine = s["engine"]
-    if not s.get("instrument"):
-        trace = _simulate_block(
-            engine, s["processes"], s["detectors"], s["policy"],
-            size, s["epochs"], s["epochs_chunk"], s["epsilon"],
-            s["epsilon_prime"], s["probe_counts"], seed, s["ground_truth"],
-        )
-        return trace, None
-    ob = RunObserver()
-    engine.profile = ob.profile
-    try:
-        with ob.block_span(index, size):
-            trace = _simulate_block(
-                engine, s["processes"], s["detectors"], s["policy"],
-                size, s["epochs"], s["epochs_chunk"], s["epsilon"],
-                s["epsilon_prime"], s["probe_counts"], seed,
-                s["ground_truth"],
-            )
-    finally:
-        engine.profile = None
-    return trace, ob.worker_payload()
-
-
 def _run_chaos_campaign(
     network: FeedForwardNetwork,
     x: np.ndarray,
@@ -354,8 +288,7 @@ def _run_chaos_campaign(
 
     Parameters mirror the static campaigns where they overlap
     (``capacity`` defaults to ``sup phi``; ``dtype=float32`` selects
-    the engine's fast path; ``n_workers > 1`` fans replica blocks out
-    over the fork-once pool).  ``epochs_chunk`` is the evaluation
+    the engine's fast path).  ``epochs_chunk`` is the evaluation
     window: each engine call covers ``epochs_chunk * block`` scenario
     rows, and detection/repair scheduling happens at window
     granularity (a real monitoring pipeline's aggregation interval).
@@ -372,13 +305,9 @@ def _run_chaos_campaign(
     counts, per-process damage attribution) the AIOps tasks score
     against.  ``spec_payload`` (the originating spec's ``to_dict``)
     is embedded in the trace so a stored trace can rebuild its
-    detectors for replay.
-
-    ``profile`` accumulates per-phase engine wall time and ``obs``
-    records one ``block`` span per replica block, worker payloads
-    merged in block order exactly like the telemetry blocks — so the
-    observed trace, like the report, is structurally identical serial
-    vs parallel.
+    detectors for replay.  ``n_workers``, ``profile`` and ``obs``
+    follow the block driver's contract, one ``block`` span per replica
+    block.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -434,57 +363,27 @@ def _run_chaos_campaign(
     if traffic is not None and traffic.modulate_probes:
         probe_counts = traffic.probe_counts(requests, xb.shape[0])
     chunk = chunk_size or max(epochs_chunk * REPLICA_BLOCK, 1)
-    if obs is not None and profile is None:
-        profile = obs.profile
     ground_truth = bool(
         telemetry is not None
         and getattr(telemetry, "enabled", False)
         and getattr(telemetry, "ground_truth", False)
     )
 
-    if n_workers and n_workers > 1:
-        with fork_once_pool(
-            n_workers,
-            _build_chaos_state,
-            (
-                network, capacity, xb, chunk, np.dtype(dtype).name,
-                tuple(processes), tuple(detectors), policy,
-                epochs, epochs_chunk, float(epsilon), float(epsilon_prime),
-                probe_counts, ground_truth, profile is not None,
-            ),
-        ) as pool:
-            blocks = []
-            for block_trace, payload in bounded_map(
-                pool,
-                _worker_simulate_block,
-                (
-                    (b, size, child)
-                    for b, (size, child) in enumerate(
-                        zip(sizes, children[1:])
-                    )
-                ),
-            ):
-                blocks.append(block_trace)
-                fold_worker_payload(payload, profile, obs)
-    else:
-        engine = MaskCampaignEngine(
-            FaultInjector(network, capacity=capacity), xb,
-            chunk_size=chunk, dtype=dtype,
-        )
-        if profile is not None:
-            engine.profile = profile
-        blocks = []
-        for b, (size, child) in enumerate(zip(sizes, children[1:])):
-            with block_span_if(obs, b, size):
-                blocks.append(
-                    _simulate_block(
-                        engine, tuple(processes), tuple(detectors), policy,
-                        size, epochs, epochs_chunk, float(epsilon),
-                        float(epsilon_prime), probe_counts, child,
-                        ground_truth,
-                    )
-                )
-        engine.profile = None
+    blocks = _run_blocks(
+        _simulate_block,
+        (
+            tuple(processes), tuple(detectors), policy, epochs, epochs_chunk,
+            float(epsilon), float(epsilon_prime), probe_counts, ground_truth,
+        ),
+        zip(sizes, children[1:]),
+        FaultInjector(network, capacity=capacity),
+        xb,
+        chunk_size=chunk,
+        dtype=dtype,
+        n_workers=n_workers,
+        profile=profile,
+        obs=obs,
+    )
 
     # Block order is fixed, so the assembled trace — and therefore the
     # derived report — is bitwise identical, serial == parallel.

@@ -48,18 +48,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..obs.recorder import block_span_if, fold_worker_payload, span_if
-from ..parallel import bounded_map, fork_once_pool
+from ..obs.recorder import span_if
 from .injector import FaultInjector
 from .masks import (
     SAMPLE_BLOCK,
     MaskCampaignEngine,
     MaskSampler,
     TotalCountShellSampler,
-    _build_campaign_state,
-    _chunk_sizes,
-    _perf_counter,
-    _worker_sample_and_evaluate,
+    _sampled_blocks,
     sampled_campaign_errors,
 )
 from .types import FaultModel
@@ -192,25 +188,22 @@ def adaptive_campaign_errors(
     The block layout, seeds and evaluation are *exactly* those of
     :func:`~repro.faults.masks.sampled_campaign_errors` with the same
     arguments — block ``c`` always draws from the ``c``-th spawned
-    seed child — so the returned errors are a bitwise prefix of the
-    fixed-``n_scenarios`` campaign.  The stop decision is taken only
-    at block boundaries, in spawn order: with workers, blocks are
-    submitted and consumed in spawn order and any block in flight past
-    the stop epoch is discarded, so serial == parallel and the result
-    is invariant to the worker count.
+    seed child — and the stop decision is the block driver's ``stop``
+    callback (:func:`~repro.faults.masks._run_blocks`), taken in the
+    parent at block boundaries in spawn order: the returned errors are
+    a bitwise prefix of the fixed-``n_scenarios`` campaign on any
+    worker count.
 
     ``threshold`` defines a violation as ``error > threshold + tol``
     (``tol=1e-12`` matches the survival path's budget comparison).
     ``min_scenarios`` floors the sample count before the first stop
     decision; ``n_scenarios`` stays the hard cap.
 
-    ``profile`` and ``obs`` mirror :func:`sampled_campaign_errors` —
-    worker-safe, folded in block submission order.  The observer
-    additionally records one ``adaptive-look`` event per stop decision
-    (look number, scenarios seen, violations, CI bounds once past
-    ``min_scenarios``) and publishes the final report's stop epoch and
-    CI as gauges; every look happens in the *parent* process in both
-    paths, so the event stream is identical serial vs parallel.
+    ``profile`` and ``obs`` mirror :func:`sampled_campaign_errors`.
+    The observer additionally records one ``adaptive-look`` event per
+    stop decision (look number, scenarios seen, violations, CI bounds
+    once past ``min_scenarios``) and publishes the final report's stop
+    epoch and CI as gauges.
     """
     if method not in STOPPING_METHODS:
         raise ValueError(
@@ -225,53 +218,17 @@ def adaptive_campaign_errors(
     if n_scenarios < 1:
         raise ValueError(f"n_scenarios must be >= 1, got {n_scenarios}")
     sampler.check_network(injector.network)
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    if obs is not None and profile is None:
-        profile = obs.profile
-    if engine is not None:
-        if engine.network is not injector.network:
-            raise ValueError(
-                "engine was built for a different network than the injector"
-            )
-        xb_arg, _ = injector.network._as_batch(x)
-        if not np.array_equal(
-            np.asarray(xb_arg, dtype=np.float64), engine.xb64
-        ):
-            raise ValueError(
-                "engine was built for a different probe batch than x"
-            )
-        if n_workers and n_workers > 1:
-            raise ValueError(
-                "engine reuse is in-process only; drop the engine argument "
-                "to fan out over workers"
-            )
-
-    ss = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
-    chunk_size = min(int(chunk_size), SAMPLE_BLOCK, int(n_scenarios))
-    sizes = _chunk_sizes(n_scenarios, SAMPLE_BLOCK)
-    children = ss.spawn(len(sizes))
     threshold = float(threshold)
-
-    pieces: list = []
     n_done = 0
     violations = 0
     looks = 0
     stopped = False
 
     def consume(block_errors: np.ndarray) -> bool:
-        """Fold one block into the confidence sequence; True = stop.
-
-        Runs in the parent process on both paths, so the look events it
-        records (counts and count-derived CI bounds only — no wall
-        times) are identical serial vs parallel.
-        """
+        """The stop look: fold one block into the confidence sequence;
+        True = stop.  The look events it records hold counts and
+        count-derived CI bounds only, so they match serial vs parallel."""
         nonlocal n_done, violations, looks, stopped
-        pieces.append(block_errors)
         n_done += block_errors.size
         violations += int(np.sum(block_errors > threshold + tol))
         looks += 1
@@ -290,65 +247,11 @@ def adaptive_campaign_errors(
             obs.event("adaptive-look", stopped=done, **attrs)
         return done
 
-    if n_workers and n_workers > 1:
-        xb, _ = injector.network._as_batch(x)
-        with fork_once_pool(
-            n_workers,
-            _build_campaign_state,
-            (
-                injector.network,
-                injector.capacity,
-                xb,
-                chunk_size,
-                reduction,
-                np.dtype(dtype).name,
-                sampler,
-                profile is not None,
-            ),
-        ) as pool:
-            # bounded_map yields in submission (= spawn) order; breaking
-            # out discards the in-flight overshoot (payloads included),
-            # so the consumed prefix — hence the stop epoch and the
-            # trace — matches the serial path.
-            for block_errors, payload in bounded_map(
-                pool,
-                _worker_sample_and_evaluate,
-                (
-                    (c, size, child)
-                    for c, (size, child) in enumerate(zip(sizes, children))
-                ),
-            ):
-                fold_worker_payload(payload, profile, obs)
-                if consume(np.asarray(block_errors)):
-                    break
-    else:
-        if engine is None:
-            engine = MaskCampaignEngine(
-                injector,
-                x,
-                chunk_size=chunk_size,
-                reduction=reduction,
-                dtype=dtype,
-            )
-        prev_profile = getattr(engine, "profile", None)
-        if profile is not None:
-            engine.profile = profile
-        try:
-            for c, (size, child) in enumerate(zip(sizes, children)):
-                rng = np.random.default_rng(child)
-                with block_span_if(obs, c, size):
-                    if profile is not None:
-                        t0 = _perf_counter()
-                        mask_batch = sampler.sample(size, rng)
-                        profile.add("sampling", _perf_counter() - t0)
-                    else:
-                        mask_batch = sampler.sample(size, rng)
-                    block_errors = engine.evaluate(mask_batch, rng=rng)
-                if consume(block_errors):
-                    break
-        finally:
-            engine.profile = prev_profile
-
+    pieces = _sampled_blocks(
+        injector, x, sampler, n_scenarios, seed=seed, chunk_size=chunk_size,
+        reduction=reduction, dtype=dtype, n_workers=n_workers, engine=engine,
+        profile=profile, obs=obs, stop=consume,
+    )
     errors = np.concatenate(pieces)
     lo, hi = confidence_sequence_interval(
         method, n_done, violations, looks, delta
@@ -540,8 +443,6 @@ def stratified_violation_estimate(
     sizes = network.layer_sizes
     total = int(sum(sizes))
     threshold = float(threshold)
-    if obs is not None and profile is None:
-        profile = obs.profile
 
     weights = sps.binom.pmf(np.arange(total + 1), total, p_fail)
     certified = np.zeros(total + 1, dtype=bool)

@@ -16,10 +16,9 @@ engines back the same API (see DESIGN.md):
   custom fault models outside the taxonomy.
 
 Either way chunking bounds peak memory (``chunk x batch x width``
-floats) and chunks can fan out over a fork-once process pool: the
-network ships to each worker exactly once (pool initializer), jobs
-carry only chunk payloads, and stochastic faults draw per-chunk RNG
-streams spawned from the campaign seed.
+floats), chunks can fan out over worker processes through the shared
+block driver (:func:`~repro.faults.masks._run_blocks`), and stochastic
+faults draw per-chunk RNG streams spawned from the campaign seed.
 """
 
 from __future__ import annotations
@@ -32,13 +31,14 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from ..network.model import FeedForwardNetwork
-from ..parallel import bounded_map, fork_once_pool, worker_state
 from .injector import FaultInjector
 from .masks import (
     FixedDistributionSampler,
     FixedSynapseDistributionSampler,
     MaskCampaignEngine,
     MaskSampler,
+    _concat,
+    _run_blocks,
     exhaustive_crash_errors,
     sampled_campaign_errors,
 )
@@ -122,56 +122,32 @@ def _chunks(iterable: Iterable, size: int) -> Iterator[list]:
         yield block
 
 
-def _evaluate_chunk(
-    injector: FaultInjector,
-    x: np.ndarray,
-    chunk: Sequence[FailureScenario],
-    reduction: str,
-    seed: "np.random.SeedSequence | None",
-    engine: MaskCampaignEngine,
-) -> np.ndarray:
-    """Errors for one chunk of object scenarios.
+def _evaluate_chunk(engine: MaskCampaignEngine, shared, job) -> np.ndarray:
+    """Block function: errors for one chunk of object scenarios.
 
-    Scenarios lower through ``compile_batch`` (the whole fault
-    taxonomy compiles to mask channels) and stream through the
-    campaign engine; the per-scenario scalar path survives only as the
-    fallback for fault models outside the taxonomy.  ``seed`` drives
-    the stochastic draws: each chunk evaluates with a stream spawned
-    off the campaign seed, so no two chunks replay the same noise.
+    ``job`` is ``(size, scenarios, SeedSequence)``.  Scenarios lower
+    through ``compile_batch`` (the whole fault taxonomy compiles to mask
+    channels) and stream through the campaign engine; the per-scenario
+    scalar path survives only as the fallback for fault models outside
+    the taxonomy.  The seed drives the stochastic draws: each chunk
+    evaluates with a stream spawned off the campaign seed, so no two
+    chunks replay the same noise.
     """
+    _, chunk, seed = job
+    injector = engine.injector
     rng = np.random.default_rng(seed)
     try:
         batch = injector.compile_batch(chunk)
     except ValueError:
         # Fault models with no mask-channel lowering (custom
         # subclasses): scalar path per scenario.
-        return np.array(
-            [injector.output_error(x, sc, rng=rng, reduction=reduction) for sc in chunk]
-        )
+        return np.array([
+            injector.output_error(
+                engine.xb64, sc, rng=rng, reduction=engine.reduction
+            )
+            for sc in chunk
+        ])
     return engine.evaluate(batch, rng=rng)
-
-
-def _build_object_state(network, capacity, x, reduction, chunk_size):  # pragma: no cover
-    """fork_once_pool builder: network, probe batch and engine ship once."""
-    injector = FaultInjector(network, capacity=capacity)
-    return {
-        "injector": injector,
-        "x": x,
-        "reduction": reduction,
-        "engine": MaskCampaignEngine(
-            injector, x, chunk_size=chunk_size, reduction=reduction
-        ),
-    }
-
-
-def _worker_evaluate(job):  # pragma: no cover - subprocess body
-    """Job payload: ``(chunk of scenarios, per-chunk SeedSequence)``."""
-    chunk, seed = job
-    state = worker_state()
-    return _evaluate_chunk(
-        state["injector"], state["x"], chunk, state["reduction"], seed,
-        state["engine"],
-    )
 
 
 def run_campaign(
@@ -199,20 +175,16 @@ def run_campaign(
         Scenarios per vectorised sweep; bounds peak memory at roughly
         ``chunk_size * len(x) * max_width`` float64s per layer.
     n_workers:
-        ``0`` (default) runs in-process; ``> 1`` fans chunks out over a
-        fork-once process pool (the network and inputs ship once at
-        worker start; jobs are submitted lazily, so the scenario stream
-        is never materialised beyond the in-flight window).
+        ``0`` (default) runs in-process; ``> 1`` fans chunks out
+        through the block driver (:func:`~repro.faults.masks._run_blocks`).
+        Either way the scenario stream is consumed lazily, chunk by
+        chunk.
     seed:
         Campaign seed for the *stochastic-fault* fallback path: each
         chunk evaluates with an RNG spawned from this seed, so noise is
         independent across chunks yet reproducible (default 0 keeps
         repeated calls deterministic; pass ``None`` for fresh entropy).
     """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    xb, _ = injector.network._as_batch(x)
-    all_errors: List[np.ndarray] = []
     names: List[str] = []
     seed_root = np.random.SeedSequence(seed)
 
@@ -220,32 +192,14 @@ def run_campaign(
         for chunk in _chunks(scenarios, chunk_size):
             if keep_names:
                 names.extend(sc.name for sc in chunk)
-            yield chunk, seed_root.spawn(1)[0]
+            yield len(chunk), chunk, seed_root.spawn(1)[0]
 
-    if n_workers and n_workers > 1:
-        with fork_once_pool(
-            n_workers,
-            _build_object_state,
-            (injector.network, injector.capacity, xb, reduction, chunk_size),
-        ) as pool:
-            for errs in bounded_map(pool, _worker_evaluate, jobs()):
-                all_errors.append(np.asarray(errs))
-    else:
-        # One engine for the whole campaign: weight casts, nominal pass
-        # and chunk buffers are paid once, every chunk streams through.
-        engine = MaskCampaignEngine(
-            injector, xb, chunk_size=chunk_size, reduction=reduction
-        )
-        for chunk, chunk_seed in jobs():
-            all_errors.append(
-                _evaluate_chunk(
-                    injector, xb, chunk, reduction, chunk_seed, engine
-                )
-            )
-
-    errors = (
-        np.concatenate(all_errors) if all_errors else np.empty(0, dtype=np.float64)
-    )
+    # One engine for the whole campaign: weight casts, nominal pass and
+    # chunk buffers are paid once, every chunk streams through.
+    errors = _concat(_run_blocks(
+        _evaluate_chunk, None, jobs(), injector, x, chunk_size=chunk_size,
+        reduction=reduction, n_workers=n_workers,
+    ))
     return CampaignResult(errors, names if keep_names else [], reduction)
 
 

@@ -23,11 +23,12 @@ makes the whole pipeline live at the array level (see DESIGN.md):
   weights, producing per-scenario output errors; on wide first layers,
   scenarios with few faulty first-layer cells skip the second layer's
   GEMM for a rank-``k`` update of its nominal sums;
-* **distribution** — the fork-once worker pool ships the network to
-  each worker exactly once (pool initializer); jobs afterwards carry
-  only chunk sizes + spawned ``SeedSequence`` children (Monte-Carlo)
-  or combination index blocks (exhaustive), so results are
-  deterministic and identical to the serial path.
+* **distribution** — :func:`_run_blocks`, the one block driver every
+  campaign fan-out (these two, adaptive, chaos, object scenarios)
+  goes through, ships the network to each worker exactly once; jobs
+  carry only block sizes + spawned ``SeedSequence`` children
+  (Monte-Carlo) or combination index blocks (exhaustive), so results
+  are deterministic and identical to the serial path.
 
 ``FailureScenario`` remains the expressive scalar-path API;
 ``FaultInjector.compile_batch`` lowers object scenarios into the same
@@ -37,14 +38,16 @@ representation this engine consumes.
 
 from __future__ import annotations
 
+import itertools
 import math
+from contextlib import closing, nullcontext
 from time import perf_counter as _perf_counter
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ..network.model import FeedForwardNetwork
-from ..obs.recorder import RunObserver, block_span_if, fold_worker_payload
+from ..obs.recorder import RunObserver
 from ..parallel import bounded_map, fork_once_pool, worker_state
 from .injector import (
     CompiledScenarioBatch,
@@ -1383,74 +1386,168 @@ class MaskCampaignEngine:
 
 
 # ---------------------------------------------------------------------------
-# Fork-once worker pool plumbing
+# The block driver: every engine fan-out
 # ---------------------------------------------------------------------------
 
-def _build_campaign_state(  # pragma: no cover - subprocess body
-    network, capacity, xb, chunk_size, reduction, dtype, sampler,
-    instrument=False,
+def _evaluate_blocks(engine, block_fn, shared, indexed_jobs, profile, obs,
+                     stop=None) -> list:
+    """The block loop, run in-process and as the body of every worker job.
+
+    ``engine.profile`` charges ``profile`` for the loop's duration and
+    is restored afterwards; each block runs inside an ``obs`` block span
+    (``obs.block_span(index, job[0])``); ``stop(result)`` is asked after
+    every block, outside its span.
+    """
+    prev_profile = engine.profile
+    if profile is not None:
+        engine.profile = profile
+    try:
+        results = []
+        for index, job in indexed_jobs:
+            span = nullcontext() if obs is None else obs.block_span(
+                index, job[0]
+            )
+            with span:
+                results.append(block_fn(engine, shared, job))
+            if stop is not None and stop(results[-1]):
+                break
+        return results
+    finally:
+        engine.profile = prev_profile
+
+
+def _build_block_state(  # pragma: no cover - subprocess body
+    network, capacity, xb, chunk_size, reduction, dtype, block_fn, shared,
+    instrument,
 ):
     """fork_once_pool builder: this worker's engine, built exactly once."""
-    injector = FaultInjector(network, capacity=capacity)
     engine = MaskCampaignEngine(
-        injector, xb, chunk_size=chunk_size, reduction=reduction, dtype=dtype
+        FaultInjector(network, capacity=capacity), xb,
+        chunk_size=chunk_size, reduction=reduction, dtype=dtype,
     )
-    return {"engine": engine, "sampler": sampler, "instrument": instrument}
+    return {"engine": engine, "block_fn": block_fn, "shared": shared,
+            "instrument": instrument}
 
 
-def _worker_sample_and_evaluate(job):  # pragma: no cover - subprocess body
-    """Job payload: ``(block_index, n_scenarios, SeedSequence)``.
+def _worker_block(indexed_job):  # pragma: no cover - subprocess body
+    """One block in a worker: ``(result, payload)``, where ``payload`` is
+    the block's private :meth:`~repro.obs.RunObserver.worker_payload`
+    when the pool is instrumented, else None."""
+    s = worker_state()
+    ob = RunObserver() if s["instrument"] else None
+    (result,) = _evaluate_blocks(
+        s["engine"], s["block_fn"], s["shared"], [indexed_job],
+        None if ob is None else ob.profile, ob,
+    )
+    return result, None if ob is None else ob.worker_payload()
 
-    The block's generator first drives the sampler, then (for
-    stochastic fault models) the evaluation-time draws — the same
-    stream discipline as the serial path, so serial == parallel.
-    Returns ``(errors, payload)`` where ``payload`` is the block's
-    observation payload (spans + metrics + per-phase seconds) when the
-    pool was built with ``instrument=True``, else None — recording
-    draws no randomness, so the errors are bitwise identical either
-    way.
+
+def _run_blocks(
+    block_fn,
+    shared,
+    jobs,
+    injector: FaultInjector,
+    x: np.ndarray,
+    *,
+    chunk_size: int,
+    reduction: str = "max",
+    dtype: "str | np.dtype" = np.float64,
+    n_workers: int = 0,
+    engine: "MaskCampaignEngine | None" = None,
+    profile=None,
+    obs=None,
+    stop=None,
+) -> list:
+    """Evaluate a job stream block by block; the results in job order
+    (an empty stream builds no engine or pool and returns ``[]``).
+
+    The one fan-out behind every campaign driver.  ``block_fn(engine,
+    shared, job)`` is a module-level function evaluating one block on an
+    engine built for ``injector`` and ``x`` (``chunk_size``,
+    ``reduction``, ``dtype``); each job is a tuple whose first item is
+    the block's scenario count.  The driver owns the shared contract:
+
+    * **engine reuse** — a prebuilt ``engine`` must match ``injector``'s
+      network and the probe batch ``x`` (compared in float64) and is
+      in-process only; workers build their own from the shipped network;
+    * **fan-out** — with ``n_workers > 1`` a fork-once pool ships the
+      network, probe batch, ``block_fn`` and ``shared`` to each worker
+      once, jobs carry only their own payload, and results come back in
+      submission order, so serial == parallel whenever ``block_fn``
+      depends on nothing but its job;
+    * **observation** — ``profile`` (a
+      :class:`~repro.profiling.PhaseProfile`; defaults to
+      ``obs.profile``) is charged through ``engine.profile``, and
+      ``obs`` records one ``block`` span per job.  Workers record into a
+      private observer per block whose payload the parent folds in
+      submission order, so the trace structure matches the serial run;
+      recording draws no randomness, so results are bitwise identical
+      with observation on or off;
+    * **early stop** — ``stop(result)``, called in the parent after each
+      block in job order, ends the run when it returns True; blocks
+      still queued are cancelled and any already evaluating past the
+      stop are discarded, so the returned prefix is worker-count
+      invariant.
     """
-    index, size, seed_seq = job
-    state = worker_state()
-    engine = state["engine"]
-    rng = np.random.default_rng(seed_seq)
-    if not state.get("instrument"):
-        batch = state["sampler"].sample(size, rng)
-        return engine.evaluate(batch, rng=rng), None
-    ob = RunObserver()
-    engine.profile = ob.profile
-    try:
-        with ob.block_span(index, size):
-            t0 = _perf_counter()
-            batch = state["sampler"].sample(size, rng)
-            ob.profile.add("sampling", _perf_counter() - t0)
-            errors = engine.evaluate(batch, rng=rng)
-    finally:
-        engine.profile = None
-    return errors, ob.worker_payload()
+    if chunk_size <= 0:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    if engine is not None:
+        if engine.network is not injector.network:
+            raise ValueError(
+                "engine was built for a different network than the injector"
+            )
+        xb_arg, _ = injector.network._as_batch(x)
+        # Compare probe batches in float64: casting to the engine dtype
+        # first would let two distinct float64 batches that collide at
+        # float32 slip past the guard on a float32 engine.
+        if not np.array_equal(xb_arg, engine.xb64):
+            raise ValueError(
+                "engine was built for a different probe batch than x"
+            )
+        if n_workers and n_workers > 1:
+            raise ValueError(
+                "engine reuse is in-process only; drop the engine argument "
+                "to fan out over workers"
+            )
+    if obs is not None and profile is None:
+        profile = obs.profile
+    jobs = iter(jobs)
+    first = next(jobs, None)
+    if first is None:
+        return []
+    indexed_jobs = enumerate(itertools.chain((first,), jobs))
+
+    if n_workers and n_workers > 1:
+        xb, _ = injector.network._as_batch(x)
+        state = (
+            injector.network, injector.capacity, xb, chunk_size, reduction,
+            np.dtype(dtype).name, block_fn, shared, profile is not None,
+        )
+        results = []
+        with fork_once_pool(n_workers, _build_block_state, state) as pool, \
+                closing(bounded_map(pool, _worker_block, indexed_jobs)) as out:
+            for result, payload in out:
+                if payload is not None:
+                    profile.add_dict(payload["profile"])
+                    if obs is not None:
+                        obs.absorb(payload)
+                results.append(result)
+                if stop is not None and stop(result):
+                    break
+        return results
+
+    if engine is None:
+        engine = MaskCampaignEngine(
+            injector, x, chunk_size=chunk_size, reduction=reduction,
+            dtype=dtype,
+        )
+    return _evaluate_blocks(
+        engine, block_fn, shared, indexed_jobs, profile, obs, stop
+    )
 
 
-def _worker_evaluate_flat(job):  # pragma: no cover - subprocess body
-    """Job payload: ``(block_index, flat)`` with ``flat`` an ``(S, k)``
-    flat combination index block.  Returns ``(errors, payload)`` like
-    :func:`_worker_sample_and_evaluate`."""
-    index, flat = job
-    state = worker_state()
-    engine = state["engine"]
-    if not state.get("instrument"):
-        batch = masks_from_flat_indices(engine.network.layer_sizes, flat)
-        return engine.evaluate(batch), None
-    ob = RunObserver()
-    engine.profile = ob.profile
-    try:
-        with ob.block_span(index, int(flat.shape[0])):
-            t0 = _perf_counter()
-            batch = masks_from_flat_indices(engine.network.layer_sizes, flat)
-            ob.profile.add("compile", _perf_counter() - t0)
-            errors = engine.evaluate(batch)
-    finally:
-        engine.profile = None
-    return errors, ob.worker_payload()
+def _concat(pieces: List[np.ndarray]) -> np.ndarray:
+    return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.float64)
 
 
 def _chunk_sizes(total: int, chunk: int) -> List[int]:
@@ -1463,6 +1560,40 @@ def _chunk_sizes(total: int, chunk: int) -> List[int]:
 #: ``c``-th spawned seed, regardless of the *evaluation* chunk size or
 #: the worker count — so campaign results depend only on the seed.
 SAMPLE_BLOCK = 1024
+
+
+def _sample_block(engine, sampler, job):
+    """Block function of the sampled campaigns; ``job`` is ``(size,
+    SeedSequence)``.  One generator per block: sampling consumes it
+    first, then any stochastic evaluation draws."""
+    size, seed_seq = job
+    rng = np.random.default_rng(seed_seq)
+    t0 = _perf_counter()
+    mask_batch = sampler.sample(size, rng)
+    if engine.profile is not None:
+        engine.profile.add("sampling", _perf_counter() - t0)
+    return engine.evaluate(mask_batch, rng=rng)
+
+
+def _sampled_blocks(injector, x, sampler, n_scenarios, *, seed, chunk_size,
+                    **driver_kw) -> list:
+    """Per-block errors of the sampled campaign; ``driver_kw`` (``stop``
+    included) go to :func:`_run_blocks`.  Block ``c`` draws from the
+    ``c``-th spawned child of ``seed``, so a stopped run is a prefix of
+    the full one."""
+    ss = (
+        seed
+        if isinstance(seed, np.random.SeedSequence)
+        else np.random.SeedSequence(seed)
+    )
+    sizes = _chunk_sizes(n_scenarios, SAMPLE_BLOCK)
+    # Floor at one scenario so an empty campaign still validates
+    # chunk_size (the driver then returns no blocks).
+    chunk = min(int(chunk_size), SAMPLE_BLOCK, max(int(n_scenarios), 1))
+    return _run_blocks(
+        _sample_block, sampler, zip(sizes, ss.spawn(len(sizes))), injector, x,
+        chunk_size=chunk, **driver_kw,
+    )
 
 
 def sampled_campaign_errors(
@@ -1486,12 +1617,11 @@ def sampled_campaign_errors(
     block ``c`` always draws from the ``c``-th spawned child of
     ``SeedSequence(seed)``.  Results are therefore reproducible and
     identical between the serial and parallel paths (workers receive
-    only block sizes and spawned seeds — the fork-once pool shipped the
-    network at initialisation).  For *deterministic* fault models they
-    are additionally identical across chunk sizes, which only bound the
-    evaluation buffers; *stochastic* models (noise channels,
-    intermittent gates) realise their draws slice by slice, so their
-    per-scenario values are reproducible for a fixed ``(seed,
+    only block sizes and spawned seeds).  For *deterministic* fault
+    models they are additionally identical across chunk sizes, which
+    only bound the evaluation buffers; *stochastic* models (noise
+    channels, intermittent gates) realise their draws slice by slice,
+    so their per-scenario values are reproducible for a fixed ``(seed,
     chunk_size)`` — and a reused ``engine`` carries its own chunk size
     — while only the stream alignment, never the error distribution,
     depends on the chunking.
@@ -1502,109 +1632,36 @@ def sampled_campaign_errors(
     skipping the per-campaign weight casts, nominal forward pass and
     buffer allocation.  The engine's injector, probe batch, chunk size,
     reduction and dtype take precedence over the corresponding
-    arguments; engine reuse is in-process only (``n_workers`` must stay
-    0/1 — workers build their own engines from the shipped network).
-
-    ``profile`` (a :class:`~repro.profiling.PhaseProfile`) accumulates
-    per-phase wall time — sampling here, the evaluation phases inside
-    the engine.  With ``n_workers > 1`` each worker charges a private
-    per-block profile that the parent folds home in block submission
-    order.  ``obs`` (a :class:`~repro.obs.RunObserver`) additionally
-    records one ``block`` span per scenario block — workers buffer
-    theirs and the parent grafts them in the same order, so the trace
-    structure matches the serial run and the errors stay bitwise
-    identical with observation on or off.
+    arguments.  ``profile`` (sampling here, the evaluation phases inside
+    the engine) and ``obs`` follow the block driver's contract
+    (:func:`_run_blocks`), as does ``n_workers``.
     """
     if n_scenarios < 0:
         raise ValueError(f"n_scenarios must be >= 0, got {n_scenarios}")
     sampler.check_network(injector.network)
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    if obs is not None and profile is None:
-        profile = obs.profile
-    if engine is not None:
-        if engine.network is not injector.network:
-            raise ValueError(
-                "engine was built for a different network than the injector"
-            )
-        xb_arg, _ = injector.network._as_batch(x)
-        # Compare probe batches in float64: casting to the engine dtype
-        # first would let two distinct float64 batches that collide at
-        # float32 slip past the guard on a float32 engine.
-        if not np.array_equal(np.asarray(xb_arg, dtype=np.float64),
-                              engine.xb64):
-            raise ValueError(
-                "engine was built for a different probe batch than x"
-            )
-        if n_workers and n_workers > 1:
-            raise ValueError(
-                "engine reuse is in-process only; drop the engine argument "
-                "to fan out over workers"
-            )
-    if n_scenarios == 0:
-        return np.empty(0, dtype=np.float64)
-    ss = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
-    chunk_size = min(int(chunk_size), SAMPLE_BLOCK, int(n_scenarios))
-    sizes = _chunk_sizes(n_scenarios, SAMPLE_BLOCK)
-    children = ss.spawn(len(sizes))
+    return _concat(_sampled_blocks(
+        injector, x, sampler, n_scenarios, seed=seed, chunk_size=chunk_size,
+        reduction=reduction, dtype=dtype, n_workers=n_workers, engine=engine,
+        profile=profile, obs=obs,
+    ))
 
-    if n_workers and n_workers > 1:
-        xb, _ = injector.network._as_batch(x)
-        with fork_once_pool(
-            n_workers,
-            _build_campaign_state,
-            (
-                injector.network,
-                injector.capacity,
-                xb,
-                chunk_size,
-                reduction,
-                np.dtype(dtype).name,
-                sampler,
-                profile is not None,
-            ),
-        ) as pool:
-            pieces = []
-            for errors, payload in bounded_map(
-                pool,
-                _worker_sample_and_evaluate,
-                (
-                    (c, size, child)
-                    for c, (size, child) in enumerate(zip(sizes, children))
-                ),
-            ):
-                pieces.append(errors)
-                fold_worker_payload(payload, profile, obs)
-        return np.concatenate(pieces)
 
-    if engine is None:
-        engine = MaskCampaignEngine(
-            injector, x, chunk_size=chunk_size, reduction=reduction, dtype=dtype
-        )
-    prev_profile = getattr(engine, "profile", None)
-    if profile is not None:
-        engine.profile = profile
-    try:
-        pieces = []
-        for c, (size, child) in enumerate(zip(sizes, children)):
-            rng = np.random.default_rng(child)
-            # One generator per block: sampling consumes it first, then
-            # any stochastic evaluation draws — same as the worker path.
-            with block_span_if(obs, c, size):
-                if profile is not None:
-                    t0 = _perf_counter()
-                    mask_batch = sampler.sample(size, rng)
-                    profile.add("sampling", _perf_counter() - t0)
-                else:
-                    mask_batch = sampler.sample(size, rng)
-                pieces.append(engine.evaluate(mask_batch, rng=rng))
-        return np.concatenate(pieces)
-    finally:
-        engine.profile = prev_profile
+def _crash_block(engine, shared, job):
+    """Block function of the exhaustive sweep; ``job`` is ``(rows,
+    flat)`` with ``flat`` an ``(S, k)`` flat combination index block."""
+    t0 = _perf_counter()
+    mask_batch = masks_from_flat_indices(engine.network.layer_sizes, job[1])
+    if engine.profile is not None:
+        engine.profile.add("compile", _perf_counter() - t0)
+    return engine.evaluate(mask_batch)
+
+
+def _row_blocks(table: np.ndarray, rows: int) -> Iterator[tuple]:
+    """``(rows, block)`` jobs over ``table``; a generator, so a bad
+    ``rows`` meets the driver's chunk_size check before ``range``."""
+    for lo in range(0, table.shape[0], rows):
+        block = table[lo : lo + rows]
+        yield block.shape[0], block
 
 
 def exhaustive_crash_errors(
@@ -1626,15 +1683,10 @@ def exhaustive_crash_errors(
     The ``C(num_neurons, n_fail)`` combination table is compiled to an
     index array in bulk; chunks of rows are scattered into crash masks
     and streamed through the engine.  Parallel workers receive only
-    index blocks (the network went out once, via the pool initializer).
-
-    ``engine`` reuses a prebuilt evaluation engine (any backend built
-    for this injector), in-process only — mirroring
-    :func:`sampled_campaign_errors`; its chunk size then bounds the
-    mask blocks.  ``profile`` accumulates per-phase wall time (the
-    combination-table scatter counts as ``compile``) and ``obs``
-    records per-block spans — both work across workers, merged in
-    block submission order like :func:`sampled_campaign_errors`.
+    index blocks.  A reused ``engine``'s chunk size bounds the mask
+    blocks; the combination-table scatter counts as the ``compile``
+    phase.  ``engine``, ``profile``, ``obs`` and ``n_workers`` follow
+    the block driver's contract (:func:`_run_blocks`).
 
     Refuses beyond ``max_configurations`` — the table is materialised
     up front, so an unguarded call on a large network would try to
@@ -1644,26 +1696,6 @@ def exhaustive_crash_errors(
     not.
     """
     net = injector.network
-    if engine is not None:
-        if engine.network is not net:
-            raise ValueError(
-                "engine was built for a different network than the injector"
-            )
-        xb_arg, _ = net._as_batch(x)
-        if not np.array_equal(
-            np.asarray(xb_arg, dtype=np.float64), engine.xb64
-        ):
-            raise ValueError(
-                "engine was built for a different probe batch than x"
-            )
-        if n_workers and n_workers > 1:
-            raise ValueError(
-                "engine reuse is in-process only; drop the engine argument "
-                "to fan out over workers"
-            )
-        chunk_size = int(engine.chunk_size)
-    if obs is not None and profile is None:
-        profile = obs.profile
     total = math.comb(net.num_neurons, int(n_fail))
     cells = total * max(1, int(n_fail))
     if total > max_configurations or cells > 8 * max_configurations:
@@ -1674,58 +1706,9 @@ def exhaustive_crash_errors(
             "index table fits in memory"
         )
     combos = combination_index_array(net.num_neurons, int(n_fail))
-    blocks: Iterator[np.ndarray] = (
-        combos[lo : lo + chunk_size] for lo in range(0, combos.shape[0], chunk_size)
-    )
-    if combos.shape[0] == 0:
-        return np.empty(0, dtype=np.float64)
-
-    if n_workers and n_workers > 1:
-        xb, _ = net._as_batch(x)
-        with fork_once_pool(
-            n_workers,
-            _build_campaign_state,
-            (
-                net,
-                injector.capacity,
-                xb,
-                chunk_size,
-                reduction,
-                np.dtype(dtype).name,
-                None,
-                profile is not None,
-            ),
-        ) as pool:
-            pieces = []
-            for errors, payload in bounded_map(
-                pool, _worker_evaluate_flat, enumerate(blocks)
-            ):
-                pieces.append(errors)
-                fold_worker_payload(payload, profile, obs)
-        return np.concatenate(pieces)
-
-    if engine is None:
-        engine = MaskCampaignEngine(
-            injector, x, chunk_size=chunk_size, reduction=reduction, dtype=dtype
-        )
-    prev_profile = getattr(engine, "profile", None)
-    if profile is not None:
-        engine.profile = profile
-    try:
-        pieces = []
-        for c, block in enumerate(blocks):
-            with block_span_if(obs, c, int(block.shape[0])):
-                if profile is not None:
-                    t0 = _perf_counter()
-                    mask_batch = masks_from_flat_indices(
-                        net.layer_sizes, block
-                    )
-                    profile.add("compile", _perf_counter() - t0)
-                else:
-                    mask_batch = masks_from_flat_indices(
-                        net.layer_sizes, block
-                    )
-                pieces.append(engine.evaluate(mask_batch))
-        return np.concatenate(pieces)
-    finally:
-        engine.profile = prev_profile
+    rows = int(engine.chunk_size) if engine is not None else chunk_size
+    return _concat(_run_blocks(
+        _crash_block, None, _row_blocks(combos, rows), injector, x,
+        chunk_size=chunk_size, reduction=reduction, dtype=dtype,
+        n_workers=n_workers, engine=engine, profile=profile, obs=obs,
+    ))

@@ -40,8 +40,6 @@ from .exporters import (
 from .recorder import (
     RECORD_VERSION,
     RunObserver,
-    block_span_if,
-    fold_worker_payload,
     load_run_record,
     profile_from_metrics,
     save_run_record,
@@ -66,9 +64,7 @@ __all__ = [
     "Span",
     "RunObserver",
     "RECORD_VERSION",
-    "fold_worker_payload",
     "span_if",
-    "block_span_if",
     "profile_from_metrics",
     "save_run_record",
     "load_run_record",

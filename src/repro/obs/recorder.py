@@ -17,11 +17,12 @@ chaos orchestrator and the artifact store.  It owns:
 
 Worker protocol: a parallel worker builds its own observer per block,
 evaluates inside a ``block`` span, and ships
-:meth:`RunObserver.worker_payload` home; the parent calls
-:meth:`absorb` (spans graft, metrics merge) in block submission order
-— see :func:`fold_worker_payload`, the single helper every fan-out
-call site uses.  The observer draws no randomness anywhere, so run
-results are bitwise identical with observation on or off.
+:meth:`RunObserver.worker_payload` home; the parent folds the payload's
+profile seconds and calls :meth:`absorb` (spans graft, metrics merge)
+in block submission order.  The one place doing both is the campaigns'
+block driver, :func:`repro.faults.masks._run_blocks`.  The observer
+draws no randomness anywhere, so run results are bitwise identical
+with observation on or off.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ from .trace import RunTrace
 __all__ = [
     "RunObserver",
     "RECORD_VERSION",
-    "fold_worker_payload",
     "span_if",
-    "block_span_if",
     "profile_from_metrics",
     "save_run_record",
     "load_run_record",
@@ -56,30 +55,6 @@ def span_if(obs: "Optional[RunObserver]", name: str, **attrs):
     if obs is None:
         return nullcontext()
     return obs.span(name, **attrs)
-
-
-def block_span_if(obs: "Optional[RunObserver]", index: int, scenarios: int, **attrs):
-    """Null-safe :meth:`RunObserver.block_span` for the chunk loops."""
-    if obs is None:
-        return nullcontext()
-    return obs.block_span(index, scenarios, **attrs)
-
-
-def fold_worker_payload(payload, profile, obs) -> None:
-    """Fold one worker block payload into the parent, in call order.
-
-    ``payload`` is what :meth:`RunObserver.worker_payload` returned
-    (or None when the pool ran uninstrumented).  The per-block
-    :class:`PhaseProfile` seconds fold into ``profile`` and the span/
-    metric payloads into ``obs`` — calling this in block submission
-    order is what makes serial == parallel for both planes.
-    """
-    if payload is None:
-        return
-    if profile is not None:
-        profile.add_dict(payload["profile"])
-    if obs is not None:
-        obs.absorb(payload)
 
 
 class RunObserver:
@@ -157,8 +132,8 @@ class RunObserver:
 
     def absorb(self, payload: Mapping) -> None:
         """Graft a worker payload's spans under the current span and
-        merge its metrics (profile seconds fold separately — see
-        :func:`fold_worker_payload`)."""
+        merge its metrics (its profile seconds fold separately, into
+        the run's :class:`PhaseProfile`)."""
         self.trace.graft(payload["spans"])
         self.metrics.merge(payload["metrics"])
 

@@ -22,15 +22,14 @@ This module fixes both patterns once, for every caller:
   million-scenario campaign keeps O(window x chunk) state instead of
   O(total).
 
-Observability rides on the same discipline: instrumented pools
-(``instrument=True`` in their builder state) return ``(result,
-payload)`` pairs, where the payload is a per-block
-:meth:`~repro.obs.RunObserver.worker_payload` — spans, metrics and
-per-phase seconds recorded privately in the worker.  Because
-:func:`bounded_map` yields strictly in submission order, the parent
-folds payloads (:func:`~repro.obs.fold_worker_payload`) in exactly the
-order the serial loop would have recorded them, which is what makes
-the observed trace structure identical serial vs parallel.
+The campaign drivers (Monte-Carlo, exhaustive, adaptive, chaos and
+object-scenario campaigns) do not call these directly: they share one
+block driver, :func:`repro.faults.masks._run_blocks`, which owns the
+pool, the worker body, per-block observation payloads and early stops.
+:func:`bounded_map` yielding strictly in submission order is what lets
+that driver fold worker payloads in serial order, and closing it
+cancels the jobs no worker has picked up, so an early stop discards at
+most the blocks already handed out.
 """
 
 from __future__ import annotations
@@ -97,16 +96,21 @@ def bounded_map(
     Unlike ``Executor.map``, the ``jobs`` iterable is consumed lazily:
     a new job is submitted only when a slot frees up, so an unbounded
     scenario stream never gets materialised.  Results are yielded in
-    submission order.
+    submission order.  Closing the generator early (a consumer that
+    stops reading) cancels every submitted job that has not started.
     """
     if window is None:
         window = 2 * (pool._max_workers or 1)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     pending: deque = deque()
-    for job in jobs:
-        pending.append(pool.submit(fn, job))
-        if len(pending) >= window:
+    try:
+        for job in jobs:
+            pending.append(pool.submit(fn, job))
+            if len(pending) >= window:
+                yield pending.popleft().result()
+        while pending:
             yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()

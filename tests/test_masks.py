@@ -545,6 +545,20 @@ class TestExhaustiveCompilation:
                 injector, batch, 7, max_configurations=100
             )
 
+    @pytest.mark.parametrize("n_workers", [0, 2])
+    @pytest.mark.parametrize("chunk_size", [0, -4])
+    def test_exhaustive_errors_reject_bad_chunk_size(
+        self, injector, batch, chunk_size, n_workers
+    ):
+        from repro.faults.masks import exhaustive_crash_errors
+
+        with pytest.raises(
+            ValueError, match=f"chunk_size must be positive, got {chunk_size}"
+        ):
+            exhaustive_crash_errors(
+                injector, batch, 2, chunk_size=chunk_size, n_workers=n_workers
+            )
+
     def test_exhaustive_campaign_matches_object_path(self, injector, batch):
         new = exhaustive_crash_campaign(injector, batch, 2, chunk_size=16)
         old = run_campaign(

@@ -28,6 +28,12 @@ from repro.artifacts import ArtifactStore
 from repro.cli import main
 from repro.experiments.registry import RegisteredExperiment
 from repro.experiments.runner import ExperimentResult
+from repro.chaos import (
+    ComponentLifetimeProcess,
+    DetectorRepairPolicy,
+    ThresholdDetector,
+)
+from repro.chaos.campaign import REPLICA_BLOCK, _run_chaos_campaign
 from repro.faults.adaptive import adaptive_campaign_errors
 from repro.faults.injector import FaultInjector
 from repro.faults.masks import (
@@ -251,19 +257,46 @@ class TestExporters:
 # -- determinism: obs on/off, serial vs parallel -------------------------
 
 
+def _sampled_run(net, probes, **kw):
+    sampler = FixedDistributionSampler(net, (2, 1))
+    return sampled_campaign_errors(
+        FaultInjector(net), probes, sampler, 600, seed=5, **kw
+    )
+
+
+def _exhaustive_run(net, probes, **kw):
+    return exhaustive_crash_errors(
+        FaultInjector(net), probes, 2, chunk_size=16, **kw
+    )
+
+
+def _chaos_run(net, probes, **kw):
+    report = _run_chaos_campaign(
+        net, probes, [ComponentLifetimeProcess(0.06)],
+        epochs=12, n_replicas=REPLICA_BLOCK + 5, epsilon=0.3,
+        epsilon_prime=0.1, detectors=(ThresholdDetector(0.1),),
+        policy=DetectorRepairPolicy(1), seed=4, keep_errors=True, **kw,
+    )
+    return report.to_dict(), report.errors
+
+
+#: name -> (run(net, probes, **driver_kw), block count)
+_BLOCK_RUNS = {
+    "sampled": (_sampled_run, 1),
+    "exhaustive": (_exhaustive_run, 3),
+    "chaos": (_chaos_run, 2),
+}
+
+
 class TestDeterminism:
-    def test_sampled_campaign_bitwise_identical_obs_on_off(
-        self, net, probes
-    ):
-        injector = FaultInjector(net)
-        sampler = FixedDistributionSampler(net, (2, 1))
-        base = sampled_campaign_errors(injector, probes, sampler, 600, seed=5)
+    @pytest.mark.parametrize("kind", ["sampled", "exhaustive"])
+    def test_campaign_bitwise_identical_obs_on_off(self, kind, net, probes):
+        run_blocks, blocks = _BLOCK_RUNS[kind]
+        base = run_blocks(net, probes)
         obs = RunObserver()
-        observed = sampled_campaign_errors(
-            injector, probes, sampler, 600, seed=5, obs=obs
-        )
+        observed = run_blocks(net, probes, obs=obs)
         assert np.array_equal(base, observed)
-        assert obs.metrics.value("repro_blocks") == 1
+        assert obs.metrics.value("repro_blocks") == blocks
 
     def test_sampled_campaign_trace_identical_serial_vs_parallel(
         self, net, probes
@@ -291,20 +324,22 @@ class TestDeterminism:
             == 2300
         )
 
-    def test_exhaustive_campaign_trace_identical_serial_vs_parallel(
-        self, net, probes
+    @pytest.mark.parametrize("kind", ["exhaustive", "chaos"])
+    def test_block_trace_identical_serial_vs_parallel(
+        self, kind, net, probes
     ):
-        injector = FaultInjector(net)
+        run_blocks, blocks = _BLOCK_RUNS[kind]
         serial_obs, parallel_obs = RunObserver(), RunObserver()
-        serial = exhaustive_crash_errors(
-            injector, probes, 2, chunk_size=16, obs=serial_obs
-        )
-        parallel = exhaustive_crash_errors(
-            injector, probes, 2, chunk_size=16, n_workers=2,
-            obs=parallel_obs,
-        )
-        assert np.array_equal(serial, parallel)
+        serial = run_blocks(net, probes, obs=serial_obs)
+        parallel = run_blocks(net, probes, n_workers=2, obs=parallel_obs)
+        # assert_equal, not ==: chaos reports may carry NaN MTBF/MTTR.
+        np.testing.assert_equal(serial, parallel)
         assert serial_obs.trace.fingerprint() == parallel_obs.trace.fingerprint()
+        assert (
+            serial_obs.metrics.value("repro_blocks")
+            == parallel_obs.metrics.value("repro_blocks")
+            == blocks
+        )
 
     def test_adaptive_look_events_identical_serial_vs_parallel(
         self, net, probes
