@@ -16,8 +16,8 @@ test-stats:      ## nightly statistical-guarantee tier: seeded coverage replicat
 docs-check:      ## registry <-> EXPERIMENTS.md <-> paper map <-> docs/api.md stay in sync
 	$(PYTHON) -m pytest -q -m docs tests/test_docs.py
 
-spec-roundtrip:  ## golden spec fixtures round-trip (schema compatibility gate)
-	$(PYTHON) -m pytest -q tests/test_spec_fixtures.py
+spec-roundtrip:  ## golden spec fixtures + CLI flag corpus round-trip (schema compatibility gate)
+	$(PYTHON) -m pytest -q tests/test_spec_fixtures.py tests/test_cli_corpus.py
 
 experiments:     ## run the experiment registry through the artifact pipeline
 	$(PYTHON) -m repro run-all

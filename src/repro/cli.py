@@ -1,127 +1,118 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-``run-all [--filter TOKEN ...]``
-    Execute the experiment registry through the artifact pipeline:
-    results persist under ``results/`` with a provenance manifest,
-    unchanged experiments are cache hits, and EXPERIMENTS.md is
-    regenerated.  ``--filter`` selects by id, tag, or anchor substring;
-    ``--jobs N`` fans out over the fork-once worker pool.
-``report``
-    Regenerate EXPERIMENTS.md from the stored artifacts without
-    running anything.
-``experiments [names...]``
-    Run the paper-reproduction experiments (default: all) and print the
-    regenerated tables + shape checks (no persistence — see ``run-all``
-    for the artifact pipeline).
-``certify <net.npz> --epsilon E --epsilon-prime E'``
-    Load a saved network and print its robustness certificate
-    (crash or Byzantine mode).
-``inspect <net.npz>``
-    Topology summary and the structural quantities the bounds read.
-``survival <net.npz> --p-fail P --epsilon E --epsilon-prime E'``
-    Certified survival probability under i.i.d. neuron failures.
-``campaign <net.npz> [--exhaustive N | --distribution f1,f2,...]``
-    Mask-native fault-injection campaign: Monte-Carlo over a fixed
-    per-layer distribution, or the exhaustive sweep of all ``C(n, N)``
-    crash configurations.  ``--fault`` selects any model in the
-    taxonomy — static (crash / byzantine / stuck / offset), stochastic
-    (noise / intermittent / sign-flip) or synapse-grained
-    (synapse-crash / synapse-byzantine / synapse-noise, with
-    ``--distribution`` then naming per-stage synapse counts, length
-    L+1) — all on the same engine.
-``chaos <net.npz> --process poisson --rate R --policy rejuvenate --epochs N``
-    Temporal chaos campaign (the deployment-lifecycle subsystem): a
-    fleet of replicas serves traffic over discrete epochs while fault
-    processes degrade it, detectors watch the error series, and a
-    repair policy heals it; prints the SLO report (availability,
-    time-to-first-violation, MTBF/MTTR, detector precision/recall).
-``obs <record.json> [--openmetrics | --jsonl | --profile]``
-    Inspect a run's observability record (saved via ``--obs PATH`` on
-    campaign/survival/chaos, or ``ObsSpec(record=...)`` in a spec):
-    span tree + metrics table by default, or the OpenMetrics text
-    exposition, the JSONL event stream, or the per-phase profile view.
-``serve [--socket PATH | --port N] [--max-inflight N] [--queue-depth N]``
-    Run the resident campaign service: an asyncio daemon that accepts
-    spec jobs over JSONL, coalesces identical submissions by content
-    hash, answers repeats from the artifact store, streams per-chunk
-    progress, and sheds load with typed responses (see
-    :mod:`repro.service`).
-``submit <spec.json> [--stream] [--timeout S] [--json]``
-    Send one campaign/survival/chaos spec to a running service and
-    print the result (exit 1 on a typed rejected/timeout/error
-    terminal, exit 2 when no daemon answers or the spec is malformed).
-``shutdown [--no-drain]``
-    Stop a running service, draining in-flight jobs by default.
+Commands (``repro <command> --help`` lists each one's flags):
 
-The ``campaign``, ``survival`` and ``chaos`` commands are thin shells
-over the declarative run-spec layer (:mod:`repro.specs`): argparse
-flags build a spec, ``repro.run(spec)`` executes it.  Each carries
-``--dump-spec`` (print the spec JSON instead of running — the exact
-workload as versioned, hashable data) and ``--spec FILE`` (run from a
-stored spec; a positional network path overrides the spec's network).
-``--dump-spec`` output round-trips byte-identically through
-``--spec``.
+``run-all`` / ``report`` / ``experiments``
+    Run the experiment registry through the artifact pipeline (cached,
+    provenance-stamped, EXPERIMENTS.md regenerated), regenerate the
+    report from stored artifacts, or run experiments without
+    persistence.
+``certify`` / ``inspect``
+    A saved network's robustness certificate / topology summary.
+``campaign`` / ``survival`` / ``chaos``
+    The spec workloads: a mask-native fault-injection campaign
+    (Monte-Carlo, Bernoulli or exhaustive, over the whole fault
+    taxonomy), the certified or Monte-Carlo survival probability under
+    i.i.d. failures, and a temporal chaos campaign over a deployed
+    replica fleet (fault processes, detectors, repair policy, SLO
+    report).
+``obs`` / ``aiops``
+    Inspect a stored observability record; score AIOps tasks over a
+    stored chaos telemetry trace.
+``serve`` / ``submit`` / ``shutdown``
+    The resident campaign service (:mod:`repro.service`): run the
+    daemon, send it one workload spec (exit 1 on a typed
+    rejected/timeout/error terminal), stop it.
+
+The four spec verbs (``campaign``, ``survival``, ``chaos``, ``serve``)
+are thin shells over the declarative spec layer (:mod:`repro.specs`).
+Each flag is declared once, as a :class:`~repro.specs.model.Flag` row
+of its spec class's ``cli_flags`` table (flag, dotted field path,
+argparse type/choices, help, CLI default); :func:`add_spec_flags`
+builds the verb's parser from it and :func:`spec_from_args` lowers the
+parsed flags onto the spec, so exposing a new field on the CLI takes
+one row.  Every spec verb carries ``--dump-spec`` (print the spec JSON
+instead of running; it round-trips byte-identically through ``--spec``)
+and ``--spec FILE`` (run a stored spec; any table flag typed next to it
+is an error, and a positional network path overrides the spec's
+network).  Malformed input of any command — a missing archive, an
+unreadable file, a bad spec — exits 2 with a one-line ``error:``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional, Sequence
 
-__all__ = ["main", "build_parser"]
+from .specs.model import (
+    _EPSILON_FLAGS,
+    CampaignSpec,
+    ChaosSpec,
+    DetectorSpec,
+    NetworkRef,
+    ProcessSpec,
+    ServiceSpec,
+    SurvivalSpec,
+    _bounded,
+    _unit_float,  # noqa: F401 - the CLI's argparse guards live on the rows
+    _unit_open_float,  # noqa: F401
+    _workers_count,
+    load_spec,
+)
+
+__all__ = ["main", "build_parser", "add_spec_flags", "spec_from_args"]
 
 
-def _bounded(cast, minimum, message, *, maximum=None, exclusive=False):
-    """An argparse type: ``cast`` the token, reject values < ``minimum``
-    (or ``<=``/``>=`` the bounds with ``exclusive=True``, and above
-    ``maximum`` when one is given) with ``message`` — the shared shape
-    of every numeric CLI guard."""
-
-    kind = "an integer" if cast is int else "a number"
-
-    def parse(text: str):
-        try:
-            value = cast(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected {kind}, got {text!r}"
-            )
-        below = value <= minimum if exclusive else value < minimum
-        above = maximum is not None and (
-            value >= maximum if exclusive else value > maximum
+def _add_flags(parser, flags) -> None:
+    """One ``add_argument`` per :class:`~repro.specs.model.Flag` row;
+    rows sharing an ``exclusive`` name share a mutually exclusive
+    group.  The argparse default is always None (see ``Flag``)."""
+    groups = {}
+    for flag in flags:
+        target = parser
+        if flag.exclusive is not None:
+            if flag.exclusive not in groups:
+                groups[flag.exclusive] = parser.add_mutually_exclusive_group()
+            target = groups[flag.exclusive]
+        options = {
+            "type": flag.type, "choices": flag.choices,
+            "metavar": flag.metavar, "action": flag.action,
+            "dest": flag.dest, "help": flag.help,
+        }
+        target.add_argument(
+            flag.flag, default=None,
+            **{k: v for k, v in options.items() if v is not None},
         )
-        if below or above:
-            raise argparse.ArgumentTypeError(f"{message}, got {value}")
-        return value
-
-    return parse
 
 
-_positive_int = _bounded(int, 1, "expected a positive integer")
-_nonneg_int = _bounded(int, 0, "expected a nonnegative integer")
-_nonneg_float = _bounded(float, 0, "expected a nonnegative number")
-#: Worker counts: 0 means in-process, negatives are an error.
-_workers_count = _bounded(int, 0, "worker count must be >= 0 (0 = in-process)")
-#: CI widths and confidence deltas live strictly inside (0, 1).
-_unit_open_float = _bounded(
-    float, 0, "expected a number strictly between 0 and 1",
-    maximum=1, exclusive=True,
-)
-#: Probabilities: the closed unit interval.
-_unit_float = _bounded(
-    float, 0, "expected a probability in [0, 1]", maximum=1,
-)
+def _has_network(spec_class) -> bool:
+    return any(f.name == "network" for f in dataclasses.fields(spec_class))
 
 
-def _engine_backends():
-    """The spec layer's backend names (pure data — safe at parser-build
-    time, no numerical imports)."""
-    from .specs.model import ENGINE_BACKENDS
-
-    return ENGINE_BACKENDS
+def add_spec_flags(parser, spec_class) -> None:
+    """Build a spec verb's parser from ``spec_class.cli_flags``: the
+    optional network positional, one argument per table row, and the
+    ``--spec FILE`` / ``--dump-spec`` shell every spec verb shares."""
+    network = _has_network(spec_class)
+    if network:
+        parser.add_argument("network", nargs="?", default=None,
+                            help="path to a save_network() .npz archive")
+    _add_flags(parser, spec_class.cli_flags)
+    parser.add_argument(
+        "--spec", metavar="FILE", default=None,
+        help="run from a JSON spec file instead of flags: the file "
+             "defines the whole run, so any spec flag typed next to it "
+             "is an error (execution flags still apply)"
+             + ("; a positional network path, if given, overrides the "
+                "spec's network" if network else ""),
+    )
+    parser.add_argument(
+        "--dump-spec", action="store_true",
+        help="print the spec as JSON and exit without running (the "
+             "--spec input format; round-trips byte-identically)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,31 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write a Markdown report to PATH",
     )
 
-    def add_eps(p, required=True):
-        p.add_argument("--epsilon", type=float, required=required,
-                       default=None, help="required accuracy eps")
-        p.add_argument("--epsilon-prime", type=float, required=required,
-                       default=None,
-                       help="achieved over-provisioned accuracy eps' (< eps)")
-
-    def add_spec_io(p):
-        """The declarative escape hatch every workload command carries:
-        run from a stored spec, or print the spec argparse would build."""
-        p.add_argument(
-            "--spec", metavar="FILE", default=None,
-            help="run from a JSON run-spec file instead of flags: the "
-                 "file defines the whole workload (explicit workload "
-                 "flags are rejected, remaining flags ignored); a "
-                 "positional network path, if given, overrides the "
-                 "spec's network",
-        )
-        p.add_argument(
-            "--dump-spec", action="store_true",
-            help="print the run spec as JSON and exit without running "
-                 "(the --spec input format; round-trips byte-identically)",
-        )
-
-    def add_obs(p, with_profile=True):
+    def add_obs(p):
         """Observability flags every workload command carries."""
         p.add_argument(
             "--obs", metavar="RECORD", default=None,
@@ -222,61 +189,17 @@ def build_parser() -> argparse.ArgumentParser:
                  "and persist the record to RECORD.json (inspect it "
                  "with 'repro obs'); never changes results",
         )
-        if with_profile:
-            p.add_argument(
-                "--profile", action="store_true",
-                help="report per-phase wall time (sampling / compile / "
-                     "gemm / corrections / reduction), serial or "
-                     "parallel",
-            )
-
-    def add_stopping(p):
-        """Adaptive-sampling flags shared by campaign and survival —
-        all default to None so ``--spec`` conflict detection sees only
-        explicitly-typed values."""
-        from .specs.model import ALLOCATION_KINDS, STOPPING_METHODS
-
         p.add_argument(
-            "--target-ci", type=_unit_open_float, default=None, metavar="W",
-            help="adaptive early stop: halt at the first chunk boundary "
-                 "where the anytime-valid CI on the violation rate is "
-                 "narrower than W (strictly between 0 and 1)",
-        )
-        p.add_argument(
-            "--delta", type=_unit_open_float, default=None, metavar="D",
-            help="confidence budget of the adaptive CI, strictly between "
-                 "0 and 1 (default 0.05: the interval holds with "
-                 "probability >= 0.95 over all looks)",
-        )
-        p.add_argument(
-            "--stopping-method", choices=STOPPING_METHODS, default=None,
-            help="confidence-sequence family (default hoeffding; "
-                 "empirical_bernstein adapts to the observed variance — "
-                 "the rare-event choice)",
-        )
-        p.add_argument(
-            "--min-scenarios", type=_positive_int, default=None, metavar="N",
-            help="scenarios to draw before the first stop decision "
-                 "(default 1024)",
-        )
-        p.add_argument(
-            "--stratify", action="store_true", default=None,
-            help="stratified estimator over total-fault-count shells "
-                 "(Theorem-3-certified shells skipped) instead of the "
-                 "confidence sequence; needs Bernoulli sampling and a "
-                 "neuron fault",
-        )
-        p.add_argument(
-            "--allocation", choices=ALLOCATION_KINDS, default=None,
-            help="stratified budget split (default proportional = exactly "
-                 "unbiased; neyman pilots each shell; rare spreads "
-                 "uniformly over uncertified shells — the "
-                 "importance-weighted rare-event path)",
+            "--profile", action="store_true",
+            help="report per-phase wall time (sampling / compile / "
+                 "gemm / corrections / reduction), serial or parallel",
         )
 
     p_cert = sub.add_parser("certify", help="certify a saved network")
     p_cert.add_argument("network", help="path to a save_network() .npz archive")
-    add_eps(p_cert)
+    for flag in _EPSILON_FLAGS:
+        p_cert.add_argument(flag.flag, type=flag.type, required=True,
+                            help=flag.help)
     p_cert.add_argument("--mode", choices=("crash", "byzantine"), default="crash")
     p_cert.add_argument("--capacity", type=float, default=None,
                         help="transmission capacity C (byzantine mode)")
@@ -287,172 +210,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sur = sub.add_parser(
         "survival", help="certified survival probability under iid failures"
     )
-    p_sur.add_argument("network", nargs="?", default=None,
-                       help="path to a save_network() .npz archive")
-    add_eps(p_sur, required=False)
-    p_sur.add_argument("--p-fail", type=float, default=None,
-                       help="per-neuron failure probability")
-    p_sur.add_argument("--mode", choices=("crash", "byzantine"), default="crash")
-    p_sur.add_argument("--capacity", type=float, default=None)
-    p_sur.add_argument(
-        "--method", choices=("certified", "monte_carlo"), default=None,
-        help="certified Theorem-3 lower bound (default) or Monte-Carlo "
-             "injection estimate; any adaptive flag implies monte_carlo",
-    )
-    p_sur.add_argument(
-        "--n-trials", type=_positive_int, default=None, metavar="N",
-        help="Monte-Carlo trial count — the hard cap when an adaptive "
-             "stop is set (default 500)",
-    )
+    add_spec_flags(p_sur, SurvivalSpec)
     p_sur.add_argument("--workers", type=_workers_count, default=0,
                        help="worker processes for the Monte-Carlo "
                             "estimate (0 = in-process)")
-    add_stopping(p_sur)
-    add_spec_io(p_sur)
     add_obs(p_sur)
 
     p_cam = sub.add_parser(
         "campaign", help="mask-native fault-injection campaign"
     )
-    p_cam.add_argument("network", nargs="?", default=None,
-                       help="path to a save_network() .npz archive")
-    group = p_cam.add_mutually_exclusive_group()
-    group.add_argument(
-        "--distribution", metavar="f1,f2,...",
-        help="per-layer failure counts for a Monte-Carlo campaign",
-    )
-    group.add_argument(
-        "--exhaustive", type=int, metavar="N_FAIL",
-        help="evaluate every configuration of exactly N_FAIL crashes",
-    )
-    group.add_argument(
-        "--p-fail", type=_unit_float, default=None, metavar="P",
-        help="Bernoulli campaign: fail every component independently "
-             "with probability P (the survival workload's sampler; "
-             "required for --stratify)",
-    )
-    p_cam.add_argument("--n-scenarios", type=_positive_int, default=None,
-                       help="Monte-Carlo sample count (default 10000; "
-                            "Monte-Carlo only)")
-    p_cam.add_argument("--fault",
-                       choices=("crash", "byzantine", "stuck", "offset",
-                                "noise", "intermittent", "sign-flip",
-                                "synapse-crash", "synapse-byzantine",
-                                "synapse-noise"),
-                       default=None,
-                       help="fault model (default crash; Monte-Carlo only — "
-                            "the exhaustive sweep is crash by definition). "
-                            "synapse-* faults read --distribution as "
-                            "per-stage synapse counts (length L+1)")
-    p_cam.add_argument("--value", type=float, default=None,
-                       help="fault magnitude: stuck-at value / additive "
-                            "offset (default 1.0), or the requested "
-                            "Byzantine emission / synapse offset "
-                            "(default: saturate the capacity)")
-    p_cam.add_argument("--sigma", type=float, default=0.1,
-                       help="noise std-dev for --fault noise / "
-                            "synapse-noise (default 0.1)")
-    p_cam.add_argument("--p-transient", type=float, default=0.5,
-                       help="per-evaluation hit probability for "
-                            "--fault intermittent (default 0.5)")
-    p_cam.add_argument("--capacity", type=float, default=None,
-                       help="transmission capacity C (default: sup phi)")
-    p_cam.add_argument("--batch", type=_positive_int, default=32,
-                       help="random probe inputs to sweep (default 32)")
-    p_cam.add_argument("--seed", type=int, default=0)
-    p_cam.add_argument("--chunk-size", type=_positive_int, default=1024)
-    p_cam.add_argument("--workers", type=_workers_count, default=0,
-                       help="worker processes (0 = in-process)")
-    p_cam.add_argument("--dtype", choices=("float32", "float64"),
-                       default="float64",
-                       help="evaluation precision (float32 = fast path)")
-    p_cam.add_argument("--backend", choices=_engine_backends(),
-                       default="numpy",
-                       help="evaluation engine backend: numpy (reference), "
-                            "threaded (thread-pool tiling), or a "
-                            "reduced-precision probe tier "
-                            "(quantized-int8 / float16)")
-    p_cam.add_argument("--profile", action="store_true",
-                       help="report per-phase wall time (sampling / "
-                            "compile / gemm / corrections / reduction), "
-                            "serial or parallel")
-    p_cam.add_argument("--threshold", type=float, default=None,
-                       help="also report the fraction of scenarios "
-                            "exceeding this error (the violation level "
-                            "for adaptive stopping)")
-    add_stopping(p_cam)
-    add_spec_io(p_cam)
-    add_obs(p_cam, with_profile=False)
+    add_spec_flags(p_cam, CampaignSpec)
+    add_obs(p_cam)
 
     p_chaos = sub.add_parser(
         "chaos",
         help="temporal chaos campaign over a deployed replica fleet",
     )
-    p_chaos.add_argument("network", nargs="?", default=None,
-                         help="path to a save_network() .npz archive")
-    add_eps(p_chaos, required=False)
-    p_chaos.add_argument(
-        "--process", action="append", dest="processes",
-        choices=("lifetime", "weibull", "poisson", "bursts", "blasts"),
-        default=None,
-        help="fault process (repeatable; default: lifetime — exponential "
-             "component lifetimes at --rate)",
-    )
-    p_chaos.add_argument("--rate", type=_nonneg_float, default=0.02,
-                         help="per-epoch fault rate: component hazard "
-                              "(lifetime/weibull), arrivals per layer "
-                              "(poisson), or event probability "
-                              "(bursts/blasts) (default 0.02)")
-    p_chaos.add_argument("--weibull-shape", type=_nonneg_float, default=2.0,
-                         help="Weibull shape for --process weibull "
-                              "(default 2.0, wear-out)")
-    p_chaos.add_argument("--epochs", type=_positive_int, default=50,
-                         help="mission length in epochs (default 50)")
-    p_chaos.add_argument("--replicas", type=_positive_int, default=32,
-                         help="fleet size (default 32)")
-    p_chaos.add_argument(
-        "--policy", choices=("none", "rejuvenate", "repair", "spare"),
-        default="none",
-        help="repair policy (default none; rejuvenate = periodic boosted "
-             "restarts, repair = detector-triggered with latency, spare "
-             "= warm-spare activation)",
-    )
-    p_chaos.add_argument("--period", type=_positive_int, default=10,
-                         help="rejuvenation period in epochs (default 10)")
-    p_chaos.add_argument("--latency", type=_nonneg_int, default=2,
-                         help="repair latency in epochs for --policy "
-                              "repair (default 2)")
-    p_chaos.add_argument("--spares", type=_nonneg_int, default=4,
-                         help="warm spares per 16-replica block for "
-                              "--policy spare (zone-local pools; "
-                              "default 4)")
-    p_chaos.add_argument(
-        "--detector", action="append", dest="detectors",
-        choices=("threshold", "cusum", "certified"),
-        default=None,
-        help="error-drift detector (repeatable; default: threshold at "
-             "the epsilon budget)",
-    )
-    p_chaos.add_argument(
-        "--traffic", choices=("constant", "diurnal", "bursty"),
-        default="constant",
-        help="request-stream model weighting the SLO statistics "
-             "(default constant)",
-    )
-    p_chaos.add_argument("--batch", type=_positive_int, default=32,
-                         help="random probe inputs (default 32)")
-    p_chaos.add_argument("--seed", type=int, default=0)
-    p_chaos.add_argument("--epochs-chunk", type=_positive_int, default=32,
-                         help="epochs per streamed engine evaluation "
-                              "(detection granularity; default 32)")
-    p_chaos.add_argument("--workers", type=_workers_count, default=0,
-                         help="worker processes over replica blocks "
-                              "(0 = in-process)")
-    p_chaos.add_argument("--dtype", choices=("float32", "float64"),
-                         default="float64",
-                         help="evaluation precision (float32 = fast path)")
-    p_chaos.add_argument("--capacity", type=float, default=None,
-                         help="transmission capacity C (default: sup phi)")
+    add_spec_flags(p_chaos, ChaosSpec)
     p_chaos.add_argument("--telemetry", metavar="TRACE", default=None,
                          help="record the campaign's telemetry trace "
                               "(ground-truth fault labels included) and "
@@ -461,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip simulation: replay a stored trace "
                               "against its spec's detectors and check "
                               "alarm parity with the live run")
-    add_spec_io(p_chaos)
     add_obs(p_chaos)
 
     p_obs = sub.add_parser(
@@ -497,58 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="path to a trace saved by chaos --telemetry "
                               "(.json/.npz stem)")
 
-    def add_endpoint(p):
-        """--socket / --host / --port, shared by the service commands."""
-        p.add_argument(
-            "--socket", metavar="PATH", default=None,
-            help="unix socket path (default: repro-service.sock)",
-        )
-        p.add_argument(
-            "--host", default=None,
-            help="loopback TCP host (with --port; default 127.0.0.1)",
-        )
-        p.add_argument(
-            "--port", type=_positive_int, default=None,
-            help="loopback TCP port (instead of --socket)",
-        )
+    #: --socket / --host / --port: the service endpoint rows, shared by
+    #: the client commands.
+    endpoint = [f for f in ServiceSpec.cli_flags
+                if f.path in ("socket", "host", "port")]
 
     p_serve = sub.add_parser(
         "serve",
         help="run the resident campaign service (spec jobs over JSONL)",
     )
-    add_endpoint(p_serve)
-    p_serve.add_argument(
-        "--spec", metavar="FILE", default=None,
-        help="run from a stored ServiceSpec JSON (conflicts with the "
-             "endpoint/limit flags)",
-    )
-    p_serve.add_argument(
-        "--dump-spec", action="store_true",
-        help="print the ServiceSpec JSON instead of serving",
-    )
-    p_serve.add_argument(
-        "--max-inflight", type=_positive_int, default=None,
-        help="engine evaluations running concurrently (default 2)",
-    )
-    p_serve.add_argument(
-        "--queue-depth", type=_nonneg_int, default=None,
-        help="admitted jobs waiting for a runner before shedding "
-             "(default 64; 0 = unbounded)",
-    )
-    p_serve.add_argument(
-        "--job-timeout", type=_bounded(
-            float, 0, "job timeout must be > 0", exclusive=True,
-        ), default=None, metavar="SECONDS",
-        help="per-job evaluation timeout (default: none)",
-    )
-    p_serve.add_argument(
-        "--results-dir", metavar="DIR", default=None,
-        help="ArtifactStore root for the spec-hash result cache",
-    )
-    p_serve.add_argument(
-        "--cache-entries", type=_nonneg_int, default=None,
-        help="in-memory result-cache entries (default 256; 0 disables)",
-    )
+    add_spec_flags(p_serve, ServiceSpec)
 
     p_submit = sub.add_parser(
         "submit",
@@ -558,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         "spec", metavar="SPEC",
         help="path to a workload spec JSON (campaign/survival/chaos)",
     )
-    add_endpoint(p_submit)
+    _add_flags(p_submit, endpoint)
     p_submit.add_argument(
         "--stream", action="store_true",
         help="print per-chunk progress as the engines evaluate",
@@ -577,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_down = sub.add_parser(
         "shutdown", help="stop a running campaign service"
     )
-    add_endpoint(p_down)
+    _add_flags(p_down, endpoint)
     p_down.add_argument(
         "--no-drain", action="store_true",
         help="stop immediately instead of draining in-flight jobs",
@@ -717,309 +448,198 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _stopping_spec_from_args(args):
-    """A StoppingSpec when any adaptive flag was typed, else None —
-    untyped flags keep the spec's (and old specs') defaults."""
-    from . import specs
-
-    opts = {}
-    if args.target_ci is not None:
-        opts["target_ci"] = args.target_ci
-    if args.delta is not None:
-        opts["delta"] = args.delta
-    if args.stopping_method is not None:
-        opts["method"] = args.stopping_method
-    if args.min_scenarios is not None:
-        opts["min_scenarios"] = args.min_scenarios
-    if args.stratify is not None:
-        opts["stratify"] = args.stratify
-    if args.allocation is not None:
-        opts["allocation"] = args.allocation
-        # --allocation neyman/rare only makes sense stratified; saying
-        # so implicitly beats rejecting the obvious intent.
-        opts.setdefault("stratify", True)
-    if not opts:
-        return None
-    return specs.StoppingSpec(**opts)
+def _lower_stopping(values) -> None:
+    """--allocation neyman/rare only makes sense stratified; saying so
+    implicitly beats rejecting the obvious intent."""
+    stopping = values.get("stopping", {})
+    if "allocation" in stopping:
+        stopping.setdefault("stratify", True)
 
 
-def _campaign_spec_from_args(args):
-    """Lower the ``campaign`` argparse namespace to a CampaignSpec."""
-    from . import specs
-
-    if args.exhaustive is not None:
-        ignored = [
-            name
-            for name, value in (
-                ("--fault", args.fault),
-                ("--value", args.value),
-                ("--n-scenarios", args.n_scenarios),
+def _lower_campaign(values, args) -> None:
+    """The sampler selector (--distribution | --exhaustive | --p-fail)
+    picks the sampler kind; --fault names use hyphens."""
+    _lower_stopping(values)
+    sampler = values.get("sampler", {})
+    if "distribution" in sampler:
+        text = sampler["distribution"]
+        try:
+            sampler["distribution"] = tuple(
+                int(v) for v in text.split(",") if v.strip() != ""
             )
-            if value is not None
+        except ValueError:
+            raise ValueError(f"bad distribution {text!r}") from None
+        sampler["kind"] = "fixed"
+    elif "p_fail" in sampler:
+        sampler["kind"] = "bernoulli"
+    elif "n_fail" in sampler:
+        sampler["kind"] = "exhaustive"
+        ignored = [
+            flag.flag for flag in CampaignSpec.cli_flags
+            if flag.path.split(".")[0] in ("fault", "n_scenarios")
+            and getattr(args, flag.attr) is not None
         ]
         if ignored:
             raise ValueError(
                 f"{', '.join(ignored)} only appl"
                 f"{'ies' if len(ignored) == 1 else 'y'} to Monte-Carlo "
-                "campaigns (--distribution); the exhaustive sweep "
-                "enumerates crash configurations"
+                "campaigns; the exhaustive sweep enumerates crash "
+                "configurations"
             )
-        sampler = specs.SamplerSpec(kind="exhaustive", n_fail=args.exhaustive)
-        fault = specs.FaultSpec()
-    elif args.p_fail is not None:
-        sampler = specs.SamplerSpec(kind="bernoulli", p_fail=args.p_fail)
-        kind = (args.fault or "crash").replace("-", "_")
-        fault = specs.FaultSpec(
-            kind=kind,
-            value=(
-                args.value
-                if kind in ("byzantine", "stuck", "offset", "synapse_byzantine")
-                else None
-            ),
-            sigma=args.sigma,
-            p=args.p_transient,
-        )
-    elif args.distribution is not None:
-        try:
-            distribution = tuple(
-                int(v) for v in args.distribution.split(",") if v.strip() != ""
-            )
-        except ValueError:
-            raise ValueError(f"bad distribution {args.distribution!r}") from None
-        sampler = specs.SamplerSpec(kind="fixed", distribution=distribution)
-        kind = (args.fault or "crash").replace("-", "_")
-        fault = specs.FaultSpec(
-            kind=kind,
-            # value=None is the capacity-saturating worst case for the
-            # Byzantine kinds and the 1.0 default for stuck/offset.
-            value=(
-                args.value
-                if kind in ("byzantine", "stuck", "offset", "synapse_byzantine")
-                else None
-            ),
-            sigma=args.sigma,
-            p=args.p_transient,
-        )
-    else:
-        raise ValueError(
-            "one of --distribution, --p-fail or --exhaustive is required "
-            "(or run from a stored --spec FILE)"
-        )
-    n_scenarios = args.n_scenarios if args.n_scenarios is not None else 10_000
-    return specs.CampaignSpec(
-        network=specs.NetworkRef(path=args.network),
-        sampler=sampler,
-        fault=fault,
-        n_scenarios=n_scenarios,
-        batch=args.batch,
-        seed=args.seed,
-        capacity=args.capacity,
-        threshold=args.threshold,
-        stopping=_stopping_spec_from_args(args),
-        engine=specs.EngineSpec(
-            chunk_size=args.chunk_size,
-            dtype=args.dtype,
-            workers=args.workers,
-            backend=args.backend,
-        ),
+    fault = values.get("fault", {})
+    if "kind" in fault:
+        fault["kind"] = fault["kind"].replace("-", "_")
+
+
+def _lower_survival(values, args) -> None:
+    """An adaptive flag only makes sense for the injection estimate."""
+    _lower_stopping(values)
+    if "stopping" in values:
+        values.setdefault("method", "monte_carlo")
+
+
+def _lower_chaos(values, args) -> None:
+    """Repeatable --process/--detector build one spec per name;
+    ``weibull`` is a lifetime process carrying --weibull-shape."""
+    processes = values["processes"]  # --weibull-shape has a CLI default
+    shape = processes.pop("shape")
+    kinds = processes.pop("kind", ["lifetime"])
+    values["processes"] = tuple(
+        ProcessSpec(kind="lifetime", shape=shape, **processes)
+        if kind == "weibull"
+        else ProcessSpec(kind=kind, **processes)
+        for kind in kinds
     )
-
-
-def _survival_spec_from_args(args):
-    """Lower the ``survival`` argparse namespace to a SurvivalSpec."""
-    from . import specs
-
-    missing = [
-        flag
-        for flag, value in (
-            ("--p-fail", args.p_fail),
-            ("--epsilon", args.epsilon),
-            ("--epsilon-prime", args.epsilon_prime),
+    if "detectors" in values:
+        values["detectors"] = tuple(
+            DetectorSpec(kind=kind) for kind in values["detectors"]["kind"]
         )
-        if value is None
+
+
+def _lower_service(values, args) -> None:
+    """--port alone serves on the loopback host."""
+    if "port" in values:
+        values.setdefault("host", "127.0.0.1")
+
+
+#: The few lines per verb for flags that are not 1:1 with a field.
+_LOWERINGS = {
+    CampaignSpec: _lower_campaign,
+    SurvivalSpec: _lower_survival,
+    ChaosSpec: _lower_chaos,
+    ServiceSpec: _lower_service,
+}
+
+
+def _build(spec_class, values):
+    """``spec_class(**values)``, building nested specs from sub-dicts."""
+    return spec_class(**{
+        name: _build(spec_class._nested[name], value)
+        if isinstance(value, dict) else value
+        for name, value in values.items()
+    })
+
+
+def spec_from_args(spec_class, args):
+    """Lower a parsed spec verb to its spec: each typed flag (else its
+    row's CLI default) lands on the row's dotted field path, the verb's
+    lowering handles the selector/alias flags, and every field left
+    unset keeps the spec's own default."""
+    values = {}
+    for flag in spec_class.cli_flags:
+        value = getattr(args, flag.attr)
+        if value is None:
+            value = flag.default
+        if value is None:
+            continue
+        *parents, leaf = flag.path.split(".")
+        node = values
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[leaf] = value
+    if _has_network(spec_class):
+        if args.network is None:
+            raise ValueError("network archive required (or pass --spec FILE)")
+        values["network"] = NetworkRef(path=args.network)
+    _LOWERINGS[spec_class](values, args)
+    missing = [
+        " | ".join(
+            flag.flag for flag in spec_class.cli_flags
+            if flag.path.split(".")[0] == f.name
+        )
+        for f in dataclasses.fields(spec_class)
+        if f.name not in values
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
     ]
     if missing:
         raise ValueError(
             f"{', '.join(missing)} required (or run from a stored "
             "--spec FILE)"
         )
-    stopping = _stopping_spec_from_args(args)
-    method = args.method
-    if method is None:
-        # An adaptive flag only makes sense for the injection estimate.
-        method = "monte_carlo" if stopping is not None else "certified"
-    return specs.SurvivalSpec(
-        network=specs.NetworkRef(path=args.network),
-        p_fail=args.p_fail,
-        epsilon=args.epsilon,
-        epsilon_prime=args.epsilon_prime,
-        mode=args.mode,
-        capacity=args.capacity,
-        method=method,
-        n_trials=args.n_trials if args.n_trials is not None else 500,
-        stopping=stopping,
-    )
+    return _build(spec_class, values)
 
 
-def _chaos_spec_from_args(args):
-    """Lower the ``chaos`` argparse namespace to a ChaosSpec."""
-    from . import specs
+def _resolve_spec(args, spec_class):
+    """The shared ``--spec FILE`` / flag shell of every spec verb.
 
-    if args.epsilon is None or args.epsilon_prime is None:
-        raise ValueError(
-            "--epsilon and --epsilon-prime required (or run from a "
-            "stored --spec FILE)"
-        )
-    process_specs = {
-        "lifetime": lambda: specs.ProcessSpec(kind="lifetime", rate=args.rate),
-        "weibull": lambda: specs.ProcessSpec(
-            kind="lifetime", rate=args.rate,
-            shape=max(args.weibull_shape, 1e-9),
-        ),
-        "poisson": lambda: specs.ProcessSpec(kind="poisson", rate=args.rate),
-        "bursts": lambda: specs.ProcessSpec(
-            kind="bursts", rate=min(args.rate, 1.0)
-        ),
-        "blasts": lambda: specs.ProcessSpec(
-            kind="blasts", rate=min(args.rate, 1.0)
-        ),
-    }
-    policy_specs = {
-        "none": lambda: specs.PolicySpec(),
-        # tolerated=None derives the straggler budget from the
-        # certificate at lowering (greedy_max_total_failures).
-        "rejuvenate": lambda: specs.PolicySpec(
-            kind="rejuvenate", period=args.period
-        ),
-        "repair": lambda: specs.PolicySpec(
-            kind="repair", latency=args.latency
-        ),
-        "spare": lambda: specs.PolicySpec(kind="spare", spares=args.spares),
-    }
-    return specs.ChaosSpec(
-        network=specs.NetworkRef(path=args.network),
-        epsilon=args.epsilon,
-        epsilon_prime=args.epsilon_prime,
-        processes=tuple(
-            process_specs[name]()
-            for name in (args.processes or ["lifetime"])
-        ),
-        detectors=tuple(
-            specs.DetectorSpec(kind=name)
-            for name in (args.detectors or ["threshold"])
-        ),
-        policy=policy_specs[args.policy](),
-        traffic=specs.TrafficSpec(kind=args.traffic),
-        epochs=args.epochs,
-        replicas=args.replicas,
-        batch=args.batch,
-        seed=args.seed,
-        epochs_chunk=args.epochs_chunk,
-        capacity=args.capacity,
-        engine=specs.EngineSpec(dtype=args.dtype, workers=args.workers),
-    )
-
-
-#: Workload flags (all defaulting to None) that must not be combined
-#: with ``--spec`` — a stored spec is edited, not partially overridden,
-#: so an explicitly-typed flag silently losing to the file is a trap.
-#: Adaptive flags: shared by the campaign and survival conflict rows.
-_STOPPING_CONFLICTS = (
-    ("--target-ci", "target_ci"),
-    ("--delta", "delta"),
-    ("--stopping-method", "stopping_method"),
-    ("--min-scenarios", "min_scenarios"),
-    ("--stratify", "stratify"),
-    ("--allocation", "allocation"),
-)
-
-_SPEC_CONFLICTS = {
-    "campaign": (
-        ("--distribution", "distribution"),
-        ("--exhaustive", "exhaustive"),
-        ("--p-fail", "p_fail"),
-        ("--fault", "fault"),
-        ("--value", "value"),
-        ("--n-scenarios", "n_scenarios"),
-        ("--threshold", "threshold"),
-        ("--capacity", "capacity"),
-    )
-    + _STOPPING_CONFLICTS,
-    "survival": (
-        ("--p-fail", "p_fail"),
-        ("--epsilon", "epsilon"),
-        ("--epsilon-prime", "epsilon_prime"),
-        ("--capacity", "capacity"),
-        ("--method", "method"),
-        ("--n-trials", "n_trials"),
-    )
-    + _STOPPING_CONFLICTS,
-    "chaos": (
-        ("--epsilon", "epsilon"),
-        ("--epsilon-prime", "epsilon_prime"),
-        ("--process", "processes"),
-        ("--detector", "detectors"),
-        ("--capacity", "capacity"),
-    ),
-}
-
-
-def _resolve_spec(args, build, spec_class):
-    """The shared ``--spec FILE`` / argparse-builder shell.
-
-    Loads the stored spec (type-checked against the command) or builds
-    one from the flags; a positional network path overrides the stored
-    spec's network reference, and any other explicit workload flag is
-    rejected (edit the spec file instead of half-overriding it).
+    Builds the spec from the flags, or loads the stored one
+    (type-checked against the verb).  A stored spec is edited, not
+    partially overridden: any table flag typed next to ``--spec`` is an
+    error; only a positional network path overrides.
     """
-    from . import specs
-
-    if args.spec is not None:
-        passed = [
-            flag
-            for flag, attr in _SPEC_CONFLICTS[spec_class.spec_tag]
-            if getattr(args, attr, None) is not None
-        ]
-        if passed:
-            raise ValueError(
-                f"{', '.join(passed)} cannot be combined with --spec — "
-                "the stored spec defines the workload (edit the file, "
-                "or rebuild it with --dump-spec); only a positional "
-                "network path overrides"
-            )
-        try:
-            spec = specs.load_spec(args.spec)
-        except OSError as exc:
-            raise ValueError(f"cannot read spec file: {exc}") from None
-        if not isinstance(spec, spec_class):
-            raise ValueError(
-                f"{args.spec} holds a {spec.spec_tag!r} spec; this "
-                f"command runs {spec_class.spec_tag!r} specs"
-            )
-        if args.network is not None:
-            spec = spec.replace(network=specs.NetworkRef(path=args.network))
-        return spec
-    if args.network is None:
-        raise ValueError("network archive required (or pass --spec FILE)")
-    return build(args)
+    if args.spec is None:
+        return spec_from_args(spec_class, args)
+    typed = [
+        flag.flag for flag in spec_class.cli_flags
+        if getattr(args, flag.attr) is not None
+    ]
+    if typed:
+        raise ValueError(
+            f"--spec conflicts with {', '.join(typed)}: spec flags cannot "
+            "be combined with --spec — the stored spec defines the run "
+            "(edit the file, or rebuild it with --dump-spec)"
+        )
+    spec = load_spec(args.spec)
+    if not isinstance(spec, spec_class):
+        raise ValueError(
+            f"{args.spec} holds a {type(spec).__name__}; {args.command} "
+            f"needs a {spec_class.__name__}"
+        )
+    if getattr(args, "network", None) is not None:
+        spec = spec.replace(network=NetworkRef(path=args.network))
+    return spec
 
 
-def _observer_from_args(args):
-    """A fresh :class:`~repro.obs.RunObserver` when ``--obs`` was
-    typed, else None."""
-    if getattr(args, "obs", None) is None:
-        return None
-    from .obs import RunObserver
-
-    return RunObserver()
+def _dump(spec) -> int:
+    print(spec.to_json(), end="")
+    return 0
 
 
-def _save_obs(obs, spec, path) -> None:
-    """Persist the observer's run record next to the workload output."""
-    from .obs import save_run_record
+def _instruments(args):
+    """``(profile, obs)``: a fresh PhaseProfile when ``--profile`` and a
+    fresh RunObserver when ``--obs`` was typed, else None each."""
+    profile = obs = None
+    if args.profile:
+        from .profiling import PhaseProfile
 
-    out = save_run_record(obs.record(spec.to_dict()), path)
-    print(f"obs record -> {out} (inspect with 'repro obs {out}')")
+        profile = PhaseProfile()
+    if args.obs is not None:
+        from .obs import RunObserver
+
+        obs = RunObserver()
+    return profile, obs
+
+
+def _report_instruments(profile, obs, spec, path) -> None:
+    """Print the phase table and persist the observer's run record."""
+    if profile is not None:
+        print(profile.report())
+    if obs is not None:
+        from .obs import save_run_record
+
+        out = save_run_record(obs.record(spec.to_dict()), path)
+        print(f"obs record -> {out} (inspect with 'repro obs {out}')")
 
 
 def _describe_sampler(spec) -> str:
@@ -1034,26 +654,13 @@ def _describe_sampler(spec) -> str:
 def _cmd_survival(args) -> int:
     from . import specs
 
-    try:
-        spec = _resolve_spec(args, _survival_spec_from_args, specs.SurvivalSpec)
-        if args.dump_spec:
-            print(spec.to_json(), end="")
-            return 0
-        profile = None
-        if args.profile:
-            from .profiling import PhaseProfile
-
-            profile = PhaseProfile()
-        obs = _observer_from_args(args)
-        outcome = specs.run(
-            spec,
-            workers=args.workers or None,
-            profile=profile,
-            obs=obs,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _resolve_spec(args, SurvivalSpec)
+    if args.dump_spec:
+        return _dump(spec)
+    profile, obs = _instruments(args)
+    outcome = specs.run(
+        spec, workers=args.workers or None, profile=profile, obs=obs
+    )
     if spec.method == "certified":
         print(
             "certified P[eps-guarantee survives | "
@@ -1061,44 +668,29 @@ def _cmd_survival(args) -> int:
         )
     else:
         print(f"monte-carlo survival: {outcome!r}")
-    if profile is not None:
-        print(profile.report())
-    if obs is not None:
-        _save_obs(obs, spec, args.obs)
+    _report_instruments(profile, obs, spec, args.obs)
     return 0
 
 
 def _cmd_campaign(args) -> int:
     from . import specs
 
-    try:
-        spec = _resolve_spec(args, _campaign_spec_from_args, specs.CampaignSpec)
-        if args.dump_spec:
-            print(spec.to_json(), end="")
-            return 0
-        # Domain errors (combinatorial-explosion guard, bad distribution
-        # shape/counts) should read as CLI errors, not tracebacks.
-        if spec.sampler.kind == "exhaustive":
-            from .faults.campaign import count_crash_configurations
+    spec = _resolve_spec(args, CampaignSpec)
+    if args.dump_spec:
+        return _dump(spec)
+    if spec.sampler.kind == "exhaustive":
+        from .faults.campaign import count_crash_configurations
 
-            total = count_crash_configurations(
-                spec.network.resolve(), spec.sampler.n_fail
-            )
-            print(f"exhaustive sweep: {total} configurations of "
-                  f"{spec.sampler.n_fail} crashes")
-        else:
-            print(f"monte-carlo campaign: {spec.n_scenarios} scenarios, "
-                  f"{_describe_sampler(spec)}")
-        profile = None
-        if args.profile:
-            from .profiling import PhaseProfile
-
-            profile = PhaseProfile()
-        obs = _observer_from_args(args)
-        result = specs.run(spec, profile=profile, obs=obs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        total = count_crash_configurations(
+            spec.network.resolve(), spec.sampler.n_fail
+        )
+        print(f"exhaustive sweep: {total} configurations of "
+              f"{spec.sampler.n_fail} crashes")
+    else:
+        print(f"monte-carlo campaign: {spec.n_scenarios} scenarios, "
+              f"{_describe_sampler(spec)}")
+    profile, obs = _instruments(args)
+    result = specs.run(spec, profile=profile, obs=obs)
     print(result.summary())
     if result.errors.size:
         print(
@@ -1124,10 +716,7 @@ def _cmd_campaign(args) -> int:
             f"n={rep.n_scenarios}, certified-zero mass "
             f"{rep.certified_mass:.6g} over shells {list(rep.certified_shells)}"
         )
-    if profile is not None:
-        print(profile.report())
-    if obs is not None:
-        _save_obs(obs, spec, args.obs)
+    _report_instruments(profile, obs, spec, args.obs)
     return 0
 
 
@@ -1142,10 +731,7 @@ def _chaos_replay(path: str) -> int:
     from .chaos.telemetry import load_trace
     from .specs.dispatch import build_detector
 
-    try:
-        trace = load_trace(path)
-    except OSError as exc:
-        raise ValueError(f"cannot read trace: {exc}") from None
+    trace = load_trace(path)
     if trace.spec_payload is None:
         raise ValueError(
             "trace carries no spec payload (not produced by a spec "
@@ -1181,30 +767,20 @@ def _chaos_replay(path: str) -> int:
 def _cmd_chaos(args) -> int:
     from . import specs
 
-    try:
-        if args.replay is not None:
-            return _chaos_replay(args.replay)
-        spec = _resolve_spec(args, _chaos_spec_from_args, specs.ChaosSpec)
-        if args.telemetry is not None and spec.telemetry is None:
-            spec = spec.replace(telemetry=specs.TelemetrySpec())
-        if args.dump_spec:
-            print(spec.to_json(), end="")
-            return 0
-        print(
-            f"chaos campaign: {spec.replicas} replicas x {spec.epochs} "
-            f"epochs, processes {[p.kind for p in spec.processes]}, "
-            f"policy {spec.policy.kind}"
-        )
-        profile = None
-        if args.profile:
-            from .profiling import PhaseProfile
-
-            profile = PhaseProfile()
-        obs = _observer_from_args(args)
-        report = specs.run(spec, profile=profile, obs=obs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.replay is not None:
+        return _chaos_replay(args.replay)
+    spec = _resolve_spec(args, ChaosSpec)
+    if args.telemetry is not None and spec.telemetry is None:
+        spec = spec.replace(telemetry=specs.TelemetrySpec())
+    if args.dump_spec:
+        return _dump(spec)
+    print(
+        f"chaos campaign: {spec.replicas} replicas x {spec.epochs} "
+        f"epochs, processes {[p.kind for p in spec.processes]}, "
+        f"policy {spec.policy.kind}"
+    )
+    profile, obs = _instruments(args)
+    report = specs.run(spec, profile=profile, obs=obs)
     print(report.summary())
     if args.telemetry is not None:
         from .chaos.telemetry import save_trace
@@ -1218,10 +794,7 @@ def _cmd_chaos(args) -> int:
             f"telemetry trace -> {json_path} "
             f"(+ {json_path.with_suffix('.npz').name})"
         )
-    if profile is not None:
-        print(profile.report())
-    if obs is not None:
-        _save_obs(obs, spec, args.obs)
+    _report_instruments(profile, obs, spec, args.obs)
     return 0
 
 
@@ -1237,11 +810,7 @@ def _cmd_obs(args) -> int:
         render_span_tree,
     )
 
-    try:
-        record = load_run_record(args.record)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    record = load_run_record(args.record)
     trace = RunTrace.from_dict(record["trace"])
     metrics = MetricsRegistry.from_dict(record["metrics"])
     if args.openmetrics:
@@ -1269,12 +838,7 @@ def _cmd_aiops(args) -> int:
     from .chaos.telemetry import load_trace
     from .experiments.runner import jsonable
 
-    try:
-        trace = load_trace(args.trace)
-        sheet = scorecard(trace)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sheet = scorecard(load_trace(args.trace))
     print(_json.dumps(jsonable(sheet), indent=2, sort_keys=True))
     return 0
 
@@ -1294,58 +858,10 @@ def _cmd_serve(args) -> int:
     import asyncio
 
     from .service import CampaignService
-    from .specs import ServiceSpec, SpecError, load_spec
 
-    try:
-        if args.spec is not None:
-            conflicts = [
-                flag
-                for flag, value in (
-                    ("--socket", args.socket),
-                    ("--host", args.host),
-                    ("--port", args.port),
-                    ("--max-inflight", args.max_inflight),
-                    ("--queue-depth", args.queue_depth),
-                    ("--job-timeout", args.job_timeout),
-                    ("--results-dir", args.results_dir),
-                    ("--cache-entries", args.cache_entries),
-                )
-                if value is not None
-            ]
-            if conflicts:
-                raise SpecError(
-                    f"--spec conflicts with {', '.join(conflicts)}; the "
-                    "stored spec already fixes those"
-                )
-            spec = load_spec(args.spec)
-            if not isinstance(spec, ServiceSpec):
-                raise SpecError(
-                    f"{args.spec} holds a {type(spec).__name__}, "
-                    "serve needs a ServiceSpec"
-                )
-        else:
-            kwargs = {}
-            if args.port is not None:
-                kwargs["host"] = args.host or "127.0.0.1"
-                kwargs["port"] = args.port
-            elif args.host is not None:
-                raise SpecError("--host needs --port")
-            elif args.socket is not None:
-                kwargs["socket"] = args.socket
-            for name in (
-                "max_inflight", "queue_depth", "job_timeout",
-                "results_dir", "cache_entries",
-            ):
-                value = getattr(args, name)
-                if value is not None:
-                    kwargs[name] = value
-            spec = ServiceSpec(**kwargs)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _resolve_spec(args, ServiceSpec)
     if args.dump_spec:
-        print(spec.to_json(), end="")
-        return 0
+        return _dump(spec)
     service = CampaignService(spec)
     print(f"repro service listening on {service.endpoint}", file=sys.stderr)
     try:
@@ -1359,14 +875,9 @@ def _cmd_submit(args) -> int:
     import json as _json
 
     from .service import ServiceUnavailable, summarize_result
-    from .specs import load_spec
 
-    try:
-        spec = load_spec(args.spec)
-        client = _make_client(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = load_spec(args.spec)
+    client = _make_client(args)
 
     def on_event(message):
         mtype = message.get("type")
@@ -1424,10 +935,10 @@ def _cmd_submit(args) -> int:
 def _cmd_shutdown(args) -> int:
     from .service import ServiceUnavailable
 
+    client = _make_client(args)
     try:
-        client = _make_client(args)
         ack = client.shutdown(drain=not args.no_drain)
-    except (ValueError, ServiceUnavailable) as exc:
+    except ServiceUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"service stopped (drained {ack.get('drained', 0)} jobs)")
@@ -1454,7 +965,13 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``python -m repro``."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (OSError, ValueError) as exc:
+        # Missing archives, unreadable files and malformed specs or
+        # flags read as one-line CLI errors, not tracebacks.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution path

@@ -23,17 +23,21 @@ the process/detector/policy/traffic quadruple.  Specs are
 
 The lowering from specs onto the mask-native engines lives in
 :mod:`repro.specs.dispatch` (``repro.run``); this module is pure data
-and never imports the heavy numerical machinery.
+and never imports the heavy numerical machinery.  The spec verbs'
+command-line flags are data here too: each verb's ``cli_flags`` table
+(:class:`Flag` rows) is the only place a spec field is exposed on the
+CLI, and :mod:`repro.cli` generates its parsers from it.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Type
 
 __all__ = [
     "SPEC_VERSION",
@@ -116,12 +120,17 @@ class Spec:
     ``_nested_tuples`` (field name -> element spec class) so
     ``from_dict`` can rebuild the object graph from plain JSON;
     plain-value tuples (failure distributions, tolerated counts) are
-    normalised by each class's ``__post_init__``.
+    normalised by each class's ``__post_init__``.  The spec verbs also
+    declare ``cli_flags``, the table the CLI parser and its lowering
+    are generated from.
     """
 
     spec_tag: str = ""
     _nested: Dict[str, type] = {}
     _nested_tuples: Dict[str, type] = {}
+    #: The verb's CLI flags (:class:`Flag` rows) — the one place a
+    #: spec field is exposed on the command line.
+    cli_flags: Tuple["Flag", ...] = ()
     #: Fields omitted from ``to_dict`` while ``None`` — the mechanism
     #: for adding optional fields to an existing schema without
     #: invalidating stored specs: an absent key deserializes to the
@@ -149,8 +158,9 @@ class Spec:
         """Strict inverse of :meth:`to_dict`.
 
         Raises :class:`SpecError` on a wrong/missing ``spec`` tag, a
-        ``spec_version`` mismatch, unknown keys, or missing required
-        keys; optional keys fall back to their field defaults.
+        ``spec_version`` mismatch, unknown keys, missing required keys,
+        or a wrongly typed value; optional keys fall back to their
+        field defaults.
         """
         if not isinstance(data, Mapping):
             raise SpecError(
@@ -177,6 +187,11 @@ class Spec:
                     value = cls._nested[f.name].from_dict(value)
                 elif f.name in cls._nested_tuples and value is not None:
                     element = cls._nested_tuples[f.name]
+                    if not isinstance(value, (list, tuple)):
+                        raise SpecError(
+                            f"malformed {cls.spec_tag!r} spec: {f.name!r} "
+                            f"must be a list, got {type(value).__name__}"
+                        )
                     value = tuple(element.from_dict(item) for item in value)
                 kwargs[f.name] = value
             elif (
@@ -190,7 +205,17 @@ class Spec:
             raise SpecError(
                 f"unknown key(s) {sorted(payload)} in {cls.spec_tag!r} spec"
             )
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except SpecError:
+            raise
+        except (TypeError, ValueError) as exc:
+            # A wrongly typed value ("batch": "x") fails inside a
+            # comparison or cast in __post_init__; name the spec so the
+            # caller gets a typed error, not a bare TypeError.
+            raise SpecError(
+                f"malformed {cls.spec_tag!r} spec: {exc}"
+            ) from None
 
     def to_json(self) -> str:
         """Stable pretty JSON (sorted keys, trailing newline) — the
@@ -260,7 +285,7 @@ def spec_from_dict(data: Mapping) -> Spec:
     if not isinstance(data, Mapping):
         raise SpecError(f"spec payload must be a mapping, got {type(data).__name__}")
     tag = data.get("spec")
-    cls = _SPEC_TYPES.get(tag)
+    cls = _SPEC_TYPES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise SpecError(
             f"unknown spec tag {tag!r}; known tags: {sorted(_SPEC_TYPES)}"
@@ -283,6 +308,101 @@ def save_spec(spec: Spec, path: "str | Path") -> Path:
     path = Path(path)
     path.write_text(spec.to_json(), encoding="utf-8")
     return path
+
+
+# ---------------------------------------------------------------------------
+# CLI flag tables
+# ---------------------------------------------------------------------------
+
+
+def _bounded(cast, minimum, message, *, maximum=None, exclusive=False):
+    """An argparse type: ``cast`` the token, reject values < ``minimum``
+    (or ``<=``/``>=`` the bounds with ``exclusive=True``, and above
+    ``maximum`` when one is given) with ``message`` — the shared shape
+    of every numeric CLI guard."""
+
+    kind = "an integer" if cast is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {kind}, got {text!r}"
+            )
+        below = value <= minimum if exclusive else value < minimum
+        above = maximum is not None and (
+            value >= maximum if exclusive else value > maximum
+        )
+        if below or above:
+            raise argparse.ArgumentTypeError(f"{message}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _bounded(int, 1, "expected a positive integer")
+_nonneg_int = _bounded(int, 0, "expected a nonnegative integer")
+_nonneg_float = _bounded(float, 0, "expected a nonnegative number")
+#: Worker counts: 0 means in-process, negatives are an error.
+_workers_count = _bounded(int, 0, "worker count must be >= 0 (0 = in-process)")
+#: CI widths and confidence deltas live strictly inside (0, 1).
+_unit_open_float = _bounded(
+    float, 0, "expected a number strictly between 0 and 1",
+    maximum=1, exclusive=True,
+)
+#: Probabilities: the closed unit interval.
+_unit_float = _bounded(
+    float, 0, "expected a probability in [0, 1]", maximum=1,
+)
+
+
+@dataclass(frozen=True)
+class Flag:
+    """One CLI flag of a spec verb, declared once beside its spec class.
+
+    A typed value lands on the dotted spec field ``path``
+    (``engine.chunk_size``); ``type``/``choices``/``metavar``/
+    ``action``/``dest``/``help`` go to ``argparse.add_argument``
+    unchanged.  ``default`` is the CLI default where it differs from
+    the spec field's own — argparse itself always defaults to ``None``,
+    so a typed flag stays distinguishable from an untyped one (every
+    typed table flag conflicts with ``--spec``).  Rows sharing an
+    ``exclusive`` name form one mutually exclusive group.
+    """
+
+    flag: str
+    path: str
+    help: Optional[str] = None
+    type: Optional[Callable[[str], Any]] = None
+    choices: Optional[Tuple[str, ...]] = None
+    metavar: Optional[str] = None
+    action: Optional[str] = None
+    dest: Optional[str] = None
+    default: Any = None
+    exclusive: Optional[str] = None
+
+    @property
+    def attr(self) -> str:
+        """The argparse namespace attribute this flag parses into."""
+        return self.dest or self.flag[2:].replace("-", "_")
+
+
+#: Rows several verbs share (same field path, same help).
+_EPSILON_FLAGS = (
+    Flag("--epsilon", "epsilon", type=float, help="required accuracy eps"),
+    Flag("--epsilon-prime", "epsilon_prime", type=float,
+         help="achieved over-provisioned accuracy eps' (< eps)"),
+)
+_CAPACITY_FLAG = Flag("--capacity", "capacity", type=float,
+                      help="transmission capacity C (default: sup phi)")
+_BATCH_FLAG = Flag("--batch", "batch", type=_positive_int,
+                   help="random probe inputs (default 32)")
+_SEED_FLAG = Flag("--seed", "seed", type=int)
+_WORKERS_FLAG = Flag("--workers", "engine.workers", type=_workers_count,
+                     help="worker processes (0 = in-process)")
+_DTYPE_FLAG = Flag("--dtype", "engine.dtype", choices=("float32", "float64"),
+                   help="evaluation precision (float32 = fast path)")
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +703,38 @@ class StoppingSpec(Spec):
             f"pilot must be >= 2 (a variance needs two draws), got "
             f"{self.pilot}",
         )
+
+
+#: Adaptive-sampling rows, shared by the campaign and survival verbs.
+_STOPPING_FLAGS = (
+    Flag("--target-ci", "stopping.target_ci", type=_unit_open_float,
+         metavar="W",
+         help="adaptive early stop: halt at the first chunk boundary "
+              "where the anytime-valid CI on the violation rate is "
+              "narrower than W (strictly between 0 and 1)"),
+    Flag("--delta", "stopping.delta", type=_unit_open_float, metavar="D",
+         help="confidence budget of the adaptive CI, strictly between "
+              "0 and 1 (default 0.05: the interval holds with "
+              "probability >= 0.95 over all looks)"),
+    Flag("--stopping-method", "stopping.method", choices=STOPPING_METHODS,
+         help="confidence-sequence family (default hoeffding; "
+              "empirical_bernstein adapts to the observed variance — "
+              "the rare-event choice)"),
+    Flag("--min-scenarios", "stopping.min_scenarios", type=_positive_int,
+         metavar="N",
+         help="scenarios to draw before the first stop decision "
+              "(default 1024)"),
+    Flag("--stratify", "stopping.stratify", action="store_true",
+         help="stratified estimator over total-fault-count shells "
+              "(Theorem-3-certified shells skipped) instead of the "
+              "confidence sequence; needs Bernoulli sampling and a "
+              "neuron fault"),
+    Flag("--allocation", "stopping.allocation", choices=ALLOCATION_KINDS,
+         help="stratified budget split (default proportional = exactly "
+              "unbiased; neyman pilots each shell; rare spreads "
+              "uniformly over uncertified shells — the "
+              "importance-weighted rare-event path; implies --stratify)"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -898,6 +1050,52 @@ CampaignSpec._nested = {
     "obs": ObsSpec,
 }
 CampaignSpec._omit_if_none = ("stopping", "obs")
+CampaignSpec.cli_flags = (
+    Flag("--distribution", "sampler.distribution", metavar="f1,f2,...",
+         exclusive="sampler",
+         help="per-layer failure counts for a Monte-Carlo campaign"),
+    Flag("--exhaustive", "sampler.n_fail", type=int, metavar="N_FAIL",
+         exclusive="sampler",
+         help="evaluate every configuration of exactly N_FAIL crashes"),
+    Flag("--p-fail", "sampler.p_fail", type=_unit_float, metavar="P",
+         exclusive="sampler",
+         help="Bernoulli campaign: fail every component independently "
+              "with probability P (the survival workload's sampler; "
+              "required for --stratify)"),
+    Flag("--n-scenarios", "n_scenarios", type=_positive_int,
+         help="Monte-Carlo sample count (default 10000; Monte-Carlo "
+              "only)"),
+    Flag("--fault", "fault.kind",
+         choices=tuple(kind.replace("_", "-") for kind in FAULT_KINDS),
+         help="fault model (default crash; Monte-Carlo only — the "
+              "exhaustive sweep is crash by definition). synapse-* "
+              "faults read --distribution as per-stage synapse counts "
+              "(length L+1)"),
+    Flag("--value", "fault.value", type=float,
+         help="fault magnitude: stuck-at value / additive offset "
+              "(default 1.0), or the requested Byzantine emission / "
+              "synapse offset (default: saturate the capacity)"),
+    Flag("--sigma", "fault.sigma", type=float,
+         help="noise std-dev for --fault noise / synapse-noise "
+              "(default 0.1)"),
+    Flag("--p-transient", "fault.p", type=float,
+         help="per-evaluation hit probability for --fault intermittent "
+              "(default 0.5)"),
+    _CAPACITY_FLAG,
+    _BATCH_FLAG,
+    _SEED_FLAG,
+    Flag("--chunk-size", "engine.chunk_size", type=_positive_int,
+         default=1024),
+    _WORKERS_FLAG,
+    _DTYPE_FLAG,
+    Flag("--backend", "engine.backend", choices=ENGINE_BACKENDS,
+         help="evaluation engine backend: numpy (reference), threaded "
+              "(thread-pool tiling), or a reduced-precision probe tier "
+              "(quantized-int8 / float16)"),
+    Flag("--threshold", "threshold", type=float,
+         help="also report the fraction of scenarios exceeding this "
+              "error (the violation level for adaptive stopping)"),
+) + _STOPPING_FLAGS
 
 
 # ---------------------------------------------------------------------------
@@ -984,6 +1182,18 @@ SurvivalSpec._nested = {
     "obs": ObsSpec,
 }
 SurvivalSpec._omit_if_none = ("stopping", "obs")
+SurvivalSpec.cli_flags = _EPSILON_FLAGS + (
+    Flag("--p-fail", "p_fail", type=float,
+         help="per-neuron failure probability"),
+    Flag("--mode", "mode", choices=("crash", "byzantine")),
+    _CAPACITY_FLAG,
+    Flag("--method", "method", choices=("certified", "monte_carlo"),
+         help="certified Theorem-3 lower bound (default) or Monte-Carlo "
+              "injection estimate; any adaptive flag implies monte_carlo"),
+    Flag("--n-trials", "n_trials", type=_positive_int, metavar="N",
+         help="Monte-Carlo trial count — the hard cap when an adaptive "
+              "stop is set (default 500)"),
+) + _STOPPING_FLAGS
 
 
 # ---------------------------------------------------------------------------
@@ -1358,6 +1568,51 @@ ChaosSpec._nested_tuples = {
     "detectors": DetectorSpec,
 }
 ChaosSpec._omit_if_none = ("telemetry", "obs")
+ChaosSpec.cli_flags = _EPSILON_FLAGS + (
+    Flag("--process", "processes.kind", action="append", dest="processes",
+         choices=("lifetime", "weibull") + PROCESS_KINDS[1:],
+         help="fault process (repeatable; default: lifetime — exponential "
+              "component lifetimes at --rate; weibull = lifetime with "
+              "--weibull-shape)"),
+    Flag("--rate", "processes.rate", type=_nonneg_float,
+         help="per-epoch fault rate: component hazard (lifetime/weibull), "
+              "arrivals per layer (poisson), or event probability "
+              "(bursts/blasts, at most 1) (default 0.02)"),
+    Flag("--weibull-shape", "processes.shape", type=_nonneg_float,
+         default=2.0,
+         help="Weibull shape for --process weibull (> 0; default 2.0, "
+              "wear-out)"),
+    Flag("--epochs", "epochs", type=_positive_int,
+         help="mission length in epochs (default 50)"),
+    Flag("--replicas", "replicas", type=_positive_int,
+         help="fleet size (default 32)"),
+    Flag("--policy", "policy.kind", choices=POLICY_KINDS,
+         help="repair policy (default none; rejuvenate = periodic boosted "
+              "restarts, repair = detector-triggered with latency, spare "
+              "= warm-spare activation)"),
+    Flag("--period", "policy.period", type=_positive_int,
+         help="rejuvenation period in epochs (default 10)"),
+    Flag("--latency", "policy.latency", type=_nonneg_int,
+         help="repair latency in epochs for --policy repair (default 2)"),
+    Flag("--spares", "policy.spares", type=_nonneg_int,
+         help="warm spares per 16-replica block for --policy spare "
+              "(zone-local pools; default 4)"),
+    Flag("--detector", "detectors.kind", action="append", dest="detectors",
+         choices=DETECTOR_KINDS,
+         help="error-drift detector (repeatable; default: threshold at "
+              "the epsilon budget)"),
+    Flag("--traffic", "traffic.kind", choices=TRAFFIC_KINDS,
+         help="request-stream model weighting the SLO statistics "
+              "(default constant)"),
+    _BATCH_FLAG,
+    _SEED_FLAG,
+    Flag("--epochs-chunk", "epochs_chunk", type=_positive_int,
+         help="epochs per streamed engine evaluation (detection "
+              "granularity; default 32)"),
+    _WORKERS_FLAG,
+    _DTYPE_FLAG,
+    _CAPACITY_FLAG,
+)
 
 
 @_register("service")
@@ -1439,4 +1694,25 @@ ServiceSpec._omit_if_none = (
     "port",
     "job_timeout",
     "results_dir",
+)
+ServiceSpec.cli_flags = (
+    Flag("--socket", "socket", metavar="PATH",
+         help="unix socket path (default: repro-service.sock)"),
+    Flag("--host", "host",
+         help="loopback TCP host (with --port; default 127.0.0.1)"),
+    Flag("--port", "port", type=_positive_int,
+         help="loopback TCP port (instead of --socket)"),
+    Flag("--max-inflight", "max_inflight", type=_positive_int,
+         help="engine evaluations running concurrently (default 2)"),
+    Flag("--queue-depth", "queue_depth", type=_nonneg_int,
+         help="admitted jobs waiting for a runner before shedding "
+              "(default 64; 0 = unbounded)"),
+    Flag("--job-timeout", "job_timeout",
+         type=_bounded(float, 0, "job timeout must be > 0", exclusive=True),
+         metavar="SECONDS",
+         help="per-job evaluation timeout (default: none)"),
+    Flag("--results-dir", "results_dir", metavar="DIR",
+         help="ArtifactStore root for the spec-hash result cache"),
+    Flag("--cache-entries", "cache_entries", type=_nonneg_int,
+         help="in-memory result-cache entries (default 256; 0 disables)"),
 )

@@ -235,6 +235,53 @@ class TestCommands:
             assert "ChaosReport" in capsys.readouterr().out
 
 
+class TestTypedErrors:
+    """Malformed inputs end in a one-line ``error:`` and exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--epsilon", "0.5", "--epsilon-prime", "0.1"],
+        ["inspect"],
+        ["campaign", "--distribution", "1,1", "--n-scenarios", "5"],
+        ["survival", "--p-fail", "0.05", "--epsilon", "0.5",
+         "--epsilon-prime", "0.1"],
+        ["chaos", "--epsilon", "0.5", "--epsilon-prime", "0.1",
+         "--epochs", "2", "--replicas", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_network_archive(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "missing.npz")
+        assert main(argv[:1] + [missing] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing.npz" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("extra, needle", [
+        (["--process", "weibull", "--weibull-shape", "0"],
+         "shape must be > 0"),
+        (["--process", "bursts", "--rate", "5"], "per-epoch probability"),
+        (["--process", "blasts", "--rate", "1.5"], "per-epoch probability"),
+    ])
+    def test_chaos_values_are_not_clamped(self, saved_net, capsys, extra,
+                                          needle):
+        argv = ["chaos", saved_net, "--epsilon", "0.5",
+                "--epsilon-prime", "0.1", "--dump-spec"]
+        assert main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
+
+    def test_campaign_value_for_a_valueless_fault(self, saved_net, capsys):
+        argv = ["campaign", saved_net, "--distribution", "1,1",
+                "--fault", "noise", "--value", "2", "--dump-spec"]
+        assert main(argv) == 2
+        assert "value= is meaningless" in capsys.readouterr().err
+
+    def test_exhaustive_rejects_sampled_only_flags(self, saved_net, capsys):
+        argv = ["campaign", saved_net, "--exhaustive", "1", "--sigma", "0.3",
+                "--dump-spec"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--sigma only applies to Monte-Carlo campaigns" in err
+
+
 class TestArgumentHardening:
     """Invalid worker counts / epochs / rates die as argparse errors
     (exit code 2 with a clear message), across every command."""

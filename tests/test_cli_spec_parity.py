@@ -4,12 +4,20 @@ For every ``campaign``/``survival``/``chaos`` example command in
 README.md and EXPERIMENTS.md (sizes clamped so the suite stays fast),
 assert that
 
-* the argparse namespace lowers to a spec whose ``repro.run`` output is
-  bit-identical to the legacy direct-kwargs wiring the CLI used to
-  perform inline (same artifact content hash, same seeds);
-* ``--dump-spec`` output reloads through ``--spec`` byte-identically.
+* the argparse namespace lowers (``spec_from_args`` over the spec's
+  flag table) to a spec whose ``repro.run`` output is bit-identical
+  to the legacy direct-kwargs wiring the CLI used to perform inline
+  (same artifact content hash, same seeds);
+* ``--dump-spec`` output reloads through ``--spec`` byte-identically;
+* ``--spec`` rejects every typed spec flag and keeps execution flags.
+
+The generated counterpart — command lines drawn from the flag tables
+themselves, plus the pinned per-flag corpus — is
+``tests/test_cli_corpus.py``.
 """
 
+import argparse
+import dataclasses
 import hashlib
 import shlex
 from pathlib import Path
@@ -18,13 +26,7 @@ import numpy as np
 import pytest
 
 from repro import specs
-from repro.cli import (
-    _campaign_spec_from_args,
-    _chaos_spec_from_args,
-    _survival_spec_from_args,
-    build_parser,
-    main,
-)
+from repro.cli import build_parser, main, spec_from_args
 from repro.network import build_mlp, save_network
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -229,6 +231,33 @@ def _legacy_chaos(args):
     )
 
 
+def _spec_default(spec_class, path):
+    """The spec's own default for the dotted field ``path`` (None where
+    the field is required or its parent defaults to None)."""
+    head, _, rest = path.partition(".")
+    default = spec_class.__dataclass_fields__[head].default
+    if default is dataclasses.MISSING or default is None:
+        return None
+    if not rest:
+        return default
+    if isinstance(default, tuple):
+        default = default[0]
+    return getattr(default, rest)
+
+
+def _legacy_namespace(args, spec_class):
+    """The namespace the legacy wiring read: argparse now leaves every
+    untyped table flag None, so fill each with the value the old parser
+    defaulted it to — the row's CLI default, else the spec's default
+    (repeatable flags defaulted to None)."""
+    out = argparse.Namespace(**vars(args))
+    for flag in spec_class.cli_flags:
+        if getattr(out, flag.attr) is None and flag.action != "append":
+            setattr(out, flag.attr, flag.default if flag.default is not None
+                    else _spec_default(spec_class, flag.path))
+    return out
+
+
 def _errors_digest(result) -> str:
     return hashlib.sha256(
         np.ascontiguousarray(result.errors, dtype=np.float64).tobytes()
@@ -250,12 +279,13 @@ def test_docs_actually_show_spec_backed_commands():
 def test_doc_example_argparse_equals_spec_path(argv, saved_net):
     argv = _clamped(argv, saved_net)
     args = build_parser().parse_args(argv)
-    builder = {
-        "campaign": _campaign_spec_from_args,
-        "survival": _survival_spec_from_args,
-        "chaos": _chaos_spec_from_args,
+    spec_class = {
+        "campaign": specs.CampaignSpec,
+        "survival": specs.SurvivalSpec,
+        "chaos": specs.ChaosSpec,
     }[argv[0]]
-    spec = builder(args)
+    spec = spec_from_args(spec_class, args)
+    args = _legacy_namespace(args, spec_class)
     # Same seeds: the spec records exactly what argparse carried (the
     # survival subcommand is seedless — the certified bound is exact).
     if hasattr(args, "seed"):
@@ -322,3 +352,61 @@ def test_spec_file_actually_runs(saved_net, tmp_path, capsys):
     spec_file.write_text(capsys.readouterr().out, encoding="utf-8")
     assert main(["campaign", "--spec", str(spec_file)]) == 0
     assert "CampaignResult(n=50" in capsys.readouterr().out
+
+
+@pytest.fixture
+def stored_specs(saved_net, tmp_path, capsys):
+    """A dumped campaign, survival and chaos spec file per verb."""
+    lines = {
+        "campaign": ["campaign", saved_net, "--distribution", "2,1",
+                     "--n-scenarios", "50", "--batch", "4"],
+        "survival": ["survival", saved_net, "--p-fail", "0.05",
+                     "--epsilon", "0.5", "--epsilon-prime", "0.35"],
+        "chaos": ["chaos", saved_net, "--epsilon", "0.5",
+                  "--epsilon-prime", "0.35", "--epochs", "4",
+                  "--replicas", "4"],
+    }
+    files = {}
+    for verb, argv in lines.items():
+        assert main(argv + ["--dump-spec"]) == 0
+        files[verb] = tmp_path / f"{verb}.json"
+        files[verb].write_text(capsys.readouterr().out, encoding="utf-8")
+    return files
+
+
+@pytest.mark.parametrize("verb, flags", [
+    # The two silently-dropped commands the flag tables fixed.
+    ("campaign", ["--seed", "9", "--batch", "2"]),
+    ("chaos", ["--epochs", "999", "--policy", "repair"]),
+    ("campaign", ["--chunk-size", "64"]),
+    ("campaign", ["--dtype", "float32"]),
+    ("campaign", ["--backend", "threaded"]),
+    ("campaign", ["--sigma", "0.3"]),
+    ("campaign", ["--workers", "2"]),
+    ("survival", ["--mode", "byzantine"]),
+    ("chaos", ["--replicas", "3"]),
+    ("chaos", ["--rate", "0.5"]),
+    ("chaos", ["--traffic", "bursty"]),
+])
+def test_spec_rejects_every_typed_spec_flag(stored_specs, capsys, verb,
+                                            flags):
+    """Flags that used to carry a default were invisible to the --spec
+    conflict check and silently lost to the file."""
+    argv = [verb, "--spec", str(stored_specs[verb]), *flags, "--dump-spec"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --spec conflicts with")
+    assert all(flag in err for flag in flags[::2])
+
+
+@pytest.mark.parametrize("verb, flags", [
+    ("campaign", ["--obs", "rec", "--profile"]),
+    ("survival", ["--workers", "2", "--obs", "rec", "--profile"]),
+    ("chaos", ["--obs", "rec", "--profile"]),
+])
+def test_spec_accepts_execution_flags(stored_specs, capsys, verb, flags):
+    argv = [verb, "--spec", str(stored_specs[verb]), "--dump-spec"]
+    assert main(argv) == 0
+    dumped = capsys.readouterr().out
+    assert main(argv + flags) == 0
+    assert capsys.readouterr().out == dumped

@@ -73,6 +73,22 @@ def campaign(n_scenarios=2048, seed=7, **kw):
     return CampaignSpec(**base)
 
 
+def badly_typed(damage):
+    """A campaign payload with one wrongly typed value."""
+    payload = campaign().to_dict()
+    if damage == "batch":
+        payload["batch"] = "x"
+    elif damage == "n_scenarios":
+        payload["n_scenarios"] = [1]
+    elif damage == "components":
+        payload["sampler"]["components"] = 5
+    elif damage == "tag":
+        payload["spec"] = ["campaign"]
+    else:
+        payload["sampler"]["distribution"] = "ab"
+    return payload
+
+
 #: Long enough (~0.7s) that admission/coalescing races resolve
 #: deterministically while it occupies the single runner.
 def blocker(seed=991):
@@ -266,6 +282,20 @@ class TestServedResults:
             message = client._read()
         assert message["type"] == "error"
         assert message["kind"] == "spec"
+
+    @pytest.mark.parametrize(
+        "damage", ["batch", "n_scenarios", "sampler", "components", "tag"]
+    )
+    def test_wrongly_typed_spec_value_is_a_typed_error(self, service, damage):
+        """A value __post_init__ trips over with TypeError/ValueError is
+        a typed spec error, and the connection stays usable."""
+        payload = badly_typed(damage)
+        with client_for(service) as client:
+            client._request({"op": "submit", "spec": payload})
+            message = client._read()
+            assert message["type"] == "error"
+            assert message["kind"] == "spec"
+            assert client.ping()["type"] == "pong"
 
     def test_service_spec_itself_is_not_servable(self, service):
         with client_for(service) as client:
@@ -694,6 +724,24 @@ class TestServiceCLI:
         rc = main(["submit", str(bad), "--socket", str(tmp_path / "no.sock")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "damage", ["batch", "n_scenarios", "sampler", "components", "tag"]
+    )
+    @pytest.mark.parametrize("verb", ["campaign", "submit"])
+    def test_wrongly_typed_spec_file_exits_2(
+        self, tmp_path, capsys, verb, damage
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(badly_typed(damage)))
+        if verb == "submit":
+            argv = ["submit", str(bad), "--socket", str(tmp_path / "no.sock")]
+        else:
+            argv = ["campaign", "--spec", str(bad)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_shutdown_against_dead_daemon_exits_2(self, tmp_path, capsys):
         rc = main(["shutdown", "--socket", str(tmp_path / "no.sock")])
