@@ -2,15 +2,20 @@
 
 ``make serve-smoke`` boots the daemon on a throwaway unix socket,
 submits one streamed campaign (asserting at least one ``chunk`` event
-arrives before the ``result``), repeats the same submission and
-asserts it comes back from the cache with a bitwise-identical error
-vector, then shuts the daemon down with a drain and checks the ack.
+arrives before the ``result``) and checks that its stored record
+``runs/<hash>.json`` is the canonical compact JSON of the loaded
+record — the daemon splices its once-encoded result into the record.
+It repeats the same submission and asserts it comes back from the
+cache with a bitwise-identical error vector, submits one crash-fault
+campaign (the sparse zero-channel scatter) and checks it bitwise
+against a direct ``repro.run``, then shuts the daemon down with a
+drain and checks the ack.
 It then restarts the daemon on the same ``results_dir`` and asserts a
 third submission is answered from the store tier
 (``repro_service_cache_hits{tier="store"}`` = 1), again bitwise equal.
 Exit code 0 means the serve path — admission, engine hand-off,
-streaming, memory and store caching, drain — works end to end on this
-platform.
+streaming, record layout, memory and store caching, drain — works end
+to end on this platform.
 
 Run from the repo root::
 
@@ -19,14 +24,23 @@ Run from the repo root::
 
 from __future__ import annotations
 
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from repro.artifacts import ArtifactStore
 from repro.service import ServiceClient, ServiceThread
-from repro.specs import CampaignSpec, FaultSpec, NetworkRef, SamplerSpec, ServiceSpec
+from repro.specs import (
+    CampaignSpec,
+    FaultSpec,
+    NetworkRef,
+    SamplerSpec,
+    ServiceSpec,
+    run,
+)
 
 
 def _bits(terminal) -> bytes:
@@ -34,16 +48,21 @@ def _bits(terminal) -> bytes:
     return np.asarray(terminal["result"]["errors"], dtype=np.float64).tobytes()
 
 
-def main() -> int:
-    spec = CampaignSpec(
+def _campaign(fault: FaultSpec, seed: int) -> CampaignSpec:
+    return CampaignSpec(
         network=NetworkRef(
             builder="mlp", params={"input_dim": 4, "hidden": [12, 8], "seed": 1}
         ),
         sampler=SamplerSpec(kind="fixed", distribution=(2, 1)),
-        fault=FaultSpec(kind="stuck", value=0.0),
+        fault=fault,
         n_scenarios=2048,
-        seed=7,
+        seed=seed,
     )
+
+
+def main() -> int:
+    spec = _campaign(FaultSpec(kind="stuck", value=0.0), seed=7)
+    crash = _campaign(FaultSpec(kind="crash"), seed=11)
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as tmp:
         svc_spec = ServiceSpec(
             socket=str(Path(tmp) / "smoke.sock"),
@@ -66,6 +85,18 @@ def main() -> int:
                 print(f"streamed run: {len(chunks)} chunks, "
                       f"{n_errors} scenario errors")
 
+                store = ArtifactStore(svc_spec.results_dir)
+                spec_hash = spec.content_hash()
+                record = store.load_run_result(spec_hash)
+                canonical = json.dumps(
+                    record, sort_keys=True, separators=(",", ":")
+                ) + "\n"
+                assert store.run_result_path(spec_hash).read_bytes() == (
+                    canonical.encode("utf-8")
+                ), "stored record is not the canonical compact JSON"
+                assert record["result"] == first["result"], record
+                print("stored record: canonical bytes")
+
                 second = client.submit(spec)
                 assert second["type"] == "result", second
                 assert second["cached"], "repeat submission missed the cache"
@@ -73,6 +104,14 @@ def main() -> int:
                     "cached result drifted from the evaluated one"
                 )
                 print("cached repeat: bitwise identical")
+
+                crashed = client.submit(crash)
+                assert crashed["type"] == "result", crashed
+                direct = np.asarray(run(crash).errors, dtype=np.float64)
+                assert _bits(crashed) == direct.tobytes(), (
+                    "served crash campaign drifted from the direct run"
+                )
+                print("crash campaign: bitwise identical to direct run")
 
                 ack = client.shutdown(drain=True)
                 assert ack["type"] == "shutdown-ack", ack

@@ -210,6 +210,31 @@ class RunOutcome:
         return line
 
 
+def _compact(obj: Any) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _encode_run_record(record: Mapping[str, Any]) -> bytes:
+    """``json.dumps(record, sort_keys=True, separators=(",", ":"))``
+    plus a newline, as UTF-8 — with ``record["result"]`` allowed to be
+    the already-encoded bytes of that member.
+
+    The members sorting before and after ``"result"`` are encoded as
+    two compact objects whose braces are trimmed, and the bytes go
+    between them: byte-identical to encoding the decoded record.
+    """
+    result = record.get("result")
+    if not isinstance(result, bytes):
+        return (_compact(dict(record)) + "\n").encode("utf-8")
+    head = _compact({k: v for k, v in record.items() if k < "result"})[:-1]
+    tail = _compact({k: v for k, v in record.items() if k > "result"})[1:]
+    return b"".join((
+        head.encode("utf-8"), b"," if len(head) > 1 else b"",
+        b'"result":', result,
+        b"," if len(tail) > 1 else b"", tail.encode("utf-8"), b"\n",
+    ))
+
+
 class ArtifactStore:
     """JSON artifacts + manifest under one ``results/`` root."""
 
@@ -327,24 +352,24 @@ class ArtifactStore:
     ) -> Path:
         """Persist one run result keyed by its spec's ``content_hash``.
 
-        The record is encoded compactly in one ``json.dumps`` call (the
-        C encoder), written to a thread-unique temp file and renamed —
+        The record is encoded compactly with sorted keys (the C
+        encoder), written to a thread-unique temp file and renamed —
         atomic: a concurrent reader sees the old file or the new one,
-        never a torn write.  ``runs/<hash>.json`` is its own index, so
-        the manifest is not touched and the cost does not grow with the
-        number of stored runs.  Safe for any number of concurrent
-        writers; identical specs overwrite in place.
+        never a torn write.  ``record["result"]`` is either a mapping
+        or its already-encoded compact JSON bytes (the daemon's cached
+        answer); bytes are spliced in at the sorted-key position, so
+        the file is the same either way and no float is encoded twice
+        (:func:`_encode_run_record`).  ``runs/<hash>.json`` is its own
+        index, so the manifest is not touched and the cost does not
+        grow with the number of stored runs.  Safe for any number of
+        concurrent writers; identical specs overwrite in place.
         """
         path = self.run_result_path(spec_hash)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(
             f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
         )
-        tmp.write_text(
-            json.dumps(dict(record), sort_keys=True, separators=(",", ":"))
-            + "\n",
-            encoding="utf-8",
-        )
+        tmp.write_bytes(_encode_run_record(record))
         tmp.replace(path)
         return path
 

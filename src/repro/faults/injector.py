@@ -78,9 +78,10 @@ __all__ = [
     "apply_synapse_corrections",
 ]
 
-#: A channel write goes through the sparse gather/scatter kernel when
-#: the affected cells cover at most ``1 / _SPARSE_ROWS_LIMIT`` of the
-#: ``(S, N)`` mask; denser masks keep the vectorised masked write.
+#: A permanent zero/set/scale/add channel write goes through the sparse
+#: gather/scatter kernel when the affected cells cover at most
+#: ``1 / _SPARSE_ROWS_LIMIT`` of the ``(S, N)`` mask; denser masks keep
+#: the vectorised masked write.
 #: Both kernels are bitwise-identical, so the threshold is purely a
 #: throughput heuristic.
 _SPARSE_ROWS_LIMIT = 4
@@ -301,11 +302,12 @@ def apply_mask_channels(
     scale / add order, then noise), each in row-major cell order, so
     the stream is deterministic for a given batch.  A ``workspace``
     lets the gate draws reuse one growable buffer across chunks (same
-    stream, fewer allocations).  Permanent ``set``/``scale``/``add``
-    cells below the :data:`_SPARSE_ROWS_LIMIT` density additionally go
-    through a gather/compute/scatter kernel on the ``(K, B)`` cells
-    instead of full ``(S, B, N)`` arithmetic — elementwise identical,
-    so results are bitwise-equal either way.
+    stream, fewer allocations).  Permanent ``zero``/``set``/``scale``/
+    ``add`` cells below the :data:`_SPARSE_ROWS_LIMIT` density
+    additionally go through a gather/compute/scatter kernel on the
+    ``(K, B)`` cells instead of full ``(S, B, N)`` masked writes —
+    elementwise identical and drawing nothing, so results are
+    bitwise-equal either way.
     """
     B = Y.shape[1]
     gated_cells = gate_p is not None and np.any(gate_p < 1.0)
@@ -346,7 +348,11 @@ def apply_mask_channels(
     if zero.any():
         dense, gated = split(zero)
         if dense.any():
-            np.copyto(Y, 0.0, where=dense[:, None, :])
+            sparse = sparse_rows(dense)
+            if sparse is not None:
+                Yt[sparse] = 0.0
+            else:
+                np.copyto(Y, 0.0, where=dense[:, None, :])
         if gated is not None:
             rows, cols, hit = gated
             cells = Yt[rows, cols]

@@ -24,8 +24,10 @@ in order:
 4. **Evaluation** — runner tasks hand the spec to ``repro.run`` on a
    thread pool (the engines are numpy-bound and release the GIL in
    the kernels; the loop stays responsive).  The job thread also
-   lowers and encodes the result, once.  A per-job timeout turns a
-   stuck evaluation into a typed ``timeout`` response.
+   lowers and encodes the result, once: the same bytes feed the
+   cache, every terminal frame and the stored record.  A per-job
+   timeout turns a stuck evaluation into a typed ``timeout``
+   response.
 
 Streaming rides the observability plane: the job's
 :class:`_StreamingObserver` (a :class:`~repro.obs.RunObserver`) emits
@@ -37,7 +39,9 @@ bitwise identical to a direct ``repro.run(spec)``.
 
 Service health is a :class:`~repro.obs.MetricsRegistry` — queue depth,
 in-flight gauge, coalesce/cache/shed counters, a job-latency histogram
-— served as OpenMetrics text by the ``metrics`` op.
+— served as OpenMetrics text by the ``metrics`` op.  Only the event
+loop touches the registry (``render_openmetrics`` walks it unlocked);
+job threads report through their :class:`_Job`.
 """
 
 from __future__ import annotations
@@ -181,6 +185,7 @@ class _Job:
         "subscribers",
         "finished",
         "terminal",
+        "evaluated",
     )
 
     def __init__(self, spec: Spec, spec_hash: str, timeout: Optional[float]):
@@ -191,6 +196,7 @@ class _Job:
         self.subscribers: List[asyncio.Queue] = []
         self.finished = asyncio.Event()
         self.terminal: Optional[Event] = None
+        self.evaluated = False  # set by the job thread once run() returns
 
     def subscribe(self) -> asyncio.Queue:
         queue: asyncio.Queue = asyncio.Queue()
@@ -598,25 +604,37 @@ class CampaignService:
             # rather than in the executor's hidden one.
             with contextlib.suppress(Exception):
                 await asyncio.shield(future)
+            self._count_engine_run(job)
             return
         except Exception as exc:  # engine/spec failures become typed errors
+            self._count_engine_run(job)
             self._finish(
                 job, self._error(str(exc), kind="internal"), outcome="error"
             )
             return
+        self._count_engine_run(job)
         self._finish(job, result, outcome="completed")
+
+    def _count_engine_run(self, job: _Job) -> None:
+        """Count a settled job's engine run, on the loop thread."""
+        if job.evaluated:
+            self._count(
+                "repro_service_engine_runs", "Engine evaluations executed."
+            )
 
     def _evaluate(
         self, job: _Job, emit: Callable[[Dict[str, Any]], None]
     ) -> bytes:
-        """Thread body: run the engines, encode, write through the cache."""
+        """Thread body: run the engines, encode, write through the cache.
+
+        The result is encoded once; the stored record splices those
+        bytes (:meth:`~repro.artifacts.ArtifactStore.save_run_result`).
+        Metrics are the loop's: this only flags ``job.evaluated``.
+        """
         obs = _StreamingObserver(emit)
         outcome = run(job.spec, obs=obs)
-        payload = result_payload(job.spec, outcome)
-        result = encode_result(payload)
-        self._count(
-            "repro_service_engine_runs", "Engine evaluations executed."
-        )
+        result = encode_result(result_payload(job.spec, outcome))
+        job.evaluated = True
         self._cache_put(job.spec_hash, result)
         if self.store is not None:
             self.store.save_run_result(
@@ -626,7 +644,7 @@ class CampaignService:
                     "spec_hash": job.spec_hash,
                     "kind": job.spec.spec_tag,
                     "spec": job.spec.to_dict(),
-                    "result": payload,
+                    "result": result,
                 },
             )
         return result

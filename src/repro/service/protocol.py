@@ -187,7 +187,7 @@ def result_payload(spec: Spec, outcome: Any) -> Dict[str, Any]:
             "kind": "campaign",
             "reduction": outcome.reduction,
             "n_scenarios": int(errors.size),
-            "errors": [float(e) for e in errors],
+            "errors": errors.tolist(),
             "adaptive": _report_dict(outcome.adaptive),
         }
     if isinstance(spec, SurvivalSpec):

@@ -7,6 +7,10 @@ associativity otherwise.  None of them is imported by the package.
 * :func:`scalar_errors` — per-scenario output errors through the
   scalar :meth:`FaultInjector.run` path, the oracle for every batched
   evaluation (:class:`~repro.faults.masks.MaskCampaignEngine`);
+* :func:`apply_zero_channel_reference` — the dense masked crash
+  write the sparse zero-channel scatter of
+  :func:`repro.faults.injector.apply_mask_channels` must reproduce bit
+  for bit, RNG stream included;
 * :func:`apply_synapse_corrections_reference` /
   :func:`stage1_cells_reference` — the plain ``np.add.at``
   scatter the segment-sum synapse kernels must reproduce bit for bit;
@@ -39,6 +43,24 @@ def scalar_errors(injector, x, scenarios, seed=1234) -> np.ndarray:
     return np.array(
         [injector.output_error(x, sc, rng=rng) for sc in scenarios]
     )
+
+
+def apply_zero_channel_reference(Y, zero, gate_p=None, rng=None):
+    """The crash channel as one dense masked write: every permanent
+    ``zero`` cell reads 0 through ``np.copyto`` over the whole
+    ``(S, B, N)`` tensor; gated (intermittent) cells draw their
+    ``(K, B)`` Bernoulli pattern from ``rng`` in row-major cell order
+    and are zeroed where it hits."""
+    gated = np.zeros_like(zero) if gate_p is None else zero & (gate_p < 1.0)
+    np.copyto(Y, 0.0, where=(zero & ~gated)[:, None, :])
+    if gated.any():
+        rows, cols = np.nonzero(gated)
+        hit = rng.random((rows.size, Y.shape[1])) < gate_p[rows, cols][:, None]
+        view = Y.transpose(0, 2, 1)
+        cells = view[rows, cols]
+        cells[hit] = 0.0
+        view[rows, cols] = cells
+    return Y
 
 
 def apply_synapse_corrections_reference(

@@ -14,6 +14,18 @@ from repro.artifacts import ArtifactStore, content_key
 from repro.cli import main
 from repro.experiments.registry import RegisteredExperiment
 from repro.experiments.runner import ExperimentResult, jsonable
+from repro.service import result_payload
+from repro.service.protocol import encode_result
+from repro.specs import (
+    CampaignSpec,
+    ChaosSpec,
+    FaultSpec,
+    NetworkRef,
+    ProcessSpec,
+    SamplerSpec,
+    SurvivalSpec,
+    run,
+)
 
 _TOY_CALLS = []
 
@@ -305,6 +317,77 @@ class TestTraceStore:
     def test_missing_trace_raises(self, store):
         with pytest.raises(FileNotFoundError):
             store.load_trace("never_recorded")
+
+
+class TestRunRecordSplice:
+    """A record saved around pre-encoded result bytes is the canonical
+    compact record, byte for byte, and loads back as the same dict."""
+
+    @staticmethod
+    def _payload(kind):
+        net = NetworkRef(
+            builder="mlp", params={"input_dim": 4, "hidden": [12, 8], "seed": 1}
+        )
+        spec = {
+            "campaign": lambda: CampaignSpec(
+                network=net,
+                sampler=SamplerSpec(kind="fixed", distribution=(2, 1)),
+                fault=FaultSpec(kind="crash"), n_scenarios=512, seed=3,
+            ),
+            "survival": lambda: SurvivalSpec(
+                network=net, p_fail=0.05, epsilon=0.5, epsilon_prime=0.1,
+                method="monte_carlo", n_trials=128, seed=3,
+            ),
+            "chaos": lambda: ChaosSpec(
+                network=net, epsilon=0.5, epsilon_prime=0.1,
+                processes=(ProcessSpec(kind="lifetime", rate=0.1),),
+                epochs=4, replicas=3, batch=4, seed=3,
+            ),
+        }[kind]()
+        payload = result_payload(spec, run(spec))
+        if kind == "chaos":  # non-finite floats must splice verbatim
+            report = payload["report"]
+            report["requests"][1:3] = [float("inf"), float("nan")]
+            report["budget"] = float("-inf")
+        return spec, payload
+
+    @staticmethod
+    def _canonical(record):
+        return (
+            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        ).encode("utf-8")
+
+    @pytest.mark.parametrize("kind", ["campaign", "survival", "chaos"])
+    def test_encoded_result_splices_to_the_canonical_record(
+        self, store, kind
+    ):
+        spec, payload = self._payload(kind)
+        record = {
+            "version": 2, "spec_hash": spec.content_hash(),
+            "kind": spec.spec_tag, "spec": spec.to_dict(), "result": payload,
+        }
+        canonical = self._canonical(record)
+        path = store.save_run_result(
+            "spliced", {**record, "result": encode_result(payload)}
+        )
+        assert path.read_bytes() == canonical
+        assert store.save_run_result("mapping", record).read_bytes() == canonical
+        # NaN != NaN, so compare the loaded dict through its encoding.
+        loaded = store.load_run_result("spliced")
+        assert self._canonical(loaded) == canonical
+        if kind != "chaos":
+            assert loaded == record
+
+    @pytest.mark.parametrize(
+        "keys", [("result",), ("a", "result"), ("result", "z"),
+                 ("a", "result", "z", "s", "resulted", "Result")],
+    )
+    def test_result_at_any_sorted_position(self, store, keys):
+        record = {key: [1.5, key] for key in keys}
+        record["result"] = {"x": [0.1, -0.0, 1e308]}
+        spliced = {**record, "result": b'{"x":[0.1,-0.0,1e+308]}'}
+        path = store.save_run_result("any", spliced)
+        assert path.read_bytes() == self._canonical(record)
 
 
 def _hammer_store(args):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.faults.injector import FaultInjector
+from repro.faults import injector as injector_mod
+from repro.faults.injector import FaultInjector, apply_mask_channels
 from repro.faults.masks import MaskCampaignEngine
 from repro.faults.scenarios import (
     NOMINAL,
@@ -23,6 +24,8 @@ from repro.faults.types import (
     SynapseCrashFault,
 )
 from repro.network.model import NeuronAddress
+
+from oracles import apply_zero_channel_reference
 
 
 class TestNominal:
@@ -248,3 +251,95 @@ class TestBatchedPath:
         assert np.all(mean <= mx + 1e-12)
         with pytest.raises(ValueError):
             self._errors(inj, batch, scenarios, reduction="median")
+
+
+class TestZeroChannelScatter:
+    """The crash channel scatters its cells below the sparse-rows limit.
+
+    The scatter must write the dense masked write's bits (``+0.0``
+    over ``-0.0``, NaN and huge activations alike) and draw exactly the
+    same stream, at every density and whichever kernel the limit picks.
+    """
+
+    S, B, N = 32, 5, 16
+    SPECIAL = np.array([-0.0, np.nan, 1e308, -1e308, np.inf])
+
+    def _activations(self, rng):
+        Y = rng.standard_normal((self.S, self.B, self.N)) * 1e3
+        spots = rng.choice(Y.size, Y.size // 4, replace=False)
+        Y.flat[spots] = rng.choice(self.SPECIAL, spots.size)
+        return Y
+
+    def _cells(self, rng, density, taken=None):
+        """A ``(S, N)`` mask of ``density * S * N`` cells, avoiding
+        ``taken`` (channels are disjoint per cell)."""
+        free = np.flatnonzero(~taken) if taken is not None else np.arange(
+            self.S * self.N
+        )
+        k = min(int(round(density * self.S * self.N)), free.size)
+        mask = np.zeros((self.S, self.N), dtype=bool)
+        mask.flat[rng.choice(free, k, replace=False)] = True
+        return mask
+
+    def _gates(self, rng, mask, gated):
+        gate_p = np.ones((self.S, self.N))
+        if gated:
+            rows, cols = np.nonzero(mask)
+            pick = rng.random(rows.size) < 0.3
+            gate_p[rows[pick], cols[pick]] = 0.5
+        return gate_p
+
+    @pytest.mark.parametrize("limit", [None, 1, 10**9])
+    @pytest.mark.parametrize("gated", [False, True])
+    @pytest.mark.parametrize("density", [1 / 64, 1 / 8, 1 / 4, 1 / 2, 1.0])
+    def test_matches_dense_write(self, monkeypatch, density, gated, limit):
+        if limit is not None:  # 1: always scatter; 10**9: never
+            monkeypatch.setattr(injector_mod, "_SPARSE_ROWS_LIMIT", limit)
+        rng = np.random.default_rng(17)
+        Y = self._activations(rng)
+        zero = self._cells(rng, density)
+        gate_p = self._gates(rng, zero, gated)
+        none = np.zeros_like(zero)
+        values = np.zeros((self.S, self.N))
+        rng_kernel = np.random.default_rng(5)
+        rng_oracle = np.random.default_rng(5)
+        got = apply_mask_channels(
+            Y.copy(), zero, none, values, none, values, 1.0,
+            gate_p=gate_p, rng=rng_kernel,
+        )
+        want = apply_zero_channel_reference(
+            Y.copy(), zero, gate_p, rng_oracle
+        )
+        assert got.tobytes() == want.tobytes()
+        assert rng_kernel.bit_generator.state == rng_oracle.bit_generator.state
+
+    @pytest.mark.parametrize("gated", [False, True])
+    @pytest.mark.parametrize("density", [1 / 32, 1 / 4, 1 / 2])
+    def test_scatter_and_dense_kernels_agree_with_every_channel(
+        self, monkeypatch, density, gated
+    ):
+        """Crash cells beside set/add/noise cells: forcing the scatter
+        and forcing the masked writes give the same bits and leave the
+        generator in the same state."""
+        rng = np.random.default_rng(23)
+        Y = self._activations(rng)
+        zero = self._cells(rng, density)
+        set_mask = self._cells(rng, density / 2, zero)
+        add_mask = self._cells(rng, density / 2, zero | set_mask)
+        noise_mask = self._cells(rng, 1 / 32, zero | set_mask | add_mask)
+        gate_p = self._gates(rng, zero | set_mask | add_mask, gated)
+        set_values = rng.standard_normal((self.S, self.N))
+        add_values = rng.standard_normal((self.S, self.N))
+        sigma = np.full((self.S, self.N), 0.1)
+
+        def kernel(limit):
+            monkeypatch.setattr(injector_mod, "_SPARSE_ROWS_LIMIT", limit)
+            gen = np.random.default_rng(9)
+            out = apply_mask_channels(
+                Y.copy(), zero, set_mask, set_values, add_mask, add_values,
+                0.5, noise_mask=noise_mask, noise_sigma=sigma,
+                gate_p=gate_p, rng=gen,
+            )
+            return out.tobytes(), gen.bit_generator.state
+
+        assert kernel(1) == kernel(10**9)

@@ -30,7 +30,8 @@ from repro.service import (
     result_payload,
     summarize_result,
 )
-from repro.service.daemon import RUN_RECORD_VERSION
+from repro.service import daemon as daemon_mod
+from repro.service.daemon import RUN_RECORD_VERSION, _Job
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -553,6 +554,86 @@ class TestCacheAndCoalesce:
             "type": "result", "protocol": PROTOCOL_VERSION,
             "cached": True, "coalesced": False, "result": direct,
         })
+
+
+class TestEncodeOnce:
+    """A miss encodes its result once; metrics stay on the loop."""
+
+    def test_miss_encodes_the_float_list_once(self, tmp_path, monkeypatch):
+        n = 1024
+        spec = campaign(n_scenarios=n, seed=41)
+        calls = []
+        real_dumps, real_encode = json.dumps, daemon_mod.encode_result
+
+        def holds_errors(obj):
+            if isinstance(obj, list):
+                return len(obj) == n
+            if isinstance(obj, dict):
+                return any(holds_errors(v) for v in obj.values())
+            return False
+
+        def dumps(obj, *args, **kwargs):
+            if holds_errors(obj):
+                calls.append("json.dumps")
+            return real_dumps(obj, *args, **kwargs)
+
+        def encode_result(payload):
+            calls.append("encode_result")
+            return real_encode(payload)
+
+        monkeypatch.setattr(json, "dumps", dumps)
+        monkeypatch.setattr(daemon_mod, "encode_result", encode_result)
+        svc_spec = ServiceSpec(
+            socket=str(tmp_path / "svc.sock"),
+            results_dir=str(tmp_path / "results"),
+        )
+        with ServiceThread(svc_spec) as svc, client_for(svc) as client:
+            served = client.submit(spec)
+            again = client.submit(spec)
+        monkeypatch.undo()
+        assert calls == ["encode_result", "json.dumps"]
+        assert served["cached"] is False and again["cached"] is True
+        path = svc.store.run_result_path(spec.content_hash())
+        record = svc.store.load_run_result(spec.content_hash())
+        assert record["result"] == served["result"]
+        assert path.read_bytes() == (
+            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        ).encode("utf-8")
+
+    def test_evaluate_leaves_metrics_to_the_loop(self, tmp_path):
+        """The job thread must not insert metric families: the loop's
+        ``metrics`` op walks the registry without a lock."""
+        svc = CampaignService(
+            ServiceSpec(
+                socket=str(tmp_path / "svc.sock"),
+                results_dir=str(tmp_path / "results"),
+            )
+        )
+        spec = campaign(n_scenarios=256)
+        job = _Job(spec, spec.content_hash(), None)
+        result = svc._evaluate(job, lambda event: None)
+        assert len(svc.metrics) == 0
+        assert job.evaluated
+        assert result == encode_result(result_payload(spec, run(spec)))
+
+    def test_timed_out_run_is_counted_once_it_finishes(self, tmp_path):
+        svc_spec = ServiceSpec(
+            socket=str(tmp_path / "svc.sock"), max_inflight=1
+        )
+        with ServiceThread(svc_spec) as svc:
+            with ServiceClient(svc_spec.socket) as client:
+                first = client.submit(blocker(seed=79), timeout=0.05)
+                runs_at_timeout = svc.metrics.value(
+                    "repro_service_engine_runs"
+                )
+                second = client.submit(
+                    campaign(n_scenarios=1024, seed=32), timeout=5.0
+                )
+            runs = svc.metrics.value("repro_service_engine_runs")
+        assert first["type"] == "timeout"
+        assert runs_at_timeout is None
+        assert second["type"] == "result"
+        assert runs == 2
 
 
 class TestAdmissionControl:
