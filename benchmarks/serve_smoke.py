@@ -13,6 +13,11 @@ drain and checks the ack.
 It then restarts the daemon on the same ``results_dir`` and asserts a
 third submission is answered from the store tier
 (``repro_service_cache_hits{tier="store"}`` = 1), again bitwise equal.
+Last, it boots the real entry point, ``python -m repro serve``, as a
+child process, waits for a pong and submits a certified survival spec
+— the daemon's first scipy import, on a job thread — asserting the
+served answer equals a direct ``repro.run``, then drains it and checks
+the ack and the exit code.
 Exit code 0 means the serve path — admission, engine hand-off,
 streaming, record layout, memory and store caching, drain — works end
 to end on this platform.
@@ -25,22 +30,31 @@ Run from the repo root::
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.artifacts import ArtifactStore
-from repro.service import ServiceClient, ServiceThread
+from repro.service import ServiceClient, ServiceThread, ServiceUnavailable
+from repro.service.protocol import result_payload
 from repro.specs import (
     CampaignSpec,
     FaultSpec,
     NetworkRef,
     SamplerSpec,
     ServiceSpec,
+    SurvivalSpec,
     run,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+#: Seconds the child daemon gets to answer its first ping.
+START_TIMEOUT_S = 60.0
 
 
 def _bits(terminal) -> bytes:
@@ -58,6 +72,68 @@ def _campaign(fault: FaultSpec, seed: int) -> CampaignSpec:
         n_scenarios=2048,
         seed=seed,
     )
+
+
+def _wait_for_pong(proc: subprocess.Popen, socket: str, log: Path) -> float:
+    """Seconds until the child daemon answers a ping."""
+    t0 = time.perf_counter()
+    while True:
+        if proc.poll() is not None:
+            raise RuntimeError(
+                f"daemon exited with {proc.returncode}: "
+                + log.read_text(errors="replace")[-2000:]
+            )
+        try:
+            with ServiceClient(socket, connect_timeout=1.0) as client:
+                if client.ping().get("type") == "pong":
+                    return time.perf_counter() - t0
+        except (ServiceUnavailable, ConnectionError):
+            pass
+        if time.perf_counter() - t0 > START_TIMEOUT_S:
+            raise RuntimeError("daemon did not answer a ping in time")
+        time.sleep(0.01)
+
+
+def _child_daemon(tmp: Path) -> None:
+    """``python -m repro serve`` in a child process: pong, a certified
+    survival job, drain."""
+    socket = str(tmp / "child.sock")
+    log = tmp / "child.log"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    with open(log, "wb") as out:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--socket", socket,
+             "--results-dir", str(tmp / "child-results")],
+            env=env, stdin=subprocess.DEVNULL, stdout=out, stderr=out,
+        )
+    try:
+        print(f"child daemon: pong after "
+              f"{_wait_for_pong(proc, socket, log):.2f}s")
+        survival = SurvivalSpec(
+            network=NetworkRef(
+                builder="mlp",
+                params={"input_dim": 4, "hidden": [12, 8], "seed": 1},
+            ),
+            p_fail=0.05, epsilon=0.5, epsilon_prime=0.1,
+            method="certified",
+        )
+        with ServiceClient(socket) as client:
+            served = client.submit(survival)
+            assert served["type"] == "result", served
+            direct = result_payload(survival, run(survival))
+            assert served["result"] == direct, (served["result"], direct)
+            print("certified survival: served equals direct run")
+            ack = client.shutdown(drain=True)
+        assert ack["type"] == "shutdown-ack", ack
+        assert proc.wait(timeout=30) == 0, log.read_text(errors="replace")
+        print("child daemon: drained shutdown, exit 0")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
 
 
 def main() -> int:
@@ -132,6 +208,8 @@ def main() -> int:
                 )
                 print("restart, store-tier hit: bitwise identical")
                 client.shutdown(drain=True)
+
+        _child_daemon(Path(tmp))
     print("serve smoke: OK")
     return 0
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "Summary",
@@ -94,6 +93,8 @@ def loglog_slope(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     keep = (x > 0) & (y > 0)
     if keep.sum() < 2:
         raise ValueError("need at least two positive (x, y) pairs")
+    from scipy import stats as sps
+
     res = sps.linregress(np.log(x[keep]), np.log(y[keep]))
     return float(res.slope), float(res.rvalue)
 
@@ -146,4 +147,6 @@ def coverage_pvalue(covered: int, trials: int, level: float) -> float:
         raise ValueError(f"need 0 <= covered <= trials, got {covered}/{trials}")
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0,1), got {level}")
+    from scipy import stats as sps
+
     return float(sps.binom.cdf(covered, trials, level))

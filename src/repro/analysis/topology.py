@@ -9,12 +9,14 @@ the bounds consume.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..network.model import FeedForwardNetwork
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["to_graph", "topology_stats", "figure1_network_stats"]
 
@@ -28,6 +30,8 @@ def to_graph(network: FeedForwardNetwork) -> "nx.DiGraph":
     the paper's Figure 1 — and cannot fail).  Edge attribute
     ``weight`` carries the synaptic weight.
     """
+    import networkx as nx
+
     g = nx.DiGraph()
     for i in range(network.input_dim):
         g.add_node(("in", i), role="client", layer=0)
@@ -59,6 +63,8 @@ def to_graph(network: FeedForwardNetwork) -> "nx.DiGraph":
 
 def topology_stats(network: FeedForwardNetwork) -> dict:
     """Structural summary: everything the bounds read off the topology."""
+    import networkx as nx
+
     g = to_graph(network)
     neuron_nodes = [n for n, d in g.nodes(data=True) if d["role"] == "neuron"]
     weights = np.array([abs(d["weight"]) for _, _, d in g.edges(data=True)])

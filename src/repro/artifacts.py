@@ -36,10 +36,21 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from .experiments.registry import RegisteredExperiment
-from .experiments.runner import ExperimentResult, jsonable
+if TYPE_CHECKING:
+    from .experiments.registry import RegisteredExperiment
+    from .experiments.runner import ExperimentResult
 
 __all__ = [
     "ArtifactStore",
@@ -49,6 +60,7 @@ __all__ = [
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
     "LOCK_NAME",
+    "jsonable",
 ]
 
 MANIFEST_NAME = "manifest.json"
@@ -56,6 +68,37 @@ MANIFEST_VERSION = 1
 
 #: Cross-process mutex guarding manifest read-modify-write sequences.
 LOCK_NAME = ".manifest.lock"
+
+
+def jsonable(value: Any) -> Any:
+    """Recursively convert a result value into plain JSON types.
+
+    Rows and metrics routinely carry numpy scalars/arrays and tuples;
+    the artifact store persists results as JSON, so everything lowers
+    to (str, int, float, bool, None, list, dict).  Non-finite floats
+    survive as strings (JSON has no inf/nan).
+    """
+    import numpy as np
+
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not np.isfinite(value):
+        return str(value)
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    if isinstance(value, np.ndarray):
+        if value.ndim == 0:
+            # 0-d arrays: tolist() yields a bare scalar, which the
+            # list comprehension below would try to iterate.  Unwrap
+            # through the scalar path so non-finite values still get
+            # the string treatment instead of corrupting the payload.
+            return jsonable(value[()])
+        return [jsonable(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, Mapping):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    return str(value)
 
 
 @contextmanager
@@ -301,6 +344,8 @@ class ArtifactStore:
         return self.artifact_dir / f"{experiment_id}.json"
 
     def load_result(self, experiment_id: str) -> ExperimentResult:
+        from .experiments.runner import ExperimentResult
+
         path = self.artifact_path(experiment_id)
         with open(path, "r", encoding="utf-8") as fh:
             return ExperimentResult.from_dict(json.load(fh))
@@ -532,6 +577,7 @@ class ArtifactStore:
             self.update_manifest(lambda m: self._bump_cache(m, hits=hits))
 
         if to_run and n_workers and n_workers > 1:
+            from .experiments.runner import ExperimentResult
             from .parallel import bounded_map, fork_once_pool
 
             ids = [exp.experiment_id for exp in to_run]

@@ -126,7 +126,7 @@ class ChaosReport:
         return (first[None, :] >= t[:, None]).mean(axis=1)
 
     def to_dict(self) -> dict:
-        from ..experiments.runner import jsonable
+        from ..artifacts import jsonable
 
         payload = {
             k: jsonable(v)

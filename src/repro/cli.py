@@ -366,11 +366,19 @@ def _cmd_run_all(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .analysis.reporting import write_experiments_md
     from .artifacts import ArtifactStore
-    from .experiments import registry
 
     store = ArtifactStore(args.results_dir)
+    if not store.manifest_path.exists():
+        # Rendering an empty store would overwrite the report with
+        # "0/N stored" — almost always a mistyped --results-dir.
+        raise FileNotFoundError(
+            f"no artifact store at {args.results_dir} "
+            f"({store.manifest_path.name} not found); nothing written"
+        )
+    from .analysis.reporting import write_experiments_md
+    from .experiments import registry
+
     experiments = registry.all_experiments()
     manifest = store.load_manifest()
     entries = manifest["entries"]
@@ -836,7 +844,7 @@ def _cmd_aiops(args) -> int:
 
     from .chaos.aiops import scorecard
     from .chaos.telemetry import load_trace
-    from .experiments.runner import jsonable
+    from .artifacts import jsonable
 
     sheet = scorecard(load_trace(args.trace))
     print(_json.dumps(jsonable(sheet), indent=2, sort_keys=True))

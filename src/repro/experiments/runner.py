@@ -14,38 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from ..artifacts import jsonable
+
 __all__ = ["ExperimentResult", "format_table", "jsonable"]
-
-
-def jsonable(value: Any) -> Any:
-    """Recursively convert a result value into plain JSON types.
-
-    Rows and metrics routinely carry numpy scalars/arrays and tuples;
-    the artifact store persists results as JSON, so everything lowers
-    to (str, int, float, bool, None, list, dict).  Non-finite floats
-    survive as strings (JSON has no inf/nan).
-    """
-    import numpy as np
-
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, float) and not np.isfinite(value):
-        return str(value)
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, np.ndarray):
-        if value.ndim == 0:
-            # 0-d arrays: tolist() yields a bare scalar, which the
-            # list comprehension below would try to iterate.  Unwrap
-            # through the scalar path so non-finite values still get
-            # the string treatment instead of corrupting the payload.
-            return jsonable(value[()])
-        return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, Mapping):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    return str(value)
 
 
 @dataclass

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from ..core.fep import fep_many
 from ..network.model import FeedForwardNetwork
@@ -107,6 +106,8 @@ def certified_survival_probability(
         )
     budget = epsilon - epsilon_prime
     (ok,) = _tolerated_mask(network, budget, capacity=capacity, mode=mode)
+    from scipy import stats as sps
+
     # Tensor-contract the independent binomial pmfs against the mask.
     weights = [sps.binom.pmf(np.arange(n + 1), n, p_fail) for n in sizes]
     weighted = ok.astype(np.float64)
@@ -327,6 +328,8 @@ def monte_carlo_survival(
 def _wilson_interval(k: int, n: int, confidence: float) -> tuple[float, float]:
     if n == 0:
         return (0.0, 1.0)
+    from scipy import stats as sps
+
     z = sps.norm.ppf(0.5 + confidence / 2.0)
     phat = k / n
     denom = 1 + z**2 / n

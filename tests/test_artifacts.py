@@ -275,13 +275,15 @@ class TestCli:
 
     def test_report_without_running(self, tmp_path, capsys):
         results = tmp_path / "results"
+        results.mkdir()
         md = tmp_path / "EXPERIMENTS.md"
+        md.write_text("kept\n", encoding="utf-8")
+        # A store with no manifest is an error, and the old report stays.
         assert main([
             "report", "--results-dir", str(results), "--output", str(md),
-        ]) == 0
-        text = md.read_text(encoding="utf-8")
-        # Nothing stored: every registered experiment is listed, not run.
-        assert "`figure1`" in text and "✅" not in text
+        ]) == 2
+        assert md.read_text(encoding="utf-8") == "kept\n"
+        assert not (results / "manifest.json").exists()
 
 
 class TestTraceStore:

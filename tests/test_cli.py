@@ -44,6 +44,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "figure2" in out and "PASS" in out
 
+    def test_report_missing_store(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent"
+        md = tmp_path / "EXPERIMENTS.md"
+        code = main(
+            ["report", "--results-dir", str(missing), "--output", str(md)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(missing) in err
+        assert not md.exists() and not missing.exists()
+
     def test_certify(self, saved_net, capsys):
         code = main(
             ["certify", saved_net, "--epsilon", "0.5", "--epsilon-prime", "0.1"]
