@@ -33,5 +33,5 @@ bench:           ## one 20-s untraced perfbench run of every workload (seed 1)
 		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
 	done
 
-serve-smoke:     ## daemon round trip: stream, record bytes, cache, crash campaign, drain; child-process entry point
+serve-smoke:     ## daemon round trip: stream, record bytes, cache, frame-memo resend, crash campaign, drain; child-process entry point
 	$(PYTHON) benchmarks/serve_smoke.py

@@ -6,7 +6,10 @@ arrives before the ``result``) and checks that its stored record
 ``runs/<hash>.json`` is the canonical compact JSON of the loaded
 record — the daemon splices its once-encoded result into the record.
 It repeats the same submission and asserts it comes back from the
-cache with a bitwise-identical error vector, submits one crash-fault
+cache with a bitwise-identical error vector, then resends that submit
+as identical raw bytes and asserts the frame memo answers it
+(``repro_service_frame_hits`` = 1) with a byte-identical terminal
+frame.  It submits one crash-fault
 campaign (the sparse zero-channel scatter) and checks it bitwise
 against a direct ``repro.run``, then shuts the daemon down with a
 drain and checks the ack.
@@ -19,8 +22,8 @@ child process, waits for a pong and submits a certified survival spec
 served answer equals a direct ``repro.run``, then drains it and checks
 the ack and the exit code.
 Exit code 0 means the serve path — admission, engine hand-off,
-streaming, record layout, memory and store caching, drain — works end
-to end on this platform.
+streaming, record layout, memory and store caching, the frame memo,
+drain — works end to end on this platform.
 
 Run from the repo root::
 
@@ -29,8 +32,10 @@ Run from the repo root::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import socket as sockets
 import subprocess
 import sys
 import tempfile
@@ -41,7 +46,7 @@ import numpy as np
 
 from repro.artifacts import ArtifactStore
 from repro.service import ServiceClient, ServiceThread, ServiceUnavailable
-from repro.service.protocol import result_payload
+from repro.service.protocol import TERMINAL_TYPES, encode, result_payload
 from repro.specs import (
     CampaignSpec,
     FaultSpec,
@@ -60,6 +65,20 @@ START_TIMEOUT_S = 60.0
 def _bits(terminal) -> bytes:
     """The raw float64 bytes of a campaign terminal's error vector."""
     return np.asarray(terminal["result"]["errors"], dtype=np.float64).tobytes()
+
+
+def _raw_terminal(path: str, line: bytes) -> bytes:
+    """Send one raw frame on a fresh connection; the terminal's bytes."""
+    with contextlib.closing(
+        sockets.socket(sockets.AF_UNIX, sockets.SOCK_STREAM)
+    ) as sock:
+        sock.connect(path)
+        sock.sendall(line)
+        with sock.makefile("rb") as reader:
+            while True:
+                frame = reader.readline()
+                if json.loads(frame)["type"] in TERMINAL_TYPES:
+                    return frame
 
 
 def _campaign(fault: FaultSpec, seed: int) -> CampaignSpec:
@@ -147,7 +166,7 @@ def main() -> int:
             job_timeout=60.0,
             results_dir=str(Path(tmp) / "results"),
         )
-        with ServiceThread(svc_spec):
+        with ServiceThread(svc_spec) as service:
             with ServiceClient(svc_spec.socket) as client:
                 events = []
                 first = client.submit(
@@ -173,13 +192,29 @@ def main() -> int:
                 assert record["result"] == first["result"], record
                 print("stored record: canonical bytes")
 
-                second = client.submit(spec)
+                # The hot submit as raw bytes: the parse path answers
+                # it from the cache and memoises the frame, then the
+                # identical resend is answered by the memo, unparsed.
+                hot = encode({"op": "submit", "spec": spec.to_dict()})
+                parsed = _raw_terminal(svc_spec.socket, hot)
+                second = json.loads(parsed)
                 assert second["type"] == "result", second
                 assert second["cached"], "repeat submission missed the cache"
                 assert second["result"] == first["result"], (
                     "cached result drifted from the evaluated one"
                 )
                 print("cached repeat: bitwise identical")
+                assert service.metrics.value(
+                    "repro_service_frame_hits"
+                ) is None, "a first sight of a frame hit the memo"
+                memoised = _raw_terminal(svc_spec.socket, hot)
+                assert memoised == parsed, (
+                    "the memo's terminal frame differs from the parse path's"
+                )
+                frame_hits = service.metrics.value("repro_service_frame_hits")
+                assert frame_hits == 1, frame_hits
+                print("identical resend: frame-memo hit, byte-identical "
+                      "terminal")
 
                 crashed = client.submit(crash)
                 assert crashed["type"] == "result", crashed

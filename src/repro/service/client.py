@@ -11,18 +11,27 @@ terminal type arrives.  Failures are typed:
 * :class:`JobRejected` / :class:`JobTimeout` / :class:`JobFailed` —
   the daemon's typed terminal responses, raised by :meth:`result`;
   :meth:`submit` returns the raw terminal message instead for callers
-  that want to branch on shedding.
+  that want to branch on shedding;
+* :class:`~.protocol.ProtocolError` — the daemon sent a frame that is
+  not a JSON object or does not carry this build's
+  :data:`~.protocol.PROTOCOL_VERSION` (the connection is closed: the
+  stream cannot be trusted after it).
 """
 
 from __future__ import annotations
 
-import json
 import socket
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from ..specs import Spec, load_spec, spec_from_dict
-from .protocol import TERMINAL_TYPES, ProtocolError, encode
+from .protocol import (
+    PROTOCOL_VERSION,
+    TERMINAL_TYPES,
+    ProtocolError,
+    decode,
+    encode,
+)
 
 __all__ = [
     "ServiceClient",
@@ -171,9 +180,17 @@ class ServiceClient:
             raise ServiceUnavailable(
                 f"repro service at {self.endpoint} closed the connection"
             )
-        payload = json.loads(line.decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise ProtocolError("daemon sent a non-object frame")
+        try:
+            payload = decode(line)
+            version = payload.get("protocol")
+            if type(version) is not int or version != PROTOCOL_VERSION:
+                raise ProtocolError(
+                    f"daemon speaks protocol {version!r}, this client "
+                    f"speaks {PROTOCOL_VERSION}"
+                )
+        except ProtocolError:
+            self.close()
+            raise
         return payload
 
     # -- operations --------------------------------------------------------

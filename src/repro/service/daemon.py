@@ -5,8 +5,17 @@ single event loop accepts JSONL connections (unix socket or loopback
 TCP per :class:`~repro.specs.ServiceSpec`), validates every submitted
 payload through the strict spec parsers, and answers each submit with
 exactly one terminal message.  The job lifecycle composes four layers,
-in order:
+in order, behind one shortcut:
 
+0. **Frame memo** — a bounded LRU from raw submit-frame bytes to the
+   spec hash, filled only when the parse path answers a frame from the
+   cache.  A byte-identical repeat whose result is still cached is
+   answered without the strict parse, ``spec_from_dict`` or
+   ``content_hash`` — by the same routine, with the same bytes and
+   counters, as the parse path's own hits.  Parsing is a pure function
+   of the frame bytes, so only the cost changes.  Cold frames never
+   enter, and a memoised frame whose result has left the cache falls
+   through to the full parse.
 1. **Admission** — a bounded queue (``queue_depth``) feeds
    ``max_inflight`` runner tasks.  A full queue sheds the submit with
    a typed ``rejected`` response; a draining daemon rejects everything
@@ -98,6 +107,13 @@ RUN_RECORD_VERSION = 2
 #: concurrent clients), not the kernel default of ~100.
 LISTEN_BACKLOG = 2048
 
+#: Submit frames at most this long are memoised (frame bytes -> spec
+#: hash) once answered from the cache.  The memo holds at most
+#: ``cache_entries`` frames, so it stays under this many bytes times
+#: ``cache_entries`` (1 MiB at the default 256); the largest golden
+#: spec fixture is a 1.6 KB frame.
+FRAME_MEMO_MAX_BYTES = 4096
+
 #: Job-latency histogram buckets (seconds) — service jobs span
 #: sub-millisecond cache hits to multi-second chaos campaigns.
 LATENCY_BUCKETS = (
@@ -129,6 +145,7 @@ class _StreamingObserver(RunObserver):
         self._emit(
             {
                 "type": "chunk",
+                "protocol": PROTOCOL_VERSION,
                 "index": index,
                 "scenarios": scenarios,
                 "evaluated": self._evaluated,
@@ -156,6 +173,7 @@ class _StreamingObserver(RunObserver):
         self._emit(
             {
                 "type": "adaptive",
+                "protocol": PROTOCOL_VERSION,
                 "method": report.method,
                 "stopped": bool(report.stopped),
                 "n_scenarios": int(report.n_scenarios),
@@ -224,6 +242,8 @@ class CampaignService:
         self._jobs: Dict[str, _Job] = {}
         self._cache: "OrderedDict[str, bytes]" = OrderedDict()
         self._cache_lock = threading.Lock()
+        # Frame memo: raw submit bytes -> spec hash (event loop only).
+        self._frames: "OrderedDict[bytes, str]" = OrderedDict()
         self._queue: Optional[asyncio.Queue] = None
         self._runners: List[asyncio.Task] = []
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -328,14 +348,18 @@ class CampaignService:
                     break
                 if not line:
                     break
-                try:
-                    request = parse_request(line)
-                except ProtocolError as exc:
-                    await self._send(
-                        writer, self._error(str(exc), kind="protocol")
-                    )
-                    continue
-                op = request["op"]
+                memo_hash = self._frames.get(line)
+                if memo_hash is None:
+                    try:
+                        request = parse_request(line)
+                    except ProtocolError as exc:
+                        await self._send(
+                            writer, self._error(str(exc), kind="protocol")
+                        )
+                        continue
+                    op = request["op"]
+                else:  # memoised submit: parsed only if its result is gone
+                    request, op = None, "submit"
                 if op == "ping":
                     await self._send(writer, self._pong())
                 elif op == "metrics":
@@ -354,7 +378,9 @@ class CampaignService:
                 else:
                     self._deliveries += 1
                     try:
-                        await self._handle_submit(request, writer)
+                        await self._handle_submit(
+                            line, request, memo_hash, writer
+                        )
                     finally:
                         self._deliveries -= 1
         except (ConnectionError, asyncio.CancelledError):
@@ -395,12 +421,24 @@ class CampaignService:
             "draining": self._draining,
         }
 
-    # -- submit: cache -> coalesce -> admit --------------------------------
+    # -- submit: memo -> cache -> coalesce -> admit -------------------------
 
     async def _handle_submit(
-        self, request: Dict[str, Any], writer: asyncio.StreamWriter
+        self,
+        line: bytes,
+        request: Optional[Dict[str, Any]],
+        memo_hash: Optional[str],
+        writer: asyncio.StreamWriter,
     ) -> None:
+        """Answer one submit frame; ``request`` is its parse, or None
+        when the frame memo knows it as ``memo_hash``."""
         self._count("repro_service_submits", "Submit requests received.")
+        if memo_hash is not None:
+            if await self._answer_cached(line, memo_hash, writer, memo=True):
+                return
+            # The result left the cache: forget the frame, parse it.
+            self._frames.pop(line, None)
+            request = parse_request(line)  # it parsed when memoised
         try:
             spec = spec_from_dict(request["spec"])
         except SpecError as exc:
@@ -418,15 +456,7 @@ class CampaignService:
         spec_hash = spec.content_hash()
         stream = bool(request.get("stream", False))
 
-        cached = await self._cache_lookup(spec_hash)
-        if cached is not None:
-            await self._send(
-                writer,
-                self._accepted(spec_hash, cached=True, coalesced=False),
-            )
-            await self._write(
-                writer, result_frame(cached, cached=True, coalesced=False)
-            )
+        if await self._answer_cached(line, spec_hash, writer, memo=False):
             return
 
         job = self._jobs.get(spec_hash)
@@ -482,6 +512,47 @@ class CampaignService:
                 await self._send(writer, event)
             if not progress:
                 break
+
+    async def _answer_cached(
+        self,
+        line: bytes,
+        spec_hash: str,
+        writer: asyncio.StreamWriter,
+        *,
+        memo: bool,
+    ) -> bool:
+        """Answer submit frame ``line`` from the result cache if
+        ``spec_hash`` is there: the ``accepted`` frame, then the cached
+        bytes spliced into the terminal.  The memo (``memo=True``) and
+        the parse path both answer their hits here, so a hit's bytes
+        and counters do not depend on which path found it; the frame
+        is (re)memoised and counted before its answer is written."""
+        cached = await self._cache_lookup(spec_hash)
+        if cached is None:
+            return False
+        self._memoise(line, spec_hash)
+        if memo:
+            self._count(
+                "repro_service_frame_hits",
+                "Submits answered through the frame memo, unparsed.",
+            )
+        await self._send(
+            writer, self._accepted(spec_hash, cached=True, coalesced=False)
+        )
+        await self._write(
+            writer, result_frame(cached, cached=True, coalesced=False)
+        )
+        return True
+
+    def _memoise(self, line: bytes, spec_hash: str) -> None:
+        """Record (or refresh) ``line`` -> ``spec_hash`` in the frame
+        memo, an LRU of at most ``cache_entries`` short frames."""
+        if len(line) > FRAME_MEMO_MAX_BYTES or self.spec.cache_entries == 0:
+            return
+        self._frames[line] = spec_hash
+        self._frames.move_to_end(line)
+        while len(self._frames) > self.spec.cache_entries:
+            self._frames.popitem(last=False)
 
     def _accepted(
         self, spec_hash: str, *, cached: bool, coalesced: bool

@@ -130,7 +130,7 @@ def parse_request(line: bytes) -> Dict[str, Any]:
     """Decode and validate one client request frame."""
     request = decode(line)
     op = request.get("op")
-    if op not in REQUEST_OPS:
+    if not isinstance(op, str) or op not in REQUEST_OPS:  # [] is unhashable
         raise ProtocolError(
             f"unknown op {op!r}; known ops: {sorted(REQUEST_OPS)}"
         )

@@ -35,6 +35,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Type
@@ -174,7 +175,7 @@ class Spec:
                 f"expected spec tag {cls.spec_tag!r}, got {tag!r}"
             )
         version = payload.pop("spec_version", None)
-        if version != SPEC_VERSION:
+        if isinstance(version, bool) or version != SPEC_VERSION:
             raise SpecError(
                 f"spec_version mismatch for {cls.spec_tag!r}: stored "
                 f"{version!r}, this build reads {SPEC_VERSION}"
@@ -246,6 +247,29 @@ class Spec:
     def _require(condition: bool, message: str) -> None:
         if not condition:
             raise SpecError(message)
+
+    def _require_int(self, name: str, minimum: int) -> None:
+        """Field ``name`` holds an integer >= ``minimum`` (or ``None``
+        where that is the field's default).
+
+        A JSON payload can hand a count or a seed ``1.5``, ``true`` or
+        ``1e308``; a bare ``>=`` admits all three (``True >= 1``) and
+        they fail only deep inside a run.  Bools and floats are
+        rejected; integral values (numpy integers too) are frozen as a
+        plain ``int``.  There is no upper bound: large seeds are valid.
+        """
+        value = getattr(self, name)
+        if type(value) is int and value >= minimum:  # cheap common case
+            return
+        if value is None and self.__dataclass_fields__[name].default is None:
+            return
+        self._require(
+            isinstance(value, numbers.Integral)
+            and not isinstance(value, bool)
+            and value >= minimum,
+            f"{name} must be an integer >= {minimum}, got {value!r}",
+        )
+        self._freeze(name, int(value))
 
     def _validate_nested(self) -> None:
         """Nested spec fields hold the right spec type (or None only
@@ -684,10 +708,8 @@ class StoppingSpec(Spec):
                 self.threshold >= 0,
                 f"threshold must be >= 0, got {self.threshold}",
             )
-        self._require(
-            self.min_scenarios >= 1,
-            f"min_scenarios must be >= 1, got {self.min_scenarios}",
-        )
+        self._require_int("min_scenarios", 1)
+        self._require_int("pilot", 2)  # a variance needs two draws
         self._require(
             self.allocation in ALLOCATION_KINDS,
             f"allocation must be one of {ALLOCATION_KINDS}, got "
@@ -697,11 +719,6 @@ class StoppingSpec(Spec):
             self.stratify or self.allocation == "proportional",
             "allocation= only applies to the stratified estimator "
             "(stratify=True)",
-        )
-        self._require(
-            self.pilot >= 2,
-            f"pilot must be >= 2 (a variance needs two draws), got "
-            f"{self.pilot}",
         )
 
 
@@ -902,14 +919,8 @@ class EngineSpec(Spec):
             self.backend in ENGINE_BACKENDS,
             f"backend must be one of {ENGINE_BACKENDS}, got {self.backend!r}",
         )
-        self._require(
-            self.chunk_size is None or self.chunk_size >= 1,
-            f"chunk_size must be >= 1, got {self.chunk_size}",
-        )
-        self._require(
-            self.workers >= 0,
-            f"workers must be >= 0 (0 = in-process), got {self.workers}",
-        )
+        self._require_int("chunk_size", 1)
+        self._require_int("workers", 0)  # 0 = in-process
         self._require(
             self.reduction in ("max", "mean"),
             f"reduction must be max/mean, got {self.reduction!r}",
@@ -989,11 +1000,10 @@ class CampaignSpec(Spec):
 
     def __post_init__(self):
         self._validate_nested()
-        self._require(
-            self.n_scenarios >= 1,
-            f"n_scenarios must be >= 1, got {self.n_scenarios}",
-        )
-        self._require(self.batch >= 1, f"batch must be >= 1, got {self.batch}")
+        for name in ("n_scenarios", "batch"):
+            self._require_int(name, 1)
+        for name in ("seed", "probe_seed"):
+            self._require_int(name, 0)
         if self.sampler.kind == "exhaustive":
             self._require(
                 self.fault.kind == "crash" and self.fault.value is None,
@@ -1162,10 +1172,10 @@ class SurvivalSpec(Spec):
                 "fault= only applies to method='monte_carlo' (the "
                 "certified bound is placement- and behaviour-free)",
             )
-        self._require(
-            self.n_trials >= 1, f"n_trials must be >= 1, got {self.n_trials}"
-        )
-        self._require(self.batch >= 1, f"batch must be >= 1, got {self.batch}")
+        for name in ("n_trials", "batch"):
+            self._require_int(name, 1)
+        for name in ("seed", "probe_seed"):
+            self._require_int(name, 0)
         if self.stopping is not None and self.stopping.stratify:
             self._require(
                 self.fault is None or not self.fault.is_synapse,
@@ -1532,15 +1542,10 @@ class ChaosSpec(Spec):
             len(set(kinds)) == len(kinds),
             f"detector kinds must be unique, got {kinds}",
         )
-        self._require(self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}")
-        self._require(
-            self.replicas >= 1, f"replicas must be >= 1, got {self.replicas}"
-        )
-        self._require(self.batch >= 1, f"batch must be >= 1, got {self.batch}")
-        self._require(
-            self.epochs_chunk >= 1,
-            f"epochs_chunk must be >= 1, got {self.epochs_chunk}",
-        )
+        for name in ("epochs", "replicas", "batch", "epochs_chunk"):
+            self._require_int(name, 1)
+        for name in ("seed", "probe_seed"):
+            self._require_int(name, 0)
         if self.policy.detector is not None:
             self._require(
                 self.policy.detector in kinds,
@@ -1661,31 +1666,23 @@ class ServiceSpec(Spec):
                 f"host={self.host!r}, port={self.port!r}"
             )
         if self.port is not None:
+            self._require_int("port", 1)
             self._require(
-                1 <= self.port <= 65535,
+                self.port <= 65535,
                 f"port must be in 1..65535, got {self.port}",
             )
             self._require(
                 self.host in ("127.0.0.1", "localhost", "::1"),
                 f"host must be a loopback address, got {self.host!r}",
             )
-        self._require(
-            self.max_inflight >= 1,
-            f"max_inflight must be >= 1, got {self.max_inflight}",
-        )
-        self._require(
-            self.queue_depth >= 0,
-            f"queue_depth must be >= 0, got {self.queue_depth}",
-        )
+        self._require_int("max_inflight", 1)
+        self._require_int("queue_depth", 0)
         if self.job_timeout is not None:
             self._require(
                 self.job_timeout > 0,
                 f"job_timeout must be > 0, got {self.job_timeout}",
             )
-        self._require(
-            self.cache_entries >= 0,
-            f"cache_entries must be >= 0, got {self.cache_entries}",
-        )
+        self._require_int("cache_entries", 0)
 
 
 ServiceSpec._omit_if_none = (

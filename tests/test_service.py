@@ -13,6 +13,7 @@ The serving contract under test (DESIGN.md, ninth subsystem):
 
 import asyncio
 import json
+import socket
 import threading
 import time
 
@@ -74,13 +75,26 @@ def campaign(n_scenarios=2048, seed=7, **kw):
     return CampaignSpec(**base)
 
 
+#: Top-level campaign values the spec parsers must reject: a wrong type
+#: that trips a comparison, and integer fields handed a negative seed,
+#: a float, a bool or an integral float.
+BAD_TOP_LEVEL = {
+    "batch": ("batch", "x"),
+    "n_scenarios": ("n_scenarios", [1]),
+    "seed-negative": ("seed", -1),
+    "seed-float": ("seed", 1.5),
+    "batch-1e308": ("batch", 1e308),
+    "n_scenarios-bool": ("n_scenarios", True),
+}
+DAMAGES = list(BAD_TOP_LEVEL) + ["sampler", "components", "tag"]
+
+
 def badly_typed(damage):
     """A campaign payload with one wrongly typed value."""
     payload = campaign().to_dict()
-    if damage == "batch":
-        payload["batch"] = "x"
-    elif damage == "n_scenarios":
-        payload["n_scenarios"] = [1]
+    if damage in BAD_TOP_LEVEL:
+        key, value = BAD_TOP_LEVEL[damage]
+        payload[key] = value
     elif damage == "components":
         payload["sampler"]["components"] = 5
     elif damage == "tag":
@@ -148,6 +162,9 @@ class TestServiceSpec:
             {"job_timeout": 0.0},
             {"port": 70000, "host": "127.0.0.1"},
             {"cache_entries": -1},
+            {"cache_entries": 1.5},
+            {"max_inflight": True},
+            {"port": 8080.0, "host": "127.0.0.1"},
         ],
     )
     def test_bounds_rejected(self, kw):
@@ -259,6 +276,7 @@ class TestServedResults:
         with client_for(service) as client:
             client.result(spec, stream=True, on_event=events.append)
         chunks = [e for e in events if e["type"] == "chunk"]
+        assert all(e["protocol"] == PROTOCOL_VERSION for e in events)
         assert [c["scenarios"] for c in chunks] == [1024, 1024]
         assert chunks[-1]["evaluated"] == 2048
 
@@ -273,6 +291,7 @@ class TestServedResults:
             payload = client.result(spec, stream=True, on_event=events.append)
         stops = [e for e in events if e["type"] == "adaptive"]
         assert len(stops) == 1
+        assert stops[0]["protocol"] == PROTOCOL_VERSION
         assert stops[0]["n_scenarios"] == payload["adaptive"]["n_scenarios"]
 
     def test_malformed_spec_is_a_typed_error(self, service):
@@ -284,12 +303,12 @@ class TestServedResults:
         assert message["type"] == "error"
         assert message["kind"] == "spec"
 
-    @pytest.mark.parametrize(
-        "damage", ["batch", "n_scenarios", "sampler", "components", "tag"]
-    )
+    @pytest.mark.parametrize("damage", DAMAGES)
     def test_wrongly_typed_spec_value_is_a_typed_error(self, service, damage):
-        """A value __post_init__ trips over with TypeError/ValueError is
-        a typed spec error, and the connection stays usable."""
+        """A value __post_init__ trips over with TypeError/ValueError, or
+        a count/seed that is no integer in range, is a typed spec error
+        with no ``accepted`` frame (no queue slot, no engine thread),
+        and the connection stays usable."""
         payload = badly_typed(damage)
         with client_for(service) as client:
             client._request({"op": "submit", "spec": payload})
@@ -806,9 +825,7 @@ class TestServiceCLI:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize(
-        "damage", ["batch", "n_scenarios", "sampler", "components", "tag"]
-    )
+    @pytest.mark.parametrize("damage", DAMAGES)
     @pytest.mark.parametrize("verb", ["campaign", "submit"])
     def test_wrongly_typed_spec_file_exits_2(
         self, tmp_path, capsys, verb, damage
@@ -899,3 +916,269 @@ class TestTcpEndpoint:
                 assert np.array_equal(served, direct)
                 assert "repro_service_jobs" in client.metrics_text()
                 client.shutdown()
+
+
+def submit_line(spec, **extra) -> bytes:
+    """The canonical submit frame perfbench and ServiceClient send."""
+    return encode({"op": "submit", "spec": spec.to_dict(), **extra})
+
+
+def conversation(client: ServiceClient, line: bytes) -> list:
+    """Send one raw frame; every raw answer frame, terminal last."""
+    client._connect()
+    client._sock.sendall(line)
+    frames = []
+    while True:
+        frames.append(client._reader.readline())
+        if json.loads(frames[-1])["type"] in TERMINAL_TYPES:
+            return frames
+
+
+def without_frame_hits(text: str) -> str:
+    return "\n".join(
+        line for line in text.splitlines()
+        if "repro_service_frame_hits" not in line
+    )
+
+
+class TestFrameMemo:
+    """A byte-identical repeat of a cache-hit submit frame skips the
+    parse and is answered exactly as the parse path would answer it."""
+
+    def test_memo_hit_matches_the_parse_paths_bytes_and_metrics(
+        self, tmp_path
+    ):
+        spec = campaign(n_scenarios=1024, seed=21)
+        line = submit_line(spec)
+        reordered = json.dumps(
+            {"spec": spec.to_dict(), "op": "submit"}
+        ).encode() + b"\n"
+        results = str(tmp_path / "results")
+
+        def daemon(name):
+            return ServiceThread(ServiceSpec(
+                socket=str(tmp_path / f"{name}.sock"), results_dir=results
+            ))
+
+        with daemon("warm") as svc, client_for(svc) as client:
+            assert client.submit(spec)["cached"] is False
+        # Both daemons start from the same stored record, so neither
+        # runs the engine: their metrics differ only by the memo hit.
+        with daemon("memo") as memo, client_for(memo) as client:
+            first = conversation(client, line)
+            again = conversation(client, line)  # the memo answers
+            memo_text = client.metrics_text()
+        with daemon("parse") as parse, client_for(parse) as client:
+            first_parsed = conversation(client, line)
+            reparsed = conversation(client, reordered)  # new bytes: parse
+            parse_text = client.metrics_text()
+        assert first == first_parsed
+        assert again == reparsed == first
+        assert json.loads(again[-1])["cached"] is True
+        assert memo.metrics.value("repro_service_frame_hits") == 1
+        assert parse.metrics.value("repro_service_frame_hits") is None
+        assert "repro_service_frame_hits_total 1" in memo_text
+        assert without_frame_hits(memo_text) == without_frame_hits(parse_text)
+
+    def test_reordered_or_respaced_frames_hit_through_the_parse_path(
+        self, service
+    ):
+        spec = campaign(n_scenarios=1024, seed=22)
+        payload = {"op": "submit", "spec": spec.to_dict()}
+        variants = [
+            submit_line(spec),
+            json.dumps(payload, sort_keys=True).encode() + b"\n",  # spaces
+            json.dumps(dict(reversed(payload.items()))).encode() + b"\n",
+        ]
+        with client_for(service) as client:
+            client.submit(spec)
+            terminals = [conversation(client, v)[-1] for v in variants]
+            assert service.metrics.value("repro_service_frame_hits") is None
+            assert conversation(client, variants[1])[-1] == terminals[0]
+        assert len(set(terminals)) == 1
+        assert json.loads(terminals[0])["cached"] is True
+        assert service.metrics.value("repro_service_frame_hits") == 1
+        assert service.metrics.value(
+            "repro_service_cache_hits", tier="memory"
+        ) == 4
+
+    def test_memoised_frame_whose_result_was_evicted_is_rerun(
+        self, tmp_path
+    ):
+        svc_spec = ServiceSpec(
+            socket=str(tmp_path / "svc.sock"), cache_entries=1
+        )
+        target, other = campaign(seed=23), campaign(seed=24)
+        line = submit_line(target)
+        direct = result_payload(target, run(target))
+        with ServiceThread(svc_spec) as svc, client_for(svc) as client:
+            conversation(client, line)  # engine run
+            conversation(client, line)  # parse-path hit: memoised
+            assert list(svc._frames.values()) == [target.content_hash()]
+            client.submit(other)  # evicts target's result
+            rerun = json.loads(conversation(client, line)[-1])
+            assert rerun["cached"] is False
+            assert rerun["result"] == direct
+            assert svc.metrics.value("repro_service_engine_runs") == 3
+            assert svc.metrics.value("repro_service_frame_hits") is None
+            conversation(client, line)  # memoised again ...
+            hit = json.loads(conversation(client, line)[-1])  # ... and hit
+            assert hit["cached"] is True and hit["result"] == direct
+            assert svc.metrics.value("repro_service_frame_hits") == 1
+            assert len(svc._frames) == 1
+
+    def test_memo_holds_at_most_cache_entries_frames(self, tmp_path):
+        svc_spec = ServiceSpec(
+            socket=str(tmp_path / "svc.sock"), cache_entries=2
+        )
+        lines = [submit_line(campaign(n_scenarios=256, seed=s))
+                 for s in (31, 32, 33)]
+        with ServiceThread(svc_spec) as svc, client_for(svc) as client:
+            for line in lines:
+                conversation(client, line)  # engine run
+                conversation(client, line)  # parse-path hit: memoised
+            assert list(svc._frames) == lines[1:]  # the oldest went
+
+    def test_malformed_and_error_frames_never_enter_the_memo(self, service):
+        lines = [
+            b"{not json\n",
+            b'{"op":"submit"}\n',
+            submit_line(campaign(), timeout=-1),
+            b'{"op":"submit","spec":{"spec":"campaign"}}\n',
+            encode({"op": "submit", "spec": badly_typed("seed-negative")}),
+            encode({"op": "submit", "spec": ServiceSpec().to_dict()}),
+            encode({"op": "ping"}),
+        ]
+        with client_for(service) as client:
+            for line in lines + lines:
+                client._connect()
+                client._sock.sendall(line)
+                assert client._read()["type"] in ("error", "pong")
+        assert not service._frames
+        assert service.metrics.value("repro_service_frame_hits") is None
+
+    def test_cold_miss_does_not_enter_the_memo(self, service):
+        spec = campaign(n_scenarios=1024, seed=25)
+        with client_for(service) as client:
+            conversation(client, submit_line(spec, stream=True))
+            assert not service._frames
+            conversation(client, submit_line(spec, stream=True))
+        assert list(service._frames.values()) == [spec.content_hash()]
+
+    def test_oversized_frames_are_not_memoised(self, service, monkeypatch):
+        monkeypatch.setattr(daemon_mod, "FRAME_MEMO_MAX_BYTES", 64)
+        spec = campaign(n_scenarios=1024, seed=26)
+        with client_for(service) as client:
+            for _ in range(3):
+                conversation(client, submit_line(spec))
+        assert not service._frames
+        assert service.metrics.value(
+            "repro_service_cache_hits", tier="memory"
+        ) == 2
+
+    def test_drain_waits_for_a_memo_hit_delivery(self, tmp_path):
+        svc_spec = ServiceSpec(socket=str(tmp_path / "svc.sock"))
+        spec = campaign(n_scenarios=1024, seed=27)
+        line = submit_line(spec)
+        gate, release = threading.Event(), threading.Event()
+        terminals, acks = [], []
+
+        with ServiceThread(svc_spec) as svc:
+            write = svc._write
+
+            async def held_write(writer, frame):
+                if gate.is_set() and frame.endswith(b'"type":"result"}\n'):
+                    while not release.is_set():
+                        await asyncio.sleep(0.005)
+                await write(writer, frame)
+
+            svc._write = held_write
+            with client_for(svc) as client:
+                conversation(client, line)
+                conversation(client, line)  # memoised
+                gate.set()
+                hit = threading.Thread(
+                    target=lambda: terminals.append(
+                        conversation(client, line)[-1]
+                    )
+                )
+                hit.start()
+                while not svc._deliveries:
+                    time.sleep(0.005)
+                down = threading.Thread(
+                    target=lambda: acks.append(
+                        ServiceClient(svc_spec.socket).shutdown(drain=True)
+                    )
+                )
+                down.start()
+                while not svc._draining:
+                    time.sleep(0.005)
+                time.sleep(0.05)
+                assert not acks and not terminals  # held mid-delivery
+                release.set()
+                hit.join(timeout=30)
+                down.join(timeout=30)
+                assert not hit.is_alive() and not down.is_alive()
+        assert json.loads(terminals[0])["cached"] is True
+        assert acks[0]["type"] == "shutdown-ack"
+        assert svc.metrics.value("repro_service_frame_hits") == 1
+
+
+class _OneShotServer:
+    """A unix-socket peer that answers the first request line with
+    ``reply`` — a stand-in for a daemon that breaks the protocol."""
+
+    def __init__(self, path: str, reply: bytes):
+        self.path = path
+        self.reply = reply
+        self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._sock.bind(path)
+        self._sock.listen(1)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    def _serve(self):
+        conn, _ = self._sock.accept()
+        with conn, conn.makefile("rb") as reader:
+            reader.readline()
+            conn.sendall(self.reply)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._thread.join(timeout=10)
+        self._sock.close()
+
+
+class TestClientProtocol:
+    @pytest.mark.parametrize(
+        "reply,match",
+        [
+            (b'{"protocol":2,"type":"pong"}\n', "protocol 2"),
+            (b'{"type":"pong"}\n', "protocol None"),
+            (b'{"protocol":true,"type":"pong"}\n', "protocol True"),
+            (b"\xff\xfe garbage\n", "not valid JSON"),
+            (b"{not json\n", "not valid JSON"),
+            (b"[1, 2]\n", "must be a JSON object"),
+        ],
+    )
+    def test_bad_daemon_frame_is_a_protocol_error(
+        self, tmp_path, reply, match
+    ):
+        path = str(tmp_path / "fake.sock")
+        with _OneShotServer(path, reply), ServiceClient(path) as client:
+            with pytest.raises(ProtocolError, match=match):
+                client.ping()
+            assert client._sock is None  # the stream is not trusted after
+
+    def test_every_daemon_frame_carries_the_version(self, service):
+        seen = []
+        with client_for(service) as client:
+            client.submit(campaign(n_scenarios=2048, seed=28), stream=True,
+                          on_event=seen.append)
+            seen += [client.ping(), client.shutdown(drain=True)]
+        assert {m["type"] for m in seen} >= {
+            "accepted", "chunk", "pong", "shutdown-ack"
+        }
+        assert all(m["protocol"] == PROTOCOL_VERSION for m in seen)

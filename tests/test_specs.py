@@ -18,6 +18,7 @@ from repro.specs import (
     ProcessSpec,
     SamplerSpec,
     SpecError,
+    StoppingSpec,
     SurvivalSpec,
     TrafficSpec,
     load_spec,
@@ -143,6 +144,22 @@ class TestRoundTrip:
             assert payload["spec"] == spec.spec_tag
 
 
+#: The integer fields of each servable spec kind and their minimum.
+INT_FIELDS = {
+    "campaign": (("n_scenarios", 1), ("batch", 1), ("seed", 0),
+                 ("probe_seed", 0)),
+    "survival": (("n_trials", 1), ("batch", 1), ("seed", 0),
+                 ("probe_seed", 0)),
+    "chaos": (("epochs", 1), ("replicas", 1), ("batch", 1),
+              ("epochs_chunk", 1), ("seed", 0), ("probe_seed", 0)),
+}
+INT_SPECS = {
+    "campaign": small_campaign(),
+    "survival": ALL_SPECS[4],
+    "chaos": small_chaos(),
+}
+
+
 class TestStrictness:
     def test_unknown_key_rejected(self):
         payload = small_campaign().to_dict()
@@ -197,6 +214,40 @@ class TestStrictness:
         ).to_dict()
         assert survival["fault"] is None
         assert SurvivalSpec.from_dict(survival).fault is None
+
+    def test_boolean_spec_version_rejected(self):
+        payload = small_campaign().to_dict()
+        payload["spec_version"] = True  # == 1 in Python, not in the schema
+        with pytest.raises(SpecError, match="spec_version mismatch"):
+            CampaignSpec.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "kind,field,bad",
+        [
+            (kind, field, bad)
+            for kind, fields in INT_FIELDS.items()
+            for field, minimum in fields
+            for bad in (
+                (-1, 1.5, True) if minimum == 0 else (0, 1.5, True, 1e308)
+            )
+        ],
+    )
+    def test_integer_fields_reject_wrong_types(self, kind, field, bad):
+        """Counts are ints >= 1 and seeds ints >= 0; bools, floats (even
+        integral ones such as 1e308) and negatives are SpecErrors."""
+        payload = INT_SPECS[kind].to_dict()
+        payload[field] = bad
+        with pytest.raises(SpecError, match=f"{field} must be an integer"):
+            spec_from_dict(payload)
+
+    @pytest.mark.parametrize("kind", sorted(INT_SPECS))
+    def test_large_seeds_and_numpy_integers_stay_valid(self, kind):
+        spec = INT_SPECS[kind]
+        big = spec_from_dict({**spec.to_dict(), "seed": 2**64 + 5})
+        assert big.seed == 2**64 + 5
+        same = spec.replace(seed=np.int64(spec.seed))
+        assert type(same.seed) is int
+        assert same.content_hash() == spec.content_hash()
 
     def test_wrong_nested_type_rejected(self):
         with pytest.raises(SpecError, match="must be a NetworkRef"):
@@ -287,6 +338,17 @@ class TestEagerValidation:
             EngineSpec(workers=-1)
         with pytest.raises(SpecError):
             EngineSpec(chunk_size=0)
+        for bad in (dict(chunk_size=1.5), dict(workers=True)):
+            with pytest.raises(SpecError, match="must be an integer"):
+                EngineSpec(**bad)
+
+    @pytest.mark.parametrize(
+        "bad", [dict(min_scenarios=1.5), dict(min_scenarios=True),
+                dict(pilot=1), dict(pilot=2.0)],
+    )
+    def test_stopping_spec_counts_are_integers(self, bad):
+        with pytest.raises(SpecError, match="must be an integer"):
+            StoppingSpec(**bad)
 
     def test_engine_backend_validated_eagerly(self):
         for name in ("numpy", "threaded", "quantized-int8", "float16"):
