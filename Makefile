@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test fast-test test-stats docs-check spec-roundtrip experiments report bench serve-smoke
+.PHONY: test fast-test test-stats docs-check spec-roundtrip experiments report bench serve-smoke service-leaks
 
 test:            ## tier-1: the full pytest suite
 	$(PYTHON) -m pytest -x -q
@@ -35,3 +35,6 @@ bench:           ## one 20-s untraced perfbench run of every workload (seed 1)
 
 serve-smoke:     ## daemon round trip: stream, record bytes, cache, frame-memo resend, crash campaign, drain; child-process entry point
 	$(PYTHON) benchmarks/serve_smoke.py
+
+service-leaks:   ## service tests in dev mode: a leaked socket or file is a failure
+	$(PYTHON) -X dev -m pytest -q tests/test_service.py -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning

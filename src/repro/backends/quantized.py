@@ -13,7 +13,7 @@ the quantized precision (faulty-quantized vs nominal-quantized), the
 quantity the paper's combined fault+quantisation bound
 (:func:`~repro.core.fep.precision_error_bound`) speaks about.
 
-Two registered tiers:
+Two tiers, one row each of :data:`QUANTIZED_TIERS`:
 
 * ``quantized-int8`` — 8 fractional bits on ``[0, 1]``
   (:class:`~repro.quantization.quantizers.FixedPointQuantizer`,
@@ -31,7 +31,7 @@ against the other.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -41,9 +41,20 @@ from ..quantization.quantizers import (
     HalfPrecisionQuantizer,
     Quantizer,
 )
-from . import register_backend
 
-__all__ = ["QuantizedMaskEngine"]
+__all__ = ["QUANTIZED_TIERS", "QuantizedMaskEngine", "tier_quantizers"]
+
+#: Tier name -> the quantizer it puts on every hidden layer.
+QUANTIZED_TIERS: Dict[str, Callable[[], Quantizer]] = {
+    "quantized-int8": lambda: FixedPointQuantizer(8),
+    "float16": HalfPrecisionQuantizer,
+}
+
+
+def tier_quantizers(name: str, depth: int) -> List[Quantizer]:
+    """One fresh quantizer per hidden layer for tier ``name``."""
+    make = QUANTIZED_TIERS[name]
+    return [make() for _ in range(depth)]
 
 
 class QuantizedMaskEngine(MaskCampaignEngine):
@@ -100,22 +111,3 @@ class QuantizedMaskEngine(MaskCampaignEngine):
         if q is not None:
             arr[...] = q(arr)
 
-
-def _int8_engine(injector, x, *, chunk_size, reduction, dtype, workers):
-    qs = [FixedPointQuantizer(8) for _ in range(injector.network.depth)]
-    return QuantizedMaskEngine(
-        injector, x, quantizers=qs, chunk_size=chunk_size,
-        reduction=reduction, dtype=dtype,
-    )
-
-
-def _float16_engine(injector, x, *, chunk_size, reduction, dtype, workers):
-    qs = [HalfPrecisionQuantizer() for _ in range(injector.network.depth)]
-    return QuantizedMaskEngine(
-        injector, x, quantizers=qs, chunk_size=chunk_size,
-        reduction=reduction, dtype=dtype,
-    )
-
-
-register_backend("quantized-int8", _int8_engine)
-register_backend("float16", _float16_engine)

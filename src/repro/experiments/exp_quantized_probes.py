@@ -55,8 +55,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..backends.quantized import (
+    QUANTIZED_TIERS,
+    QuantizedMaskEngine,
+    tier_quantizers,
+)
 from ..core.fep import network_fep, network_precision_bound
-from ..quantization import FixedPointQuantizer, HalfPrecisionQuantizer, QuantizedNetwork
+from ..quantization import FixedPointQuantizer, QuantizedNetwork
 from ..specs import (
     CampaignSpec,
     EngineSpec,
@@ -108,13 +113,9 @@ def quantized_probes_spec(
 
 def _tier_lambdas(net, backend: str):
     """Per-layer ``lambda_l`` of a backend tier (0.0 = full precision)."""
-    if backend == "quantized-int8":
-        return tuple(FixedPointQuantizer(8).max_error for _ in range(net.depth))
-    if backend == "float16":
-        return tuple(
-            HalfPrecisionQuantizer().max_error for _ in range(net.depth)
-        )
-    return tuple(0.0 for _ in range(net.depth))
+    if backend == "numpy":
+        return tuple(0.0 for _ in range(net.depth))
+    return tuple(q.max_error for q in tier_quantizers(backend, net.depth))
 
 
 @experiment(
@@ -170,18 +171,16 @@ def run_quantized_probes(
 
     # The quantized engines ARE the quantization model: their nominal
     # forward pass must match QuantizedNetwork on the same quantisers.
-    from ..backends import build_engine
     from ..faults.injector import FaultInjector
 
     nominal_gap = 0.0
-    for backend, qfactory in (
-        ("quantized-int8", lambda: FixedPointQuantizer(8)),
-        ("float16", HalfPrecisionQuantizer),
-    ):
-        eng = build_engine(
-            backend, FaultInjector(net, capacity=capacity), probes
+    for backend in QUANTIZED_TIERS:
+        quantizers = tier_quantizers(backend, net.depth)
+        eng = QuantizedMaskEngine(
+            FaultInjector(net, capacity=capacity), probes,
+            quantizers=quantizers,
         )
-        qnet = QuantizedNetwork(net, [qfactory() for _ in range(net.depth)])
+        qnet = QuantizedNetwork(net, quantizers)
         nominal_gap = max(
             nominal_gap,
             float(np.max(np.abs(eng.nominal - qnet.forward(probes)))),

@@ -94,8 +94,7 @@ class MaskWorkspace:
     channel; drawing them into one growable buffer via
     ``Generator.random(out=...)`` produces the same stream as a fresh
     allocation while skipping the per-channel allocations.  One
-    workspace per engine — it is not thread-safe, so the threaded
-    backend gives each worker engine its own.
+    workspace per engine — it is not thread-safe.
     """
 
     __slots__ = ("_uniform",)

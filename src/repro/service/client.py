@@ -121,6 +121,7 @@ class ServiceClient:
     def _connect(self) -> None:
         if self._sock is not None:
             return
+        sock = None
         try:
             if self._socket_path is not None:
                 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -131,6 +132,8 @@ class ServiceClient:
                     (self._host, self._port), timeout=self._connect_timeout
                 )
         except OSError as exc:
+            if sock is not None:
+                sock.close()
             raise ServiceUnavailable(
                 f"cannot reach repro service at {self.endpoint}: {exc}"
             ) from None

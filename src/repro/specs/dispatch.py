@@ -217,121 +217,101 @@ def _run_campaign(spec: CampaignSpec, engine, workers, profile, obs=None):
     n_workers = workers if workers is not None else spec.engine.workers
     chunk = spec.engine.chunk_size if spec.engine.chunk_size else 1024
 
-    owned_engine = None
     if engine is None and spec.engine.backend != "numpy":
-        # The backend seam: a non-default backend builds its engine
-        # through the registry; the campaign runners then treat it
-        # exactly like a caller-supplied engine (in-process — the
-        # threaded backend owns its own parallelism, so the process
-        # fan-out stays off).
-        from ..backends import build_engine
+        # A quantized tier: its engine is built here and then runs like
+        # a caller-supplied one, in-process.
+        if n_workers > 1:
+            raise SpecError(
+                f"backend {spec.engine.backend!r} runs in-process (one "
+                "engine built for the whole campaign); drop the workers "
+                "fan-out"
+            )
+        from ..backends.quantized import QuantizedMaskEngine, tier_quantizers
 
-        engine = owned_engine = build_engine(
-            spec.engine.backend,
+        engine = QuantizedMaskEngine(
             injector,
             x,
+            quantizers=tier_quantizers(spec.engine.backend, network.depth),
             chunk_size=chunk,
             reduction=spec.engine.reduction,
             dtype=spec.engine.dtype,
-            workers=n_workers,
         )
-        n_workers = 0
-        if obs is not None and hasattr(owned_engine, "obs"):
-            owned_engine.obs = obs
-    try:
-        if spec.sampler.kind == "exhaustive":
-            return exhaustive_crash_campaign(
+    if spec.sampler.kind == "exhaustive":
+        return exhaustive_crash_campaign(
+            injector,
+            x,
+            spec.sampler.n_fail,
+            chunk_size=chunk,
+            reduction=spec.engine.reduction,
+            n_workers=n_workers,
+            dtype=spec.engine.dtype,
+            engine=engine,
+            profile=profile,
+            obs=obs,
+        )
+    sampler = build_sampler(spec.sampler, spec.fault, network)
+    stopping = spec.effective_stopping
+    if stopping is not None:
+        threshold = (
+            stopping.threshold
+            if stopping.threshold is not None
+            else spec.threshold
+        )
+        if stopping.stratify:
+            from ..faults.adaptive import stratified_violation_estimate
+
+            if n_workers and n_workers > 1:
+                raise SpecError(
+                    "stratified stopping runs in-process (per-shell "
+                    "engine reuse); drop the workers fan-out"
+                )
+            fault_spec = (
+                spec.sampler.fault
+                if spec.sampler.fault is not None
+                else spec.fault
+            )
+            report = stratified_violation_estimate(
                 injector,
                 x,
-                spec.sampler.n_fail,
-                chunk_size=chunk,
-                reduction=spec.engine.reduction,
-                n_workers=n_workers,
-                dtype=spec.engine.dtype,
-                engine=engine,
-                profile=profile,
-                obs=obs,
-            )
-        sampler = build_sampler(spec.sampler, spec.fault, network)
-        stopping = spec.effective_stopping
-        if stopping is not None:
-            threshold = (
-                stopping.threshold
-                if stopping.threshold is not None
-                else spec.threshold
-            )
-            if stopping.stratify:
-                from ..faults.adaptive import stratified_violation_estimate
-
-                if n_workers and n_workers > 1:
-                    raise SpecError(
-                        "stratified stopping runs in-process (per-shell "
-                        "engine reuse); drop the workers fan-out"
-                    )
-                fault_spec = (
-                    spec.sampler.fault
-                    if spec.sampler.fault is not None
-                    else spec.fault
-                )
-                report = stratified_violation_estimate(
-                    injector,
-                    x,
-                    spec.sampler.p_fail,
-                    spec.n_scenarios,
-                    threshold=threshold,
-                    fault=(
-                        fault_spec.to_fault_model()
-                        if fault_spec is not None
-                        else None
-                    ),
-                    allocation=stopping.allocation,
-                    pilot=stopping.pilot,
-                    delta=stopping.delta,
-                    # The injector clips every faulty emission to its
-                    # capacity, so the Fep certificate at exactly that
-                    # capacity prunes shells soundly for the whole
-                    # neuron-fault taxonomy.
-                    prune_mode="byzantine",
-                    seed=spec.seed,
-                    chunk_size=chunk,
-                    reduction=spec.engine.reduction,
-                    dtype=spec.engine.dtype,
-                    engine=engine,
-                    profile=profile,
-                    obs=obs,
-                )
-                return CampaignResult(
-                    np.asarray([]), [], spec.engine.reduction, report
-                )
-            from ..faults.adaptive import adaptive_campaign_errors
-
-            errors, report = adaptive_campaign_errors(
-                injector,
-                x,
-                sampler,
+                spec.sampler.p_fail,
                 spec.n_scenarios,
                 threshold=threshold,
-                method=stopping.method,
-                target_ci=stopping.target_ci,
+                fault=(
+                    fault_spec.to_fault_model()
+                    if fault_spec is not None
+                    else None
+                ),
+                allocation=stopping.allocation,
+                pilot=stopping.pilot,
                 delta=stopping.delta,
-                min_scenarios=stopping.min_scenarios,
+                # The injector clips every faulty emission to its
+                # capacity, so the Fep certificate at exactly that
+                # capacity prunes shells soundly for the whole
+                # neuron-fault taxonomy.
+                prune_mode="byzantine",
                 seed=spec.seed,
                 chunk_size=chunk,
                 reduction=spec.engine.reduction,
                 dtype=spec.engine.dtype,
-                n_workers=n_workers,
                 engine=engine,
                 profile=profile,
                 obs=obs,
             )
             return CampaignResult(
-                errors, [], spec.engine.reduction, report
+                np.asarray([]), [], spec.engine.reduction, report
             )
-        errors = sampled_campaign_errors(
+        from ..faults.adaptive import adaptive_campaign_errors
+
+        errors, report = adaptive_campaign_errors(
             injector,
             x,
             sampler,
             spec.n_scenarios,
+            threshold=threshold,
+            method=stopping.method,
+            target_ci=stopping.target_ci,
+            delta=stopping.delta,
+            min_scenarios=stopping.min_scenarios,
             seed=spec.seed,
             chunk_size=chunk,
             reduction=spec.engine.reduction,
@@ -341,10 +321,24 @@ def _run_campaign(spec: CampaignSpec, engine, workers, profile, obs=None):
             profile=profile,
             obs=obs,
         )
-        return CampaignResult(errors, [], spec.engine.reduction)
-    finally:
-        if owned_engine is not None and hasattr(owned_engine, "close"):
-            owned_engine.close()
+        return CampaignResult(
+            errors, [], spec.engine.reduction, report
+        )
+    errors = sampled_campaign_errors(
+        injector,
+        x,
+        sampler,
+        spec.n_scenarios,
+        seed=spec.seed,
+        chunk_size=chunk,
+        reduction=spec.engine.reduction,
+        dtype=spec.engine.dtype,
+        n_workers=n_workers,
+        engine=engine,
+        profile=profile,
+        obs=obs,
+    )
+    return CampaignResult(errors, [], spec.engine.reduction)
 
 
 def _run_survival(spec: SurvivalSpec, engine, workers, profile=None, obs=None):
@@ -467,9 +461,9 @@ def run(
       :class:`~repro.faults.reliability.ReliabilityEstimate` (monte_carlo)
     * :class:`ChaosSpec`    -> :class:`~repro.chaos.campaign.ChaosReport`
 
-    Campaign specs route through the engine backend seam: a spec whose
-    ``engine.backend`` is not ``"numpy"`` builds its engine via the
-    :mod:`repro.backends` registry.  ``engine`` optionally reuses a
+    A campaign spec whose ``engine.backend`` names a quantized tier
+    builds a :class:`~repro.backends.quantized.QuantizedMaskEngine`
+    and runs in-process.  ``engine`` optionally reuses a
     prebuilt engine (any backend) across sampled campaign/survival
     specs sharing a network and probe batch (a survival curve over a
     p-grid pays weight casts once) — it takes precedence over the

@@ -881,13 +881,11 @@ SamplerSpec._omit_if_none = ("stopping",)
 # Engine
 # ---------------------------------------------------------------------------
 
-#: Evaluation backends the engine seam can route a campaign through.
-#: ``numpy`` is the reference in-process engine; ``threaded`` tiles
-#: chunk evaluation over a thread pool (the GEMM + segment-sum path
-#: releases the GIL); ``quantized-int8`` / ``float16`` are reduced-
-#: precision probe tiers built on :class:`~repro.quantization.
-#: quantizers.QuantizedNetwork`.
-ENGINE_BACKENDS = ("numpy", "threaded", "quantized-int8", "float16")
+#: Evaluation backends a campaign can run on.  ``numpy`` is the
+#: reference engine; ``quantized-int8`` / ``float16`` are the reduced-
+#: precision probe tiers of :mod:`repro.backends.quantized`, which run
+#: in-process.
+ENGINE_BACKENDS = ("numpy", "quantized-int8", "float16")
 
 
 @_register("engine")
@@ -901,7 +899,8 @@ class EngineSpec(Spec):
     ``workers > 1`` fans chunks/blocks over the fork-once pool.
     ``backend`` picks the evaluation engine from
     :data:`ENGINE_BACKENDS` (stored specs predating the field load as
-    ``"numpy"``, the reference engine).
+    ``"numpy"``, the reference engine); the quantized tiers run
+    in-process, so ``repro.run`` rejects them with ``workers > 1``.
     """
 
     chunk_size: Optional[int] = None
@@ -1099,9 +1098,9 @@ CampaignSpec.cli_flags = (
     _WORKERS_FLAG,
     _DTYPE_FLAG,
     Flag("--backend", "engine.backend", choices=ENGINE_BACKENDS,
-         help="evaluation engine backend: numpy (reference), threaded "
-              "(thread-pool tiling), or a reduced-precision probe tier "
-              "(quantized-int8 / float16)"),
+         help="evaluation engine backend: numpy (reference) or a "
+              "reduced-precision probe tier (quantized-int8 / float16, "
+              "in-process only)"),
     Flag("--threshold", "threshold", type=float,
          help="also report the fraction of scenarios exceeding this "
               "error (the violation level for adaptive stopping)"),
@@ -1248,9 +1247,7 @@ class ProcessSpec(Spec):
             )
         self._require(self.shape > 0, f"shape must be > 0, got {self.shape}")
         self._require(self.dt > 0, f"dt must be > 0, got {self.dt}")
-        self._require(
-            self.duration >= 1, f"duration must be >= 1, got {self.duration}"
-        )
+        self._require_int("duration", 1)
         if self.fraction is not None:
             self._require(
                 0 < self.fraction <= 1,
@@ -1369,9 +1366,7 @@ class PolicySpec(Spec):
             self.kind in POLICY_KINDS,
             f"policy kind {self.kind!r} not in {POLICY_KINDS}",
         )
-        self._require(
-            self.period >= 1, f"period must be >= 1, got {self.period}"
-        )
+        self._require_int("period", 1)
         if self.tolerated is not None:
             self._freeze("tolerated", tuple(int(f) for f in self.tolerated))
             self._require(
@@ -1387,19 +1382,8 @@ class PolicySpec(Spec):
             self.straggler_scale > 0,
             f"straggler_scale must be > 0, got {self.straggler_scale}",
         )
-        self._require(
-            self.latency >= 0, f"latency must be >= 0, got {self.latency}"
-        )
-        self._require(
-            self.downtime >= 0, f"downtime must be >= 0, got {self.downtime}"
-        )
-        self._require(
-            self.spares >= 0, f"spares must be >= 0, got {self.spares}"
-        )
-        self._require(
-            self.swap_latency >= 0,
-            f"swap_latency must be >= 0, got {self.swap_latency}",
-        )
+        for name in ("latency", "downtime", "spares", "swap_latency"):
+            self._require_int(name, 0)
         if self.detector is not None:
             self._require(
                 self.kind in ("repair", "spare"),
@@ -1433,9 +1417,7 @@ class TrafficSpec(Spec):
             0 <= self.amplitude <= 1,
             f"amplitude must be in [0,1], got {self.amplitude}",
         )
-        self._require(
-            self.period >= 1, f"period must be >= 1, got {self.period}"
-        )
+        self._require_int("period", 1)
         self._require(
             self.alpha > 1, f"alpha must be > 1 (finite mean), got {self.alpha}"
         )
@@ -1483,11 +1465,7 @@ class TelemetrySpec(Spec):
     retain_epochs: Optional[int] = None
 
     def __post_init__(self):
-        if self.retain_epochs is not None:
-            self._require(
-                self.retain_epochs >= 1,
-                f"retain_epochs must be >= 1, got {self.retain_epochs}",
-            )
+        self._require_int("retain_epochs", 1)
 
 
 @_register("chaos")

@@ -1,17 +1,15 @@
-"""The engine backend seam: registry, threaded determinism, quantized
-tiers, and the segment-kernel bitwise contract.
+"""Engine backends: the quantized tiers and the segment-kernel bitwise
+contract.
 
 Three contracts under test:
 
-* the ``repro.backends`` registry routes ``EngineSpec.backend`` names
-  to engine factories and rejects unknown names loudly;
+* every non-numpy ``EngineSpec.backend`` name is a row of
+  ``QUANTIZED_TIERS``, and ``repro.run`` builds that tier's engine;
 * the precompiled segment-sum synapse kernels are bitwise-identical to
   the ``np.add.at`` reference in ``tests/oracles.py`` across every
   golden campaign spec fixture (same RNG draw order, same accumulation
   order);
-* ``threaded`` results are worker-count invariant, and match the
-  ``numpy`` engine bitwise for deterministic batches at any slice
-  layout; ``quantized-*`` nominals match ``QuantizedNetwork`` bitwise.
+* ``quantized-*`` nominals match ``QuantizedNetwork`` bitwise.
 """
 
 import json
@@ -20,29 +18,35 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.backends import (
-    available_backends,
-    build_engine,
-    get_backend,
-    register_backend,
+from repro.backends.quantized import (
+    QUANTIZED_TIERS,
+    QuantizedMaskEngine,
+    tier_quantizers,
 )
-from repro.backends.quantized import QuantizedMaskEngine
-from repro.backends.threaded import ThreadedMaskEngine
 from repro.faults.injector import FaultInjector
 from repro.faults.masks import (
     BernoulliSampler,
     FixedSynapseDistributionSampler,
-    MaskCampaignEngine,
     sampled_campaign_errors,
 )
-from repro.faults.types import SynapseByzantineFault, SynapseNoiseFault
+from repro.faults.types import SynapseByzantineFault
 from repro.network import build_mlp
 from repro.quantization import (
     FixedPointQuantizer,
     HalfPrecisionQuantizer,
     QuantizedNetwork,
 )
-from repro.specs import CampaignSpec, load_spec, run as run_spec
+from repro.specs import (
+    ENGINE_BACKENDS,
+    CampaignSpec,
+    EngineSpec,
+    FaultSpec,
+    NetworkRef,
+    SamplerSpec,
+    SpecError,
+    load_spec,
+    run as run_spec,
+)
 
 from oracles import use_scatter_reference
 
@@ -77,31 +81,6 @@ def _campaign_fixtures():
     return out
 
 
-class TestRegistry:
-    def test_all_tiers_registered(self):
-        assert available_backends() == (
-            "float16", "numpy", "quantized-int8", "threaded"
-        )
-
-    def test_unknown_backend_fails_loud(self):
-        with pytest.raises(KeyError, match="numpy"):
-            get_backend("cuda")
-
-    def test_register_rejects_empty_name(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            register_backend("", lambda *a, **k: None)
-
-    def test_build_engine_types(self, injector, probes):
-        assert isinstance(
-            build_engine("numpy", injector, probes), MaskCampaignEngine
-        )
-        with build_engine("threaded", injector, probes, workers=2) as eng:
-            assert isinstance(eng, ThreadedMaskEngine)
-        for name in ("quantized-int8", "float16"):
-            eng = build_engine(name, injector, probes)
-            assert isinstance(eng, QuantizedMaskEngine)
-
-
 class TestSegmentKernelBitwise:
     """The segment-sum synapse kernels vs the ``np.add.at`` reference —
     bitwise float64 equality on every golden campaign workload."""
@@ -125,65 +104,35 @@ class TestSegmentKernelBitwise:
         )
 
 
-class TestThreadedDeterminism:
-    def _sampler(self, net, fault):
-        return FixedSynapseDistributionSampler(net, (0, 1, 1), fault=fault)
+def _quantized_campaign(backend="quantized-int8", **engine):
+    return CampaignSpec(
+        network=NetworkRef(builder="mlp", params={
+            "input_dim": 3, "hidden": [10, 8],
+            "activation": {"name": "sigmoid", "k": 1.0},
+            "init": {"name": "uniform", "scale": 0.3},
+            "output_scale": 0.2, "seed": 7,
+        }),
+        sampler=SamplerSpec(kind="fixed", distribution=(2, 1)),
+        fault=FaultSpec(kind="byzantine"),
+        n_scenarios=300,
+        batch=6,
+        seed=3,
+        engine=EngineSpec(backend=backend, **engine),
+    )
 
-    def test_worker_count_invariant_stochastic(self, net, injector, probes):
-        sampler = self._sampler(net, SynapseNoiseFault(sigma=0.1))
-        runs = []
-        for workers in (1, 4):
-            with build_engine(
-                "threaded", injector, probes, workers=workers
-            ) as eng:
-                runs.append(
-                    sampled_campaign_errors(
-                        injector, probes, sampler, 800, seed=11, engine=eng
-                    )
-                )
-        assert np.array_equal(runs[0], runs[1])
-
-    def test_matches_numpy_for_deterministic_batches(
-        self, net, injector, probes
-    ):
-        """At matched slice layout (chunk == tile) the threaded pool is
-        a pure re-ordering of the same slice evaluations."""
-        sampler = self._sampler(net, SynapseByzantineFault())
-        serial = build_engine("numpy", injector, probes, chunk_size=256)
-        ref = sampled_campaign_errors(
-            injector, probes, sampler, 900, seed=3, engine=serial
-        )
-        with build_engine(
-            "threaded", injector, probes, chunk_size=256, workers=3
-        ) as eng:
-            assert eng.tile == 256
-            got = sampled_campaign_errors(
-                injector, probes, sampler, 900, seed=3, engine=eng
-            )
-        assert np.array_equal(ref, got)
-
-
-    def test_matches_numpy_on_the_rank_k_route(self, wide_net):
-        """The same at a width where slices mix rank-k and dense rows."""
-        inj = FaultInjector(wide_net, capacity=1.0)
-        x = np.random.default_rng(2).random((8, wide_net.input_dim))
-        sampler = BernoulliSampler(wide_net, 0.05)
-        serial = build_engine("numpy", inj, x, chunk_size=128)
-        ref = sampled_campaign_errors(inj, x, sampler, 700, seed=4,
-                                      engine=serial)
-        with build_engine(
-            "threaded", inj, x, chunk_size=128, workers=2
-        ) as eng:
-            assert eng.tile == 128
-            got = sampled_campaign_errors(inj, x, sampler, 700, seed=4,
-                                          engine=eng)
-        assert np.array_equal(ref, got)
-        # Per-scenario arithmetic: the slice layout is immaterial too.
-        assert np.array_equal(
-            ref, sampled_campaign_errors(inj, x, sampler, 700, seed=4)
-        )
 
 class TestQuantizedTiers:
+    def test_every_non_numpy_backend_is_a_tier(self):
+        assert ENGINE_BACKENDS == ("numpy", *QUANTIZED_TIERS)
+        int8 = tier_quantizers("quantized-int8", 3)
+        assert len(int8) == 3
+        assert all(isinstance(q, FixedPointQuantizer) for q in int8)
+        assert int8[0].max_error == 2.0 ** -9
+        assert all(
+            isinstance(q, HalfPrecisionQuantizer)
+            for q in tier_quantizers("float16", 2)
+        )
+
     def test_nominal_matches_quantized_network(self, net, injector, probes):
         for name, quantizers in (
             (
@@ -192,7 +141,9 @@ class TestQuantizedTiers:
             ),
             ("float16", [HalfPrecisionQuantizer() for _ in range(net.depth)]),
         ):
-            eng = build_engine(name, injector, probes)
+            eng = QuantizedMaskEngine(
+                injector, probes, quantizers=tier_quantizers(name, net.depth)
+            )
             qnet = QuantizedNetwork(net, quantizers)
             np.testing.assert_array_equal(
                 eng.nominal, qnet.forward(probes)
@@ -201,7 +152,9 @@ class TestQuantizedTiers:
     def test_wide_nominal_matches_quantized_network(self, wide_net):
         inj = FaultInjector(wide_net, capacity=1.0)
         x = np.random.default_rng(6).random((8, wide_net.input_dim))
-        eng = build_engine("quantized-int8", inj, x)
+        eng = QuantizedMaskEngine(
+            inj, x, quantizers=tier_quantizers("quantized-int8", wide_net.depth)
+        )
         qnet = QuantizedNetwork(
             wide_net, [FixedPointQuantizer(8) for _ in range(wide_net.depth)]
         )
@@ -217,12 +170,14 @@ class TestQuantizedTiers:
         full-precision engine but stay finite and well-formed."""
         sampler = self._byz_sampler(net)
         full = sampled_campaign_errors(
-            injector, probes, sampler, 400, seed=9,
-            engine=build_engine("numpy", injector, probes),
+            injector, probes, sampler, 400, seed=9
         )
         tier = sampled_campaign_errors(
             injector, probes, sampler, 400, seed=9,
-            engine=build_engine("quantized-int8", injector, probes),
+            engine=QuantizedMaskEngine(
+                injector, probes,
+                quantizers=tier_quantizers("quantized-int8", net.depth),
+            ),
         )
         assert full.shape == tier.shape
         assert np.all(np.isfinite(tier))
@@ -239,3 +194,28 @@ class TestQuantizedTiers:
             QuantizedMaskEngine(
                 injector, probes, quantizers=[FixedPointQuantizer(8)]
             )
+
+    @pytest.mark.parametrize("name", sorted(QUANTIZED_TIERS))
+    def test_run_builds_the_tier_engine(self, name):
+        spec = _quantized_campaign(name)
+        net = spec.network.resolve()
+        injector = FaultInjector(net, capacity=net.output_bound)
+        x = np.random.default_rng(spec.seed).random((spec.batch, 3))
+        engine = QuantizedMaskEngine(
+            injector, x, quantizers=tier_quantizers(name, net.depth)
+        )
+        direct = run_spec(spec, engine=engine)
+        assert np.array_equal(run_spec(spec).errors, direct.errors)
+        # In-process worker counts (0 and 1) run the same tier.
+        assert np.array_equal(run_spec(spec, workers=1).errors, direct.errors)
+
+    @pytest.mark.parametrize("name", sorted(QUANTIZED_TIERS))
+    def test_tiers_refuse_a_worker_fan_out(self, name):
+        """A tier runs in-process; a fan-out it cannot honour is a
+        SpecError, whether the spec or the caller asks for it."""
+        with pytest.raises(SpecError, match="runs in-process"):
+            run_spec(_quantized_campaign(name, workers=2))
+        with pytest.raises(SpecError, match="runs in-process"):
+            run_spec(_quantized_campaign(name), workers=4)
+        with pytest.raises(SpecError, match="runs in-process"):
+            run_spec(_quantized_campaign(name, workers=1), workers=2)

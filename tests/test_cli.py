@@ -148,16 +148,17 @@ class TestCommands:
 
     def test_campaign_backends(self, saved_net, capsys):
         """Every engine tier runs from the CLI."""
-        for backend in ("numpy", "threaded", "quantized-int8", "float16"):
-            code = main(
-                [
-                    "campaign", saved_net, "--distribution", "1,1",
-                    "--n-scenarios", "60", "--batch", "4", "--seed", "5",
-                    "--backend", backend,
-                ]
-            )
+        line = [
+            "campaign", saved_net, "--distribution", "1,1",
+            "--n-scenarios", "60", "--batch", "4", "--seed", "5",
+        ]
+        for backend in ("numpy", "quantized-int8", "float16"):
+            code = main(line + ["--backend", backend])
             assert code == 0, backend
             assert "CampaignResult(n=60" in capsys.readouterr().out
+        # The quantized tiers run in-process: a fan-out is an error.
+        assert main(line + ["--backend", "float16", "--workers", "2"]) == 2
+        assert "runs in-process" in capsys.readouterr().err
 
     def test_campaign_profile_prints_phase_table(self, saved_net, capsys):
         code = main(

@@ -380,7 +380,7 @@ def stored_specs(saved_net, tmp_path, capsys):
     ("chaos", ["--epochs", "999", "--policy", "repair"]),
     ("campaign", ["--chunk-size", "64"]),
     ("campaign", ["--dtype", "float32"]),
-    ("campaign", ["--backend", "threaded"]),
+    ("campaign", ["--backend", "float16"]),
     ("campaign", ["--sigma", "0.3"]),
     ("campaign", ["--workers", "2"]),
     ("survival", ["--mode", "byzantine"]),

@@ -364,12 +364,22 @@ class TestWideNetRankK:
             atol=1e-14,
         )
 
+    @pytest.mark.parametrize(
+        "n_scenarios, chunks",
+        [
+            (300, (1, 7, 64, 300)),
+            # A campaign-sized batch: 128-row slices with a 60-row tail
+            # against the default chunk's single 700-row slice.
+            (700, (128, 1024)),
+        ],
+        ids=["small-chunks", "default-chunk"],
+    )
     def test_bernoulli_chunk_invariance_is_bitwise(
-        self, wide_net, wide_injector, probes
+        self, wide_net, wide_injector, probes, n_scenarios, chunks
     ):
         """Rank-k and dense rows share slices, at every chunk size."""
         compiled = BernoulliSampler(wide_net, 0.05).sample(
-            300, np.random.default_rng(4)
+            n_scenarios, np.random.default_rng(4)
         )
         k = compiled.zero_masks[0].sum(axis=1)
         assert np.any(k * masks_mod.RANK_K_RATIO < 48)
@@ -378,7 +388,7 @@ class TestWideNetRankK:
             MaskCampaignEngine(
                 wide_injector, probes, chunk_size=chunk
             ).evaluate(compiled)
-            for chunk in (1, 7, 64, 300)
+            for chunk in chunks
         ]
         for other in runs[1:]:
             np.testing.assert_array_equal(runs[0], other)

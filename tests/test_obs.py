@@ -586,39 +586,6 @@ class TestParallelProfiling:
         assert profile.seconds["gemm"] > 0
 
 
-# -- the threaded backend's tile metrics ---------------------------------
-
-
-class TestThreadedObs:
-    def test_tile_metrics_and_parallel_profile(self, net, probes):
-        from repro.backends.threaded import ThreadedMaskEngine
-        from repro.faults.masks import MaskCampaignEngine
-
-        injector = FaultInjector(net)
-        sampler = FixedDistributionSampler(net, (2, 1))
-        batch = sampler.sample(64, rng=np.random.default_rng(0))
-        reference = MaskCampaignEngine(injector, probes).evaluate(batch)
-        obs = RunObserver()
-        with ThreadedMaskEngine(
-            injector, probes, workers=2, tile=16
-        ) as eng:
-            eng.obs = obs
-            eng.profile = obs.profile
-            observed = eng.evaluate(batch)
-        assert np.array_equal(reference, observed)
-        tiles = sum(
-            series.value
-            for name, _, _, _, rows in obs.metrics.families()
-            if name == "repro_tiles"
-            for _, series in rows
-        )
-        assert tiles == 4  # 64 scenarios / 16-wide tiles
-        assert obs.metrics.histogram(
-            "repro_tile_queue_wait_seconds"
-        ).count == 4
-        assert obs.profile.seconds["gemm"] > 0
-
-
 # -- artifact-store cache accounting -------------------------------------
 
 

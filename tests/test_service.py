@@ -12,10 +12,12 @@ The serving contract under test (DESIGN.md, ninth subsystem):
 """
 
 import asyncio
+import gc
 import json
 import socket
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +126,12 @@ def service(tmp_path):
 
 def client_for(svc: CampaignService) -> ServiceClient:
     return ServiceClient(svc.spec.socket)
+
+
+def submit_once(socket_path: str, spec) -> dict:
+    """Submit ``spec`` on a connection of its own, closed afterwards."""
+    with ServiceClient(socket_path) as client:
+        return client.submit(spec)
 
 
 class TestServiceSpec:
@@ -404,9 +412,7 @@ class TestCacheAndCoalesce:
         with ServiceThread(svc_spec) as svc:
             with ServiceClient(svc_spec.socket) as client:
                 hold = threading.Thread(
-                    target=lambda: ServiceClient(svc_spec.socket).submit(
-                        blocker()
-                    )
+                    target=lambda: submit_once(svc_spec.socket, blocker())
                 )
                 hold.start()
                 while not svc._jobs:  # blocker admitted
@@ -441,9 +447,7 @@ class TestCacheAndCoalesce:
         submit = {"op": "submit", "spec": target.to_dict(), "stream": False}
         with ServiceThread(svc_spec) as svc:
             hold = threading.Thread(
-                target=lambda: ServiceClient(svc_spec.socket).submit(
-                    blocker()
-                )
+                target=lambda: submit_once(svc_spec.socket, blocker())
             )
             hold.start()
             while not svc._jobs:  # blocker admitted, runner busy
@@ -662,14 +666,14 @@ class TestAdmissionControl:
         )
         with ServiceThread(svc_spec) as svc:
             hold = threading.Thread(
-                target=lambda: ServiceClient(svc_spec.socket).submit(blocker())
+                target=lambda: submit_once(svc_spec.socket, blocker())
             )
             hold.start()
             while svc._queue is None or not svc._jobs:
                 time.sleep(0.005)
             filler = threading.Thread(
-                target=lambda: ServiceClient(svc_spec.socket).submit(
-                    campaign(n_scenarios=1024, seed=21)
+                target=lambda: submit_once(
+                    svc_spec.socket, campaign(n_scenarios=1024, seed=21)
                 )
             )
             filler.start()
@@ -774,8 +778,8 @@ class TestAdmissionControl:
         )
         with ServiceThread(svc_spec) as svc:
             hold = threading.Thread(
-                target=lambda: ServiceClient(svc_spec.socket).submit(
-                    blocker(seed=99)
+                target=lambda: submit_once(
+                    svc_spec.socket, blocker(seed=99)
                 )
             )
             hold.start()
@@ -1182,3 +1186,13 @@ class TestClientProtocol:
             "accepted", "chunk", "pong", "shutdown-ack"
         }
         assert all(m["protocol"] == PROTOCOL_VERSION for m in seen)
+
+    def test_unreachable_endpoint_closes_its_socket(self, tmp_path):
+        client = ServiceClient(tmp_path / "absent.sock", connect_timeout=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ServiceUnavailable, match="cannot reach"):
+                client.ping()
+            gc.collect()
+        leaks = [w for w in caught if w.category is ResourceWarning]
+        assert not leaks, leaks[0].message

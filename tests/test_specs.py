@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.specs import (
+    ENGINE_BACKENDS,
     SPEC_VERSION,
     CampaignSpec,
     ChaosSpec,
@@ -20,6 +21,7 @@ from repro.specs import (
     SpecError,
     StoppingSpec,
     SurvivalSpec,
+    TelemetrySpec,
     TrafficSpec,
     load_spec,
     run,
@@ -152,11 +154,21 @@ INT_FIELDS = {
                  ("probe_seed", 0)),
     "chaos": (("epochs", 1), ("replicas", 1), ("batch", 1),
               ("epochs_chunk", 1), ("seed", 0), ("probe_seed", 0)),
+    # The chaos sub-specs' epoch and replica counts.
+    "policy": (("period", 1), ("latency", 0), ("downtime", 0),
+               ("spares", 0), ("swap_latency", 0)),
+    "process": (("duration", 1),),
+    "traffic": (("period", 1),),
+    "telemetry": (("retain_epochs", 1),),
 }
 INT_SPECS = {
     "campaign": small_campaign(),
     "survival": ALL_SPECS[4],
     "chaos": small_chaos(),
+    "policy": PolicySpec(),
+    "process": ProcessSpec(kind="bursts", rate=0.1),
+    "traffic": TrafficSpec(kind="diurnal"),
+    "telemetry": TelemetrySpec(retain_epochs=4),
 }
 
 
@@ -240,7 +252,7 @@ class TestStrictness:
         with pytest.raises(SpecError, match=f"{field} must be an integer"):
             spec_from_dict(payload)
 
-    @pytest.mark.parametrize("kind", sorted(INT_SPECS))
+    @pytest.mark.parametrize("kind", ["campaign", "chaos", "survival"])
     def test_large_seeds_and_numpy_integers_stay_valid(self, kind):
         spec = INT_SPECS[kind]
         big = spec_from_dict({**spec.to_dict(), "seed": 2**64 + 5})
@@ -351,7 +363,7 @@ class TestEagerValidation:
             StoppingSpec(**bad)
 
     def test_engine_backend_validated_eagerly(self):
-        for name in ("numpy", "threaded", "quantized-int8", "float16"):
+        for name in ("numpy", "quantized-int8", "float16"):
             assert EngineSpec(backend=name).backend == name
         with pytest.raises(SpecError, match="backend"):
             EngineSpec(backend="cuda")
@@ -359,10 +371,19 @@ class TestEagerValidation:
             small_campaign(engine=EngineSpec(backend="gpu"))
 
     def test_engine_backend_round_trips(self):
-        spec = small_campaign(engine=EngineSpec(backend="threaded"))
+        spec = small_campaign(engine=EngineSpec(backend="float16"))
         again = spec_from_dict(spec.to_dict())
-        assert again == spec and again.engine.backend == "threaded"
-        assert '"backend": "threaded"' in spec.to_json()
+        assert again == spec and again.engine.backend == "float16"
+        assert '"backend": "float16"' in spec.to_json()
+
+    def test_stored_threaded_backend_is_a_spec_error(self):
+        """The thread-pool tier is gone; a payload naming it fails at
+        load and lists the tiers that remain."""
+        payload = small_campaign().to_dict()
+        payload["engine"]["backend"] = "threaded"
+        with pytest.raises(SpecError, match="backend must be one of") as err:
+            spec_from_dict(payload)
+        assert all(name in str(err.value) for name in ENGINE_BACKENDS)
 
     def test_payload_without_backend_loads_as_numpy(self):
         """Specs stored before the backend field exist must still load
