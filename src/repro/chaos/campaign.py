@@ -222,20 +222,13 @@ def _simulate_block(
         for k in range(w):
             state.begin_epoch(epoch + k)
             policy.apply(state, processes, detectors, rng)
-            if ground_truth:
-                # Per-process damage attribution: the recorder buffers
-                # the epoch-end masks (plus mid-epoch totals when
-                # several processes share an epoch) and differences
-                # them in one vectorised pass at the window flush.
-                last = len(processes) - 1
-                for p_idx, proc in enumerate(processes):
-                    proc.step(state, rng)
-                    if p_idx < last:
-                        recorder.record_mid_damage(p_idx, k, state)
-                recorder.record_epoch_state(k, state)
-            else:
-                for proc in processes:
-                    proc.step(state, rng)
+            for p_idx, proc in enumerate(processes):
+                proc.step(state, rng)
+                if ground_truth:
+                    # Per-process damage attribution: the recorder
+                    # buffers the fleet's masks after every step and
+                    # differences their counts at the window flush.
+                    recorder.record_step(p_idx, k, state)
             fleet.window.snapshot(state)
             state.advance_ages()
         counts = (

@@ -9,10 +9,11 @@ story:
 * :class:`FleetState` — the mutable health of the fleet at one epoch:
   cumulative crash masks, component ages, per-epoch transient gates,
   per-epoch boosted-reset masks (rejuvenation) and repair downtime.
-  Everything is an ``(R, N_l)`` array, mutated in place by processes
-  and policies — no per-replica Python objects;
+  Each channel is one flat ``(R, ΣN_l)`` array with per-layer column
+  views, mutated in place by processes and policies — no per-replica
+  Python objects;
 * :class:`EpochWindow` — the bridge to the engine: it snapshots the
-  fleet once per epoch into preallocated ``(W, R, N_l)`` buffers and
+  fleet once per epoch into preallocated ``(W, R, ΣN_l)`` buffers and
   compiles a window of ``W`` epochs into **one**
   :class:`~repro.faults.injector.CompiledScenarioBatch` of
   ``W * R`` scenario rows (epoch-major), so the whole fleet × time
@@ -41,8 +42,28 @@ from ..network.model import FeedForwardNetwork
 __all__ = ["FleetState", "EpochWindow", "DeployedNetwork"]
 
 
+def layer_columns(
+    buf: np.ndarray, layer_sizes: Sequence[int]
+) -> List[np.ndarray]:
+    """Per-layer views ``buf[..., o_l : o_l + N_l]`` of a flat buffer
+    whose last axis holds every layer's components side by side."""
+    views, start = [], 0
+    for n in layer_sizes:
+        views.append(buf[..., start : start + n])
+        start += n
+    return views
+
+
 class FleetState:
     """Health of ``R`` replicas at the current epoch.
+
+    Each channel is one flat ``(R, ΣN_l)`` buffer (``crash_flat``,
+    ``age_flat``, ``transient_flat``, ``reset_flat``: layers side by
+    side along the columns), so a whole-fleet operation — the epoch
+    clears, ageing, repair, a window snapshot — is one numpy call.
+    The per-layer lists (``crash[l0]`` …) are column views of those
+    buffers: processes and policies address one layer and write
+    through to the flat channel.
 
     Attributes
     ----------
@@ -79,20 +100,16 @@ class FleetState:
             raise ValueError(f"need >= 1 replica, got {n_replicas}")
         self.layer_sizes = tuple(int(n) for n in layer_sizes)
         self.n_replicas = int(n_replicas)
-        R = self.n_replicas
-        self.crash: List[np.ndarray] = [
-            np.zeros((R, n), dtype=bool) for n in self.layer_sizes
-        ]
-        self.age: List[np.ndarray] = [
-            np.zeros((R, n), dtype=np.float64) for n in self.layer_sizes
-        ]
-        self.transient_p: List[np.ndarray] = [
-            np.zeros((R, n), dtype=np.float64) for n in self.layer_sizes
-        ]
-        self.reset_zero: List[np.ndarray] = [
-            np.zeros((R, n), dtype=bool) for n in self.layer_sizes
-        ]
-        self.down_until = np.zeros(R, dtype=np.int64)
+        shape = (self.n_replicas, sum(self.layer_sizes))
+        self.crash_flat = np.zeros(shape, dtype=bool)
+        self.age_flat = np.zeros(shape, dtype=np.float64)
+        self.transient_flat = np.zeros(shape, dtype=np.float64)
+        self.reset_flat = np.zeros(shape, dtype=bool)
+        self.crash = layer_columns(self.crash_flat, self.layer_sizes)
+        self.age = layer_columns(self.age_flat, self.layer_sizes)
+        self.transient_p = layer_columns(self.transient_flat, self.layer_sizes)
+        self.reset_zero = layer_columns(self.reset_flat, self.layer_sizes)
+        self.down_until = np.zeros(self.n_replicas, dtype=np.int64)
         self.epoch = 0
         self.has_transients = False
         self.has_resets = False
@@ -104,36 +121,40 @@ class FleetState:
         """Clear the per-epoch channels and move the clock."""
         self.epoch = int(epoch)
         if self.has_transients:
-            for g in self.transient_p:
-                g.fill(0.0)
+            self.transient_flat.fill(0.0)
             self.has_transients = False
         if self.has_resets:
-            for z in self.reset_zero:
-                z.fill(False)
+            self.reset_flat.fill(False)
             self.has_resets = False
 
     def advance_ages(self) -> None:
         """Every component ages one epoch (called once per epoch)."""
-        for a in self.age:
-            a += 1.0
+        self.age_flat += 1.0
 
     # -- mutation API (processes / policies) -------------------------------
 
-    def set_transient(self, l0: int, cells: np.ndarray, hit_p: float) -> None:
-        """Mark ``cells`` intermittent for this epoch: each emits 0
-        with probability ``hit_p`` per evaluation.  A cell hit by
-        several transients superposes them as independent Bernoulli
-        gates (``p <- 1 - (1-p)(1-hit_p)``), matching nested
+    def set_transient(self, cells: np.ndarray, hit_p: float) -> None:
+        """Mark ``cells`` (a boolean ``(R, ΣN_l)`` mask over the flat
+        channel) intermittent for this epoch: each emits 0 with
+        probability ``hit_p`` per evaluation.  A cell hit by several
+        transients superposes them as independent Bernoulli gates
+        (``p <- 1 - (1-p)(1-hit_p)``), matching nested
         ``IntermittentFault`` composition."""
-        if cells.any():
-            p = self.transient_p[l0]
+        if not np.count_nonzero(cells):
+            return
+        p = self.transient_flat
+        if not self.has_transients:
+            # First writer this epoch: every cell is still 0, so the
+            # superposition below would store hit_p exactly.
+            np.copyto(p, float(hit_p), where=cells)
+        else:
             # First fault on a cell keeps hit_p exact; only genuine
             # overlaps pay the superposition arithmetic.
             combined = np.where(
                 p == 0.0, float(hit_p), 1.0 - (1.0 - p) * (1.0 - float(hit_p))
             )
             np.copyto(p, combined, where=cells)
-            self.has_transients = True
+        self.has_transients = True
 
     def set_resets(self, replica: int, reset_masks: Sequence[np.ndarray]) -> None:
         """Apply one replica's boosted-restart reset masks for this epoch."""
@@ -148,9 +169,8 @@ class FleetState:
         components healthy, ages reset."""
         if not replicas.any():
             return
-        for l0 in range(len(self.layer_sizes)):
-            self.crash[l0][replicas] = False
-            self.age[l0][replicas] = 0.0
+        self.crash_flat[replicas] = False
+        self.age_flat[replicas] = 0.0
         if self.telemetry is not None:
             self.telemetry.record_repair(self.epoch, replicas)
 
@@ -159,20 +179,16 @@ class FleetState:
         """Replicas in repair downtime at the current epoch."""
         return self.epoch < self.down_until
 
-    def failed_fraction(self) -> np.ndarray:
-        """Per-replica fraction of permanently failed components."""
-        dead = sum(c.sum(axis=1) for c in self.crash)
-        total = sum(self.layer_sizes)
-        return dead / float(total)
-
 
 class EpochWindow:
-    """Preallocated ``(W, R, N_l)`` snapshot buffers for one window.
+    """Preallocated ``(W, R, ΣN_l)`` snapshot buffers for one window.
 
-    ``snapshot`` copies the fleet's current health into row ``w``;
-    ``compile`` reshapes the filled rows into a ``(w * R, N_l)``
-    mask batch (epoch-major: scenario ``k`` is epoch ``k // R``,
-    replica ``k % R``) without touching per-scenario Python.
+    ``snapshot`` copies the fleet's flat channels into row ``w`` (one
+    call per channel, whatever the depth); ``compile`` reshapes the
+    filled rows into a ``(w * R, ΣN_l)`` block and hands the engine
+    its per-layer column views (epoch-major: scenario ``k`` is epoch
+    ``k // R``, replica ``k % R``) without touching per-scenario
+    Python.
     """
 
     def __init__(self, layer_sizes: Sequence[int], window: int, n_replicas: int):
@@ -181,22 +197,17 @@ class EpochWindow:
         self.layer_sizes = tuple(int(n) for n in layer_sizes)
         self.window = int(window)
         self.n_replicas = int(n_replicas)
-        W, R = self.window, self.n_replicas
-        self._zero = [
-            np.zeros((W, R, n), dtype=bool) for n in self.layer_sizes
-        ]
-        self._gate = [
-            np.ones((W, R, n), dtype=np.float64) for n in self.layer_sizes
-        ]
-        self._down = np.zeros((W, R), dtype=bool)
+        shape = (self.window, self.n_replicas, sum(self.layer_sizes))
+        self._zero = np.zeros(shape, dtype=bool)
+        self._gate = np.ones(shape, dtype=np.float64)
+        self._down = np.zeros(shape[:2], dtype=bool)
         self.count = 0
         self._any_gate = False
 
     def clear(self) -> None:
         self.count = 0
         if self._any_gate:
-            for g in self._gate:
-                g.fill(1.0)
+            self._gate.fill(1.0)
         self._any_gate = False
 
     def snapshot(self, state: FleetState) -> None:
@@ -204,22 +215,19 @@ class EpochWindow:
         w = self.count
         if w >= self.window:
             raise RuntimeError("window buffers full; call clear() first")
-        for l0 in range(len(self.layer_sizes)):
-            zero = self._zero[l0][w]
-            np.logical_or(state.crash[l0], state.reset_zero[l0], out=zero)
-            if state.has_transients:
-                gated = state.transient_p[l0] > 0.0
-                # Permanent damage wins on overlap: a crashed component
-                # is not "intermittently" dead.
-                gated &= ~zero
-                if gated.any():
-                    zero |= gated
-                    # The engine's gate_p is the fault's per-evaluation
-                    # activation probability (1.0 = permanent), exactly
-                    # the transient hit probability stored in the state.
-                    gate = self._gate[l0][w]
-                    np.copyto(gate, state.transient_p[l0], where=gated)
-                    self._any_gate = True
+        zero = self._zero[w]
+        np.logical_or(state.crash_flat, state.reset_flat, out=zero)
+        if state.has_transients:
+            # Permanent damage wins on overlap: a crashed component
+            # is not "intermittently" dead.
+            gated = (state.transient_flat > 0.0) & ~zero
+            if np.count_nonzero(gated):
+                zero |= gated
+                # The engine's gate_p is the fault's per-evaluation
+                # activation probability (1.0 = permanent), exactly
+                # the transient hit probability stored in the state.
+                np.copyto(self._gate[w], state.transient_flat, where=gated)
+                self._any_gate = True
         self._down[w] = state.down_now
         self.count += 1
 
@@ -229,13 +237,9 @@ class EpochWindow:
         S = w * R
         sizes = self.layer_sizes
         batch = empty_mask_batch(sizes, S)
-        batch.zero_masks = [
-            self._zero[l0][:w].reshape(S, n) for l0, n in enumerate(sizes)
-        ]
+        batch.zero_masks = layer_columns(self._zero[:w].reshape(S, -1), sizes)
         if self._any_gate:
-            batch.gate_p = [
-                self._gate[l0][:w].reshape(S, n) for l0, n in enumerate(sizes)
-            ]
+            batch.gate_p = layer_columns(self._gate[:w].reshape(S, -1), sizes)
         return batch
 
     @property

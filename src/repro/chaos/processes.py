@@ -11,7 +11,8 @@ fleet by one epoch at a time, emitting incremental mask updates that
 campaign engine.
 
 Processes are **array-level**: one :meth:`~FaultProcess.step` call
-mutates the ``(R, N_l)`` fleet masks for all ``R`` replicas at once —
+mutates the fleet masks (per-layer ``(R, N_l)`` views of the flat
+``(R, ΣN_l)`` channels) for all ``R`` replicas at once —
 no per-replica or per-neuron Python in the epoch loop.  They are also
 **deterministic**: every draw comes from the generator threaded in by
 the campaign, and the draw shapes do not depend on worker count, so a
@@ -38,9 +39,11 @@ chaos-engineering literature care about:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .deployment import layer_columns
 
 __all__ = [
     "FaultProcess",
@@ -163,10 +166,15 @@ class ComponentLifetimeProcess(FaultProcess):
         self.shape = float(shape)
         self.dt = float(dt)
 
+    def reset(self, n_replicas, layer_sizes):
+        super().reset(n_replicas, layer_sizes)
+        # shape == 1: the hazard is constant, so is the failure chance.
+        self._p_const = 1.0 - np.exp(-self.rate * self.dt)
+
     def step(self, state, rng):
         for l0, n in enumerate(self.layer_sizes):
             if self.shape == 1.0:
-                p = 1.0 - np.exp(-self.rate * self.dt)
+                p = self._p_const
             else:
                 a = state.age[l0] * self.dt
                 p = 1.0 - np.exp(
@@ -217,30 +225,32 @@ class TransientBurstProcess(FaultProcess):
     def reset(self, n_replicas, layer_sizes):
         super().reset(n_replicas, layer_sizes)
         self.remaining = np.zeros(self.n_replicas, dtype=np.int64)
-        self.affected: List[np.ndarray] = [
-            np.zeros((self.n_replicas, n), dtype=bool) for n in layer_sizes
-        ]
+        # One flat (R, ΣN_l) mask, drawn per layer through its views and
+        # armed on the fleet's flat transient channel in one call.
+        self.affected_flat = np.zeros(
+            (self.n_replicas, sum(self.layer_sizes)), dtype=bool
+        )
+        self.affected = layer_columns(self.affected_flat, self.layer_sizes)
 
     def step(self, state, rng):
         starts = (self.remaining == 0) & (
             rng.random(self.n_replicas) < self.burst_rate
         )
-        if starts.any():
+        # count_nonzero: on (R,)-sized masks a far cheaper test than any()
+        k = np.count_nonzero(starts)
+        if k:
             self.remaining[starts] = self.duration
-            k = int(starts.sum())
             for l0, n in enumerate(self.layer_sizes):
                 self.affected[l0][starts] = rng.random((k, n)) < self.fraction
         active = self.remaining > 0
-        if active.any():
-            for l0 in range(len(self.layer_sizes)):
-                cells = self.affected[l0] & active[:, None]
-                state.set_transient(l0, cells, self.hit_p)
-            self.remaining[active] -= 1
+        if np.count_nonzero(active):
+            cells = self.affected_flat & active[:, None]
+            state.set_transient(cells, self.hit_p)
+            self.remaining -= active
 
     def on_repair(self, state, replicas):
         self.remaining[replicas] = 0
-        for mask in self.affected:
-            mask[replicas] = False
+        self.affected_flat[replicas] = False
 
 
 class CorrelatedBlastProcess(FaultProcess):

@@ -22,8 +22,8 @@ arrays (they were already materialised per window by the old loop, so
 recording them is free), while the sparse facts — repair and
 rejuvenation-reset actions — are flat ``(kind, epoch, replica)``
 event columns.  Ground-truth channels (per-layer crash/transient
-counts and per-process damage attribution) are optional: they cost a
-few array reductions per epoch and are only recorded when telemetry
+counts and per-process damage attribution) are optional: they cost
+two mask copies per process step and are only recorded when telemetry
 is enabled with ``ground_truth=True``.
 
 Blocks are the unit of parallelism: each replica block records its
@@ -275,17 +275,14 @@ class TelemetryRecorder:
             self.crash_counts = np.zeros((E, R, L), dtype=np.int32)
             self.transient_counts = np.zeros((E, R, L), dtype=np.int32)
             self.process_hits = np.zeros((P, E, R), dtype=np.int32)
-            # Window-local scratch: raw mask snapshots per epoch row,
-            # reduced in one vectorised pass at the window flush.
+            # Window-local scratch: the fleet's flat crashed [0] and
+            # intermittent [1] masks after step p of epoch row w, at
+            # [:, p, w], reduced in one vectorised pass at the flush.
             rows = min(self.epochs_chunk, E)
-            self._crash_buf = [
-                np.empty((rows, R, n), dtype=bool) for n in self.layer_sizes
-            ]
-            self._trans_buf = [
-                np.empty((rows, R, n), dtype=bool) for n in self.layer_sizes
-            ]
-            self._trans_active = np.zeros(rows, dtype=bool)
-            self._mid_damage = np.zeros((max(P - 1, 0), rows, R), np.int64)
+            self._masks = np.empty(
+                (2, P, rows, R, sum(self.layer_sizes)), dtype=bool
+            )
+            self._layer_starts = np.cumsum((0,) + self.layer_sizes[:-1])
             self._prev_zero = np.zeros((rows, R), dtype=bool)
             self._carry_zero = np.zeros(R, dtype=bool)
             self._carry_dead = np.zeros(R, dtype=np.int64)
@@ -319,40 +316,24 @@ class TelemetryRecorder:
 
     # -- ground-truth channels ---------------------------------------------
     #
-    # Per-epoch capture is a handful of raw mask copies into window
-    # scratch; every reduction — per-layer health counts, per-process
-    # damage attribution — is deferred to the window flush where it
-    # vectorises over the whole ``(W, R, N_l)`` block.  That deferral
-    # is what keeps full ground-truth recording cheap; its cost is the
-    # ``chaos.telemetry_overhead`` metric of the benchmark (perfbench).
+    # Per-epoch capture is two raw mask copies per process step (the
+    # fleet's flat crash channel and its transient gates) into window
+    # scratch; every reduction (per-layer health counts, per-process
+    # damage attribution) is deferred to the window flush, where it
+    # vectorises over the whole ``(2, P, W, R, ΣN_l)`` block.  That
+    # deferral is what keeps full ground-truth recording cheap; its
+    # cost is the ``chaos.telemetry_overhead`` metric of the benchmark
+    # (perfbench).
 
-    def damage_counts(self, state) -> np.ndarray:
-        """Per-replica damaged-component count (crashed + intermittent),
-        the ``(R,)`` int64 boundary value between the steps of a
-        multi-process epoch (the epoch-end total is derived from the
-        flushed health buffers instead)."""
-        dead = sum(np.count_nonzero(c, axis=1) for c in state.crash)
-        if state.has_transients:
-            dead = dead + sum(
-                np.count_nonzero(p > 0.0, axis=1) for p in state.transient_p
-            )
-        return np.asarray(dead, dtype=np.int64)
-
-    def record_mid_damage(self, process_index: int, w: int, state) -> None:
-        """Damage total right after process ``process_index`` stepped
-        (window row ``w``) — only needed when several processes share
-        an epoch and the deltas must be told apart."""
-        self._mid_damage[process_index, w] = self.damage_counts(state)
-
-    def record_epoch_state(self, w: int, state) -> None:
-        """Buffer the fleet's raw masks for window row ``w`` — the
-        epoch-end evaluation point the health channels describe."""
-        for l0, buf in enumerate(self._crash_buf):
-            buf[w] = state.crash[l0]
-        if state.has_transients:
-            for l0, buf in enumerate(self._trans_buf):
-                np.greater(state.transient_p[l0], 0.0, out=buf[w])
-            self._trans_active[w] = True
+    def record_step(self, process_index: int, w: int, state) -> None:
+        """Buffer the fleet's masks right after process
+        ``process_index`` stepped (window row ``w``); the last
+        process's boundary is the epoch-end evaluation point the health
+        channels describe."""
+        np.copyto(self._masks[0, process_index, w], state.crash_flat)
+        np.greater(
+            state.transient_flat, 0.0, out=self._masks[1, process_index, w]
+        )
         self._buffered_through = w
 
     def _flush_ground_truth(self, first_epoch: int, w: int) -> None:
@@ -366,23 +347,16 @@ class TelemetryRecorder:
         """
         sl = slice(first_epoch, first_epoch + w)
         R = self.n_replicas
-        dead = np.zeros((w, R), dtype=np.int64)
-        for l0, buf in enumerate(self._crash_buf):
-            counts = buf[:w].sum(axis=2, dtype=np.int32)
-            self.crash_counts[sl, :, l0] = counts
-            dead += counts
-        total = dead
-        active = self._trans_active[:w]
-        if active.any():
-            flaky = np.zeros((w, R), dtype=np.int64)
-            for l0, buf in enumerate(self._trans_buf):
-                if not active.all():
-                    buf[:w][~active] = False
-                counts = buf[:w].sum(axis=2, dtype=np.int32)
-                self.transient_counts[sl, :, l0] = counts
-                flaky += counts
-            total = dead + flaky
-            self._trans_active[:w] = False
+        # (2, P, w, R, L): per-layer crashed / intermittent counts at
+        # every buffered boundary; the last boundary is the epoch end.
+        counts = np.add.reduceat(
+            self._masks[:, :, :w], self._layer_starts, axis=4, dtype=np.int32
+        )
+        self.crash_counts[sl] = counts[0, -1]
+        self.transient_counts[sl] = counts[1, -1]
+        crashed, flaky = counts.sum(axis=4, dtype=np.int64)  # (P, w, R)
+        total = crashed + flaky
+        dead = crashed[-1]
         prev = np.empty((w, R), dtype=np.int64)
         prev[0] = self._carry_dead
         prev[1:] = dead[:-1]
@@ -390,15 +364,10 @@ class TelemetryRecorder:
         if pz.any():
             prev[pz] = 0
             self._prev_zero[:w] = False
-        P = len(self.process_kinds)
-        if P == 1:
-            self.process_hits[0, sl] = total - prev
-        elif P > 1:
-            mids = self._mid_damage[:, :w]
-            self.process_hits[0, sl] = mids[0] - prev
-            for p in range(1, P - 1):
-                self.process_hits[p, sl] = mids[p] - mids[p - 1]
-            self.process_hits[P - 1, sl] = total - mids[P - 2]
+        # Process p's damage is the step from the boundary before it
+        # (the previous epoch's dead count for the first) to its own.
+        self.process_hits[0, sl] = total[0] - prev
+        self.process_hits[1:, sl] = total[1:] - total[:-1]
         self._carry_dead = dead[w - 1].copy()
         if self._carry_zero.any():
             self._carry_dead[self._carry_zero] = 0

@@ -28,6 +28,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.chaos.processes import FaultProcess
 from repro.faults.injector import (
     FaultInjector,
     _bound_deviation,
@@ -199,3 +200,93 @@ def mean_failures_to_violation_scalar(
                 break
         counts.append(violated_at)
     return float(np.mean(counts))
+
+
+class DamageAttributionOracle:
+    """Naive per-step damage counts of a chaos campaign.
+
+    :meth:`wrap` the campaign's processes (serial runs only: the
+    wrappers log into this object).  Around every process step the
+    wrapper counts, replica by replica and layer by layer, the crashed
+    and the intermittent (``transient_p > 0``) components.  Before an
+    epoch's first step that count is the baseline: repairs have
+    already zeroed a repaired replica's masks and transients were
+    cleared at epoch start.  :meth:`channels` differences the counts
+    into ``(crash_counts, transient_counts, process_hits)`` with the
+    trace's shapes, blocks joined along the replica axis.
+    """
+
+    def __init__(self):
+        self.blocks: List[list] = []  # per block: one record per epoch
+
+    def wrap(self, processes) -> list:
+        return [
+            _CountingProcess(p, i, len(processes), self)
+            for i, p in enumerate(processes)
+        ]
+
+    def channels(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        crash, trans, hits = [], [], []
+        for epochs in self.blocks:
+            crash.append(np.array([e["crash"] for e in epochs], np.int32))
+            trans.append(np.array([e["trans"] for e in epochs], np.int32))
+            steps = [
+                [after - before for before, after in
+                 zip([e["before"]] + e["after"][:-1], e["after"])]
+                for e in epochs
+            ]  # (E, P, R)
+            hits.append(np.array(steps, np.int32).transpose(1, 0, 2))
+        return (
+            np.concatenate(crash, axis=1),
+            np.concatenate(trans, axis=1),
+            np.concatenate(hits, axis=2),
+        )
+
+
+def _layer_counts(state) -> Tuple[list, list]:
+    """``(crashed, intermittent)`` per replica per layer, one cell at a
+    time."""
+    crashed, flaky = [], []
+    for r in range(state.n_replicas):
+        crashed.append([
+            sum(bool(c) for c in state.crash[l0][r])
+            for l0 in range(len(state.layer_sizes))
+        ])
+        flaky.append([
+            sum(p > 0.0 for p in state.transient_p[l0][r])
+            for l0 in range(len(state.layer_sizes))
+        ])
+    return crashed, flaky
+
+
+def _damaged(state) -> np.ndarray:
+    crashed, flaky = _layer_counts(state)
+    return np.array([sum(c) + sum(f) for c, f in zip(crashed, flaky)])
+
+
+class _CountingProcess(FaultProcess):
+    """A process that logs damage counts around its inner step."""
+
+    def __init__(self, inner, index, n_processes, oracle):
+        self.inner = inner
+        self.index = index
+        self.n_processes = n_processes
+        self.oracle = oracle
+
+    def reset(self, n_replicas, layer_sizes):
+        super().reset(n_replicas, layer_sizes)
+        self.inner.reset(n_replicas, layer_sizes)
+        if self.index == 0:
+            self.oracle.blocks.append([])
+
+    def step(self, state, rng):
+        epochs = self.oracle.blocks[-1]
+        if self.index == 0:
+            epochs.append({"before": _damaged(state), "after": []})
+        self.inner.step(state, rng)
+        epochs[-1]["after"].append(_damaged(state))
+        if self.index == self.n_processes - 1:
+            epochs[-1]["crash"], epochs[-1]["trans"] = _layer_counts(state)
+
+    def on_repair(self, state, replicas):
+        self.inner.on_repair(state, replicas)

@@ -259,8 +259,8 @@ class TestDeployment:
         state = FleetState((4,), 2)
         cells = np.zeros((2, 4), dtype=bool)
         cells[0, 1] = True
-        state.set_transient(0, cells, 0.9)
-        state.set_transient(0, cells, 0.2)
+        state.set_transient(cells, 0.9)
+        state.set_transient(cells, 0.2)
         assert state.transient_p[0][0, 1] == pytest.approx(
             1.0 - (1.0 - 0.9) * (1.0 - 0.2)
         )

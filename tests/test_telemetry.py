@@ -37,13 +37,16 @@ from repro.chaos import (
 from repro.chaos.campaign import _run_chaos_campaign
 from repro.chaos.detectors import CertifiedAlarmDetector
 from repro.chaos.policies import DetectorRepairPolicy
+from repro.chaos.policies import PeriodicRejuvenationPolicy
 from repro.chaos.processes import (
     ComponentLifetimeProcess,
+    CorrelatedBlastProcess,
+    PoissonArrivalProcess,
     TransientBurstProcess,
 )
 from repro.network import build_mlp
 
-from oracles import episode_runs_scalar
+from oracles import DamageAttributionOracle, episode_runs_scalar
 
 FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures" / "specs"
 
@@ -459,6 +462,65 @@ class TestAiops:
 # ---------------------------------------------------------------------------
 # Event channels
 # ---------------------------------------------------------------------------
+
+
+class TestDamageAttributionOracle:
+    """The recorder's deferred, vectorised ground truth equals naive
+    per-step counting, bitwise — repairs, rejuvenation resets,
+    overlapping processes, several replica blocks and a partial last
+    window included."""
+
+    def _check(self, processes, policy, detectors, **kw):
+        from types import SimpleNamespace
+
+        rng = np.random.default_rng(3)
+        net = build_mlp(2, [12, 10], activation="sigmoid", seed=5,
+                        output_scale=0.3)
+        x = rng.uniform(-1, 1, size=(8, 2))
+        oracle = DamageAttributionOracle()
+        report = _run_chaos_campaign(
+            net, x, oracle.wrap(processes),
+            epochs=30, n_replicas=20, epsilon=0.12, epsilon_prime=0.1,
+            detectors=detectors, policy=policy(net), seed=7,
+            telemetry=SimpleNamespace(enabled=True, ground_truth=True),
+            **kw,
+        )
+        trace = report.trace
+        crash, trans, hits = oracle.channels()
+        assert trace.block_sizes == (16, 4)
+        assert np.array_equal(trace.crash_counts, crash)
+        assert np.array_equal(trace.transient_counts, trans)
+        assert np.array_equal(trace.process_hits, hits)
+        assert trace.process_hits.dtype == hits.dtype
+        # every process did damage, and the fleet healed at least once
+        assert np.all(hits.sum(axis=(1, 2)) > 0)
+        assert len(trace.actions(ACTION_REPAIR)[0]) > 0
+        return trace
+
+    def test_lifetime_bursts_detector_repair(self):
+        self._check(
+            [
+                ComponentLifetimeProcess(rate=0.08),
+                TransientBurstProcess(burst_rate=0.3, fraction=0.4),
+            ],
+            lambda net: DetectorRepairPolicy(latency=1, downtime=1),
+            [ThresholdDetector(threshold=0.02)],
+        )
+
+    def test_three_processes_rejuvenation(self):
+        trace = self._check(
+            [
+                PoissonArrivalProcess(rate=0.3),
+                TransientBurstProcess(burst_rate=0.3, fraction=0.4),
+                CorrelatedBlastProcess(rate=0.1),
+            ],
+            lambda net: PeriodicRejuvenationPolicy(
+                period=7, tolerated=(1,) * net.depth
+            ),
+            [],
+            epochs_chunk=6,
+        )
+        assert len(trace.actions(ACTION_RESET)[0]) > 0
 
 
 class TestEventChannels:
