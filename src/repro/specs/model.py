@@ -263,13 +263,19 @@ class Spec:
             return
         if value is None and self.__dataclass_fields__[name].default is None:
             return
-        self._require(
+        self._freeze(name, self._as_int(value, minimum, name))
+
+    @classmethod
+    def _as_int(cls, value, minimum: int, label: str) -> int:
+        """``value`` as a plain ``int``; a SpecError unless it is an
+        integer (not a bool) >= ``minimum``."""
+        cls._require(
             isinstance(value, numbers.Integral)
             and not isinstance(value, bool)
             and value >= minimum,
-            f"{name} must be an integer >= {minimum}, got {value!r}",
+            f"{label} must be an integer >= {minimum}, got {value!r}",
         )
-        self._freeze(name, int(value))
+        return int(value)
 
     def _validate_nested(self) -> None:
         """Nested spec fields hold the right spec type (or None only
@@ -572,6 +578,9 @@ class FaultSpec(Spec):
             self.kind in FAULT_KINDS,
             f"fault kind {self.kind!r} not in taxonomy {FAULT_KINDS}",
         )
+        # True == 1 and 1.0 == 1 would compare equal to sign=1 yet hash
+        # differently, so the sign is frozen as a plain int.
+        self._freeze("sign", self._as_int(self.sign, -1, "sign"))
         self._require(self.sign in (-1, 1), f"sign must be +-1, got {self.sign}")
         self._require(self.sigma >= 0, f"sigma must be >= 0, got {self.sigma}")
         self._require(0 <= self.p <= 1, f"p must be in [0,1], got {self.p}")
@@ -804,19 +813,17 @@ class SamplerSpec(Spec):
             f"sampler kind {self.kind!r} not in {SAMPLER_KINDS}",
         )
         if self.distribution is not None:
-            self._freeze(
-                "distribution", tuple(int(f) for f in self.distribution)
-            )
+            self._freeze("distribution", tuple(
+                self._as_int(f, 0, f"distribution[{i}]")
+                for i, f in enumerate(self.distribution)
+            ))
+        self._require_int("n_fail", 0)
         if self.components:
             self._freeze("components", tuple(self.components))
         if self.kind == "fixed":
             self._require(
                 self.distribution is not None,
                 "fixed sampler needs distribution=(f_1, ..., f_L)",
-            )
-            self._require(
-                all(f >= 0 for f in self.distribution),
-                f"failure counts must be >= 0, got {self.distribution}",
             )
             self._require(
                 self.p_fail is None and self.n_fail is None,
@@ -833,8 +840,7 @@ class SamplerSpec(Spec):
             )
         elif self.kind == "exhaustive":
             self._require(
-                self.n_fail is not None and self.n_fail >= 0,
-                f"exhaustive sampler needs n_fail >= 0, got {self.n_fail}",
+                self.n_fail is not None, "exhaustive sampler needs n_fail="
             )
             self._require(
                 self.distribution is None and self.p_fail is None,

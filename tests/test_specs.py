@@ -160,6 +160,9 @@ INT_FIELDS = {
     "process": (("duration", 1),),
     "traffic": (("period", 1),),
     "telemetry": (("retain_epochs", 1),),
+    # Sampler counts; a bad value lands in the last distribution entry.
+    "sampler": (("n_fail", 0),),
+    "fixed_sampler": (("distribution", 0),),
 }
 INT_SPECS = {
     "campaign": small_campaign(),
@@ -169,6 +172,8 @@ INT_SPECS = {
     "process": ProcessSpec(kind="bursts", rate=0.1),
     "traffic": TrafficSpec(kind="diurnal"),
     "telemetry": TelemetrySpec(retain_epochs=4),
+    "sampler": SamplerSpec(kind="exhaustive", n_fail=1),
+    "fixed_sampler": SamplerSpec(kind="fixed", distribution=(2, 1)),
 }
 
 
@@ -248,7 +253,11 @@ class TestStrictness:
         """Counts are ints >= 1 and seeds ints >= 0; bools, floats (even
         integral ones such as 1e308) and negatives are SpecErrors."""
         payload = INT_SPECS[kind].to_dict()
-        payload[field] = bad
+        if isinstance(payload[field], list):
+            payload[field][-1] = bad
+            field = f"{field}\\[{len(payload[field]) - 1}\\]"
+        else:
+            payload[field] = bad
         with pytest.raises(SpecError, match=f"{field} must be an integer"):
             spec_from_dict(payload)
 
@@ -260,6 +269,38 @@ class TestStrictness:
         same = spec.replace(seed=np.int64(spec.seed))
         assert type(same.seed) is int
         assert same.content_hash() == spec.content_hash()
+
+    def test_sampler_counts_are_integers(self):
+        """Sampler counts used to pass through ``int(f)``: 1.7 became 1
+        and True became 1.  Integral numpy values still freeze to int."""
+        for bad in (dict(kind="exhaustive", n_fail=1.5),
+                    dict(kind="exhaustive", n_fail=True),
+                    dict(kind="fixed", distribution=(1.7, True)),
+                    dict(kind="fixed", distribution=(1, -1))):
+            with pytest.raises(SpecError, match="must be an integer"):
+                SamplerSpec(**bad)
+        spec = SamplerSpec(kind="fixed", distribution=(np.int64(2), 1))
+        assert spec.distribution == (2, 1)
+        assert all(type(f) is int for f in spec.distribution)
+        assert spec.content_hash() == SamplerSpec(
+            kind="fixed", distribution=(2, 1)
+        ).content_hash()
+
+    def test_fault_sign_is_a_plain_int(self):
+        """sign=True and sign=1.0 compared equal to sign=1 but hashed
+        differently: two cache keys for one spec."""
+        for bad in (True, 1.0, -1.0, 0, 2):
+            with pytest.raises(SpecError, match="sign must be"):
+                FaultSpec(kind="byzantine", sign=bad)
+        spec = FaultSpec(kind="byzantine", sign=np.int64(-1))
+        assert type(spec.sign) is int
+        assert spec.content_hash() == FaultSpec(
+            kind="byzantine", sign=-1
+        ).content_hash()
+        payload = FaultSpec(kind="byzantine").to_dict()
+        payload["sign"] = True
+        with pytest.raises(SpecError, match="sign must be"):
+            spec_from_dict(payload)
 
     def test_wrong_nested_type_rejected(self):
         with pytest.raises(SpecError, match="must be a NetworkRef"):
