@@ -22,7 +22,14 @@ verdict:
 * ``gain``: over at least ten pairs, the head won at least 90% of them
   and its median beats the base's by more than the base's IQR (the
   yardstick for claiming a speed-up);
+* ``unresolved``: either side's IQR, relative to the base median, is
+  wider than the bound, and not every head run beats every base run,
+  so the runs cannot tell the change from noise at that bound;
 * ``same`` otherwise.
+
+Each run lasts ``BENCHMARK.json``'s ``run_seconds`` on both sides (0.3 s
+under ``--smoke``), so no run length other than the benchmark's own
+can back a verdict.
 
 The share of failed operations is compared as well.  The last line of
 standard output is one JSON object with every number printed above.
@@ -49,6 +56,8 @@ from perfbench.core import percentile  # noqa: E402
 #: A ``gain`` verdict needs this many pairs and this share of wins.
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
+#: Seconds per run under ``--smoke``, which checks the runner only.
+SMOKE_SECONDS = 0.3
 
 
 def export_revision(rev: str, dest: Path) -> Path:
@@ -101,11 +110,16 @@ def summarise(metric: dict, base: list, head: list) -> dict:
     wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
     gain = sign * (h50 - b50)  # > 0: the head's median is better
     rel = gain / abs(b50) if b50 else 0.0
+    spread = max(b75 - b25, h75 - h25) / abs(b50) if b50 else 0.0
+    separated = (min(head) > max(base) if sign > 0
+                 else max(head) < min(base))  # every head run better
     if rel < -metric["bound"]:
         verdict = "worse"
     elif (len(base) >= MIN_PAIRS and wins >= math.ceil(WIN_SHARE * len(base))
           and gain > b75 - b25):
         verdict = "gain"
+    elif spread > metric["bound"] and not separated:
+        verdict = "unresolved"
     else:
         verdict = "same"
     return {
@@ -129,8 +143,6 @@ def parse_args(argv):
                         help="workload to compare (repeatable; default chaos-fleet)")
     parser.add_argument("--pairs", type=int, default=None,
                         help="interleaved pairs per workload (default 10; 2 with --smoke)")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default BENCHMARK.json run_seconds)")
     parser.add_argument("--root-seed", type=int, default=None,
                         help="seed the pair seeds derive from (default: random, printed)")
     parser.add_argument("--smoke", action="store_true",
@@ -139,7 +151,6 @@ def parse_args(argv):
     if args.smoke:
         args.base = args.base or "HEAD"
         args.pairs = args.pairs or 2
-        args.seconds = args.seconds or 0.3
     args.base = args.base or "HEAD~1"
     args.pairs = args.pairs or 10
     args.workload = args.workload or ["chaos-fleet"]
@@ -151,7 +162,7 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or manifest["run_seconds"]
+    seconds = SMOKE_SECONDS if args.smoke else manifest["run_seconds"]
     root_seed = (args.root_seed if args.root_seed is not None
                  else secrets.randbits(32))
     seeds = pair_seeds(root_seed, args.pairs)

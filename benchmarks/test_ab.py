@@ -31,10 +31,24 @@ def test_nine_of_ten_wins_needed():
 
 
 def test_median_delta_must_exceed_base_iqr():
-    base = [8.0, 12.0] * 5  # IQR 4
+    base = [9.0, 11.0] * 5  # IQR 2, inside the 25% bound
     head = [b - 1.0 for b in base]
     row = ab.summarise(LATENCY, base, head)
     assert row["wins"] == 10 and row["verdict"] == "same"
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    base = [8.0, 12.0] * 5  # IQR 4: 40% of the median, bound 25%
+    row = ab.summarise(LATENCY, base, [b - 1.0 for b in base])
+    assert row["wins"] == 10 and row["verdict"] == "unresolved"
+    # a wide head side is unresolved too
+    assert ab.summarise(LATENCY, [10.0] * 4,
+                        [8.0, 12.0] * 2)["verdict"] == "unresolved"
+    # unless every head run beats every base run
+    assert ab.summarise(LATENCY, base, [5.0, 6.0] * 5)["verdict"] == "gain"
+    assert ab.summarise(LATENCY, base[:4], [5.0, 6.0] * 2)["verdict"] == "same"
+    # a median beyond the bound is worse, however wide the spread
+    assert ab.summarise(LATENCY, base[:4], [14.0, 18.0] * 2)["verdict"] == "worse"
 
 
 def test_regression_beyond_bound_is_worse():

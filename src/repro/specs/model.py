@@ -580,8 +580,13 @@ class FaultSpec(Spec):
         )
         # True == 1 and 1.0 == 1 would compare equal to sign=1 yet hash
         # differently, so the sign is frozen as a plain int.
-        self._freeze("sign", self._as_int(self.sign, -1, "sign"))
-        self._require(self.sign in (-1, 1), f"sign must be +-1, got {self.sign}")
+        self._require(
+            isinstance(self.sign, numbers.Integral)
+            and not isinstance(self.sign, bool)
+            and self.sign in (-1, 1),
+            f"sign must be the integer 1 or -1, got {self.sign!r}",
+        )
+        self._freeze("sign", int(self.sign))
         self._require(self.sigma >= 0, f"sigma must be >= 0, got {self.sigma}")
         self._require(0 <= self.p <= 1, f"p must be in [0,1], got {self.p}")
         if self.value is not None:

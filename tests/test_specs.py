@@ -289,8 +289,8 @@ class TestStrictness:
     def test_fault_sign_is_a_plain_int(self):
         """sign=True and sign=1.0 compared equal to sign=1 but hashed
         differently: two cache keys for one spec."""
-        for bad in (True, 1.0, -1.0, 0, 2):
-            with pytest.raises(SpecError, match="sign must be"):
+        for bad in (True, 1.0, -1.0, 0, 2, "1"):
+            with pytest.raises(SpecError, match="sign must be the integer 1 or -1"):
                 FaultSpec(kind="byzantine", sign=bad)
         spec = FaultSpec(kind="byzantine", sign=np.int64(-1))
         assert type(spec.sign) is int
