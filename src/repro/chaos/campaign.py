@@ -25,17 +25,25 @@ the report (``report.trace``) for replay and AIOps scoring
 
 Determinism and parallelism follow the repo's campaign discipline
 (DESIGN.md): replicas are partitioned into fixed blocks of
-:data:`REPLICA_BLOCK`; block ``b`` always simulates with the ``b+1``-th
+:data:`REPLICA_BLOCK`; block ``b`` always draws from the ``b+1``-th
 spawned child of ``SeedSequence(seed)`` (child 0 drives the traffic
-draw).  The blocks run through the campaigns' block driver
-(:func:`~repro.faults.masks._run_blocks`) with :func:`_simulate_block`
-as the block function — jobs carry only ``(block size, seed)`` — so the
-fault schedule, detector firings and SLO report are bitwise identical,
-serial == parallel.
+draw).  The block is the unit of seeding and fan-out; the *job* is the
+unit of vectorisation: :func:`_simulate_job` steps a run of
+consecutive blocks in lockstep over one fleet, so each epoch costs a
+few whole-job numpy calls rather than a few per block, while every
+draw still goes to the owning block's generator
+(:class:`~repro.chaos.deployment.ReplicaStreams`) and every block's
+window is still one engine call on its own generator.  In-process one
+job holds every block; with workers the blocks split into contiguous
+jobs on the campaigns' block driver
+(:func:`~repro.faults.masks._run_blocks`).  The fault schedule,
+detector firings and SLO report are bitwise identical however the
+blocks are grouped, serial == parallel.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
@@ -44,7 +52,8 @@ import numpy as np
 from ..faults.injector import FaultInjector
 from ..faults.masks import MaskCampaignEngine, _run_blocks
 from ..network.model import FeedForwardNetwork
-from .deployment import DeployedNetwork
+from ..obs import RunObserver
+from .deployment import DeployedNetwork, ReplicaStreams
 from .detectors import DriftDetector
 from .policies import NoRepairPolicy, RepairPolicy
 from .processes import FaultProcess
@@ -167,28 +176,36 @@ class ChaosReport:
 
 
 # ---------------------------------------------------------------------------
-# Block simulation (the unit of parallelism)
+# Job simulation: consecutive replica blocks in lockstep
 # ---------------------------------------------------------------------------
 
 
-def _simulate_block(
+def _simulate_job(
     engine: MaskCampaignEngine, shared: tuple, job: tuple
-) -> TelemetryTrace:
-    """Full lifecycle of one replica block; emits the block's trace.
+) -> list:
+    """Full lifecycle of a run of consecutive replica blocks.
 
-    The process/detector/policy objects are reset here (the worker and
-    the serial path reuse the same pickled objects across blocks), so
-    a block's trajectory depends only on its seed.  The recorder is
-    installed as the fleet state's telemetry seam, so repair and
-    rejuvenation-reset actions are captured where they happen; it
-    never touches the RNG, so the fault schedule is bitwise identical
-    with ground-truth recording on or off.  ``job`` is ``(n_replicas,
-    SeedSequence)``; ``shared`` holds the campaign-wide objects.
+    ``job`` is ``(n_replicas, block sizes, block seeds)``; ``shared``
+    holds the campaign-wide objects.  One fleet holds all the job's
+    replicas and every epoch steps it as a whole, but each block draws
+    from its own generator (:class:`~repro.chaos.deployment.
+    ReplicaStreams`) and each block's window is one engine call on
+    that generator — so every block's trajectory, and the stream it
+    leaves behind, is the one simulating it alone produces.  The
+    process/detector/policy objects are reset here (the worker and the
+    serial path reuse the same pickled objects across jobs).  The
+    recorder is installed as the fleet state's telemetry seam, so
+    repair and rejuvenation-reset actions are captured where they
+    happen; it never touches the RNG, so the fault schedule is bitwise
+    identical with ground-truth recording on or off.
+
+    Returns one ``(trace, engine seconds)`` pair per block, the
+    seconds being that block's own window evaluations.
     """
     (processes, detectors, policy, epochs, epochs_chunk, epsilon,
      epsilon_prime, probe_counts, ground_truth) = shared
-    n_replicas, seed = job
-    rng = np.random.default_rng(seed)
+    n_replicas, sizes, seeds = job
+    streams = ReplicaStreams([np.random.default_rng(s) for s in seeds], sizes)
     network = engine.network
     fleet = DeployedNetwork(
         network, engine.xb64, n_replicas, window=epochs_chunk, engine=engine
@@ -198,7 +215,7 @@ def _simulate_block(
         proc.reset(n_replicas, network.layer_sizes)
     for det in detectors:
         det.reset(n_replicas)
-    policy.reset(network, n_replicas)
+    policy.reset(network, n_replicas, sizes)
 
     recorder = TelemetryRecorder(
         epochs=epochs,
@@ -214,6 +231,7 @@ def _simulate_block(
     )
     state.telemetry = recorder
     budget = epsilon - epsilon_prime
+    seconds = [0.0] * len(sizes)
 
     epoch = 0
     while epoch < epochs:
@@ -221,9 +239,9 @@ def _simulate_block(
         fleet.window.clear()
         for k in range(w):
             state.begin_epoch(epoch + k)
-            policy.apply(state, processes, detectors, rng)
+            policy.apply(state, processes, detectors, streams)
             for p_idx, proc in enumerate(processes):
-                proc.step(state, rng)
+                proc.step(state, streams)
                 if ground_truth:
                     # Per-process damage attribution: the recorder
                     # buffers the fleet's masks after every step and
@@ -236,7 +254,11 @@ def _simulate_block(
             if probe_counts is not None
             else None
         )
-        errors = fleet.evaluate_window(rng, counts)  # (w, R)
+        errors = np.empty((w, n_replicas))
+        for b, (g, rows) in enumerate(streams.blocks()):
+            t0 = time.perf_counter()
+            errors[:, rows] = fleet.evaluate_window(g, counts, rows)
+            seconds[b] += time.perf_counter() - t0
         down_w = fleet.window.down
         viol_w = (errors > budget + 1e-12) & ~down_w
         # Monitoring sees nothing from an out-of-service replica: its
@@ -250,7 +272,25 @@ def _simulate_block(
         epoch += w
 
     state.telemetry = None
-    return recorder.finish(policy.stats())
+    traces = recorder.finish(policy.block_stats(), sizes)
+    return list(zip(traces, seconds))
+
+
+def _block_spans(sizes: Sequence[int], seconds: Sequence[float]) -> dict:
+    """An observer payload with one ``block`` span per replica block.
+
+    Blocks step in lockstep inside a job, so no span can wrap one
+    block's work alone: each span is recorded after the run and timed
+    by that block's own window evaluations.  Its shape does not depend
+    on how the blocks were grouped into jobs, which keeps the run's
+    span tree identical serial vs parallel.
+    """
+    ob = RunObserver()
+    for index, (size, dt) in enumerate(zip(sizes, seconds)):
+        with ob.block_span(index, int(size)):
+            pass
+        ob.trace.spans[-1].dt = dt
+    return ob.worker_payload()
 
 
 def _run_chaos_campaign(
@@ -298,9 +338,9 @@ def _run_chaos_campaign(
     counts, per-process damage attribution) the AIOps tasks score
     against.  ``spec_payload`` (the originating spec's ``to_dict``)
     is embedded in the trace so a stored trace can rebuild its
-    detectors for replay.  ``n_workers``, ``profile`` and ``obs``
-    follow the block driver's contract, one ``block`` span per replica
-    block.
+    detectors for replay.  ``n_workers`` and ``profile`` follow the
+    block driver's contract; ``obs`` records one ``block`` span per
+    replica block (:func:`_block_spans`).
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -362,23 +402,37 @@ def _run_chaos_campaign(
         and getattr(telemetry, "ground_truth", False)
     )
 
-    blocks = _run_blocks(
-        _simulate_block,
+    # One job in-process; with workers, contiguous runs of blocks.
+    n_jobs = min(n_workers, len(sizes)) if n_workers and n_workers > 1 else 1
+    jobs = [
+        (
+            sum(sizes[i] for i in part),
+            tuple(sizes[i] for i in part),
+            tuple(children[1 + i] for i in part),
+        )
+        for part in np.array_split(np.arange(len(sizes)), n_jobs)
+    ]
+    results = _run_blocks(
+        _simulate_job,
         (
             tuple(processes), tuple(detectors), policy, epochs, epochs_chunk,
             float(epsilon), float(epsilon_prime), probe_counts, ground_truth,
         ),
-        zip(sizes, children[1:]),
+        jobs,
         FaultInjector(network, capacity=capacity),
         xb,
         chunk_size=chunk,
         dtype=dtype,
         n_workers=n_workers,
-        profile=profile,
-        obs=obs,
+        profile=profile if profile is not None or obs is None else obs.profile,
     )
+    blocks = [pair for job in results for pair in job]
+    if obs is not None:
+        obs.absorb(_block_spans(sizes, [dt for _, dt in blocks]))
 
     # Block order is fixed, so the assembled trace — and therefore the
     # derived report — is bitwise identical, serial == parallel.
-    trace = concat_traces(blocks, requests=requests, spec_payload=spec_payload)
+    trace = concat_traces(
+        [t for t, _ in blocks], requests=requests, spec_payload=spec_payload
+    )
     return report_from_trace(trace, keep_errors=keep_errors)

@@ -14,12 +14,15 @@ story:
   Python objects;
 * :class:`EpochWindow` — the bridge to the engine: it snapshots the
   fleet once per epoch into preallocated ``(W, R, ΣN_l)`` buffers and
-  compiles a window of ``W`` epochs into **one**
+  compiles a window of ``W`` epochs of a replica range into **one**
   :class:`~repro.faults.injector.CompiledScenarioBatch` of
-  ``W * R`` scenario rows (epoch-major), so the whole fleet × time
-  grid streams through a single
+  ``W * R`` scenario rows (epoch-major), so a replica block's whole
+  replica × time grid streams through a single
   :class:`~repro.faults.masks.MaskCampaignEngine` evaluation — never
-  per-scenario Python.
+  per-scenario Python;
+* :class:`ReplicaStreams` — one generator per replica block over the
+  fleet's replica axis, so a fleet holding several blocks draws each
+  block's randomness from that block's own stream.
 
 Everything temporal lowers onto exactly two engine channels: permanent
 damage (crashes, blasts) and rejuvenation resets are crash (``zero``)
@@ -39,7 +42,7 @@ from ..faults.injector import CompiledScenarioBatch, FaultInjector
 from ..faults.masks import MaskCampaignEngine, empty_mask_batch
 from ..network.model import FeedForwardNetwork
 
-__all__ = ["FleetState", "EpochWindow", "DeployedNetwork"]
+__all__ = ["FleetState", "EpochWindow", "DeployedNetwork", "ReplicaStreams"]
 
 
 def layer_columns(
@@ -52,6 +55,73 @@ def layer_columns(
         views.append(buf[..., start : start + n])
         start += n
     return views
+
+
+def block_slices(sizes: Sequence[int]) -> List[slice]:
+    """The replica ranges of consecutive blocks of ``sizes`` replicas."""
+    bounds = np.cumsum((0,) + tuple(int(n) for n in sizes))
+    return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+class ReplicaStreams:
+    """One generator per replica block, laid along a fleet's replica axis.
+
+    Block ``b`` owns the replicas ``slices[b]`` and draws from
+    ``generators[b]``: every draw a process, policy or window
+    evaluation makes for those replicas goes to that generator, with
+    the calls, shapes and order a fleet of that block alone would
+    make.  So a fleet that steps several blocks in lockstep leaves
+    every block's stream exactly where simulating the block on its own
+    would.  Uniform and integer draws go through :meth:`random` /
+    :meth:`integers` (one call per block, rows stacked in block
+    order; ``random(rows=...)`` draws for a subset of replicas, so a
+    block with none of them draws nothing); other draws that depend on
+    a block's own state (whether any arrival landed) loop over
+    :meth:`blocks`.
+    """
+
+    def __init__(
+        self, generators: Sequence[np.random.Generator], sizes: Sequence[int]
+    ):
+        self.generators = tuple(generators)
+        self.slices = block_slices(sizes)
+        #: Block ``b`` covers replicas ``bounds[b]:bounds[b + 1]``.
+        self.bounds = np.array([0] + [rows.stop for rows in self.slices])
+        self.n_replicas = int(self.bounds[-1])
+
+    @classmethod
+    def of(cls, rng, n_replicas: int) -> "ReplicaStreams":
+        """``rng`` itself, or a plain generator as one block of
+        ``n_replicas`` replicas."""
+        return rng if isinstance(rng, cls) else cls((rng,), (n_replicas,))
+
+    def blocks(self):
+        """``(generator, replica slice)`` per block, in block order."""
+        return zip(self.generators, self.slices)
+
+    def random(
+        self, *tail: int, rows: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``(R, *tail)`` uniforms, or ``(len(rows), *tail)`` for the
+        ascending replica indices ``rows``: block ``b``'s rows are one
+        ``random((R_b, *tail))`` draw of its generator (no draw for a
+        block without rows)."""
+        cuts = (
+            self.bounds if rows is None
+            else np.searchsorted(rows, self.bounds)
+        )
+        out = np.empty((int(cuts[-1]),) + tail)
+        for g, lo, hi in zip(self.generators, cuts[:-1], cuts[1:]):
+            if hi > lo:
+                g.random(out=out[lo:hi])
+        return out
+
+    def integers(self, high: int) -> np.ndarray:
+        """``(R,)`` integers in ``[0, high)``, one call per block."""
+        return np.concatenate([
+            g.integers(0, high, size=rows.stop - rows.start)
+            for g, rows in self.blocks()
+        ])
 
 
 class FleetState:
@@ -184,10 +254,11 @@ class EpochWindow:
     """Preallocated ``(W, R, ΣN_l)`` snapshot buffers for one window.
 
     ``snapshot`` copies the fleet's flat channels into row ``w`` (one
-    call per channel, whatever the depth); ``compile`` reshapes the
-    filled rows into a ``(w * R, ΣN_l)`` block and hands the engine
-    its per-layer column views (epoch-major: scenario ``k`` is epoch
-    ``k // R``, replica ``k % R``) without touching per-scenario
+    call per channel, whatever the depth or the block count);
+    ``compile`` reshapes the filled rows of a replica range into a
+    ``(w * R_b, ΣN_l)`` block and hands the engine its per-layer
+    column views (epoch-major: scenario ``k`` is epoch ``k // R_b``,
+    replica ``k % R_b`` of the range) without touching per-scenario
     Python.
     """
 
@@ -231,15 +302,22 @@ class EpochWindow:
         self._down[w] = state.down_now
         self.count += 1
 
-    def compile(self) -> CompiledScenarioBatch:
-        """The filled rows as one mask batch of ``count * R`` scenarios."""
-        w, R = self.count, self.n_replicas
-        S = w * R
+    def compile(self, replicas: slice = slice(None)) -> CompiledScenarioBatch:
+        """The filled rows of ``replicas`` as one mask batch of
+        ``count * R_b`` scenarios.
+
+        A block whose rows carry no gate while another block's do gets
+        an all-ones ``gate_p``, which the mask kernel treats exactly
+        like none: no gated cell, no draw.
+        """
+        zero = self._zero[: self.count, replicas]
+        S = zero.shape[0] * zero.shape[1]
         sizes = self.layer_sizes
         batch = empty_mask_batch(sizes, S)
-        batch.zero_masks = layer_columns(self._zero[:w].reshape(S, -1), sizes)
+        batch.zero_masks = layer_columns(zero.reshape(S, -1), sizes)
         if self._any_gate:
-            batch.gate_p = layer_columns(self._gate[:w].reshape(S, -1), sizes)
+            gate = self._gate[: self.count, replicas]
+            batch.gate_p = layer_columns(gate.reshape(S, -1), sizes)
         return batch
 
     @property
@@ -295,8 +373,11 @@ class DeployedNetwork:
         self,
         rng: np.random.Generator,
         probe_counts: Optional[np.ndarray] = None,
+        replicas: slice = slice(None),
     ) -> np.ndarray:
-        """Errors of the buffered epochs, shape ``(count, R)``.
+        """Errors of the buffered epochs of ``replicas`` (default: the
+        whole fleet), shape ``(count, R_b)``, from one engine call
+        drawing its gates from ``rng``.
 
         ``probe_counts`` (per buffered epoch, values in ``1..B``)
         restricts each epoch's error reduction to its first ``n_e``
@@ -304,8 +385,9 @@ class DeployedNetwork:
         engine's streamed reduction over the full probe batch is used
         (the fast path).
         """
-        w, R = self.window.count, self.n_replicas
-        batch = self.window.compile()
+        w = self.window.count
+        batch = self.window.compile(replicas)
+        R = batch.num_scenarios // w
         if probe_counts is None:
             return self.engine.evaluate(batch, rng=rng).reshape(w, R)
         counts = np.asarray(probe_counts, dtype=np.intp)

@@ -43,6 +43,7 @@ import numpy as np
 from ..distributed.boosting import LatencyModel, boosted_reset_masks
 from ..faults.reliability import certified_survival_probability
 from ..network.model import FeedForwardNetwork
+from .deployment import ReplicaStreams, block_slices
 
 __all__ = [
     "RepairPolicy",
@@ -55,7 +56,14 @@ __all__ = [
 
 
 class RepairPolicy:
-    """Base policy; subclasses are picklable and reset per block."""
+    """Base policy; subclasses are picklable and reset per fleet.
+
+    A fleet may hold several replica blocks (``block_sizes`` at
+    :meth:`reset`; default one block): the policy acts on the whole
+    fleet at once, keeps any per-block resource (the spare pool) per
+    block, and reports one stats dict per block (:meth:`block_stats`),
+    each exactly what a fleet of that block alone would report.
+    """
 
     name = "policy"
     #: Closed-loop policies cap the campaign's evaluation window:
@@ -64,10 +72,18 @@ class RepairPolicy:
     #: land.  ``None`` = any window is fine (open-loop policies).
     suggested_window: "int | None" = None
 
-    def reset(self, network: FeedForwardNetwork, n_replicas: int) -> None:
+    def reset(
+        self,
+        network: FeedForwardNetwork,
+        n_replicas: int,
+        block_sizes: "tuple | None" = None,
+    ) -> None:
         self.network = network
         self.n_replicas = int(n_replicas)
-        self.n_repairs = 0
+        self.blocks = block_slices(
+            block_sizes if block_sizes is not None else (self.n_replicas,)
+        )
+        self.repairs = np.zeros(self.n_replicas, dtype=np.int64)
 
     def apply(self, state, processes, detectors, rng) -> None:
         """Start-of-epoch hook: perform repairs that are due."""
@@ -76,23 +92,25 @@ class RepairPolicy:
         """End-of-window hook: ``errors`` and ``firings`` are ``(W, R)``
         grids for epochs ``first_epoch..first_epoch + W - 1``."""
 
-    def stats(self) -> dict:
-        """Aggregate counters for the SLO report."""
-        return {"repairs": self.n_repairs}
+    def block_stats(self) -> list:
+        """Aggregate counters for the SLO report, one dict per block."""
+        return [
+            {"repairs": int(self.repairs[rows].sum())} for rows in self.blocks
+        ]
 
     # -- shared plumbing ---------------------------------------------------
 
     def _full_repair(self, state, processes, detectors, replicas) -> None:
         """Repair ``replicas`` everywhere: fleet masks + ages, process
         state (burst timers), detector state (CUSUM sums, alarms)."""
-        if not replicas.any():
+        if not np.count_nonzero(replicas):
             return
         state.repair(replicas)
         for proc in processes:
             proc.on_repair(state, replicas)
         for det in detectors:
             det.on_repair(replicas, state.epoch)
-        self.n_repairs += int(replicas.sum())
+        self.repairs += replicas
 
 
 class NoRepairPolicy(RepairPolicy):
@@ -131,15 +149,15 @@ class PeriodicRejuvenationPolicy(RepairPolicy):
         self.straggler_fraction = float(straggler_fraction)
         self.straggler_scale = float(straggler_scale)
 
-    def reset(self, network, n_replicas):
-        super().reset(network, n_replicas)
+    def reset(self, network, n_replicas, block_sizes=None):
+        super().reset(network, n_replicas, block_sizes)
         if len(self.tolerated) != network.depth:
             raise ValueError(
                 f"tolerated length {len(self.tolerated)} != depth "
                 f"{network.depth}"
             )
         self.n_rejuvenations = 0
-        self.speedups: list = []
+        self.speedups: list = []  # one (R,) array per rejuvenation
 
     def apply(self, state, processes, detectors, rng):
         if state.epoch == 0 or state.epoch % self.period != 0:
@@ -147,31 +165,41 @@ class PeriodicRejuvenationPolicy(RepairPolicy):
         everyone = np.ones(self.n_replicas, dtype=bool)
         self._full_repair(state, processes, detectors, everyone)
         # Per-replica loop, deliberately: each replica's restart needs
-        # an independent latency draw, and rejuvenation epochs are rare
-        # (one in `period`) — this is process-side bookkeeping, not the
-        # per-scenario hot loop, which stays on the streamed engine.
-        for r in range(self.n_replicas):
-            latency = LatencyModel.uniform_random(
-                self.network,
-                straggler_fraction=self.straggler_fraction,
-                straggler_scale=self.straggler_scale,
-                rng=rng,
-            )
-            masks, base_t, boost_t = boosted_reset_masks(
-                self.network, latency, self.tolerated
-            )
-            state.set_resets(r, masks)
-            self.speedups.append(base_t / boost_t if boost_t else float("inf"))
+        # an independent latency draw from its block's generator, and
+        # rejuvenation epochs are rare (one in `period`) — this is
+        # process-side bookkeeping, not the per-scenario hot loop,
+        # which stays on the streamed engine.
+        speedups = np.empty(self.n_replicas)
+        for g, rows in ReplicaStreams.of(rng, self.n_replicas).blocks():
+            for r in range(rows.start, rows.stop):
+                latency = LatencyModel.uniform_random(
+                    self.network,
+                    straggler_fraction=self.straggler_fraction,
+                    straggler_scale=self.straggler_scale,
+                    rng=g,
+                )
+                masks, base_t, boost_t = boosted_reset_masks(
+                    self.network, latency, self.tolerated
+                )
+                state.set_resets(r, masks)
+                speedups[r] = base_t / boost_t if boost_t else float("inf")
+        self.speedups.append(speedups)
         self.n_rejuvenations += 1
 
-    def stats(self):
-        return {
-            "repairs": self.n_repairs,
-            "rejuvenations": self.n_rejuvenations,
-            "mean_boost_speedup": (
-                float(np.mean(self.speedups)) if self.speedups else None
-            ),
-        }
+    def block_stats(self):
+        return [
+            {
+                "repairs": int(self.repairs[rows].sum()),
+                "rejuvenations": self.n_rejuvenations,
+                "mean_boost_speedup": (
+                    float(np.mean(np.concatenate(
+                        [s[rows] for s in self.speedups]
+                    )))
+                    if self.speedups else None
+                ),
+            }
+            for rows in self.blocks
+        ]
 
 
 class DetectorRepairPolicy(RepairPolicy):
@@ -202,8 +230,8 @@ class DetectorRepairPolicy(RepairPolicy):
         self.downtime = int(downtime)
         self.detector = detector
 
-    def reset(self, network, n_replicas):
-        super().reset(network, n_replicas)
+    def reset(self, network, n_replicas, block_sizes=None):
+        super().reset(network, n_replicas, block_sizes)
         self.pending = np.full(n_replicas, -1, dtype=np.int64)
 
     def _trigger_grid(self, firings: dict) -> np.ndarray:
@@ -236,7 +264,8 @@ class DetectorRepairPolicy(RepairPolicy):
 
     def apply(self, state, processes, detectors, rng):
         due = self.pending == state.epoch
-        if not due.any():
+        # count_nonzero: on (R,)-sized masks a far cheaper test than any()
+        if not np.count_nonzero(due):
             return
         self._full_repair(state, processes, detectors, due)
         state.down_until[due] = state.epoch + self.downtime
@@ -274,27 +303,32 @@ class SpareActivationPolicy(DetectorRepairPolicy):
             raise ValueError(f"n_spares must be >= 0, got {n_spares}")
         self.n_spares = int(n_spares)
 
-    def reset(self, network, n_replicas):
-        super().reset(network, n_replicas)
-        self.spares_left = self.n_spares
+    def reset(self, network, n_replicas, block_sizes=None):
+        super().reset(network, n_replicas, block_sizes)
+        self.spares_left = [self.n_spares] * len(self.blocks)
 
     def apply(self, state, processes, detectors, rng):
         due = self.pending == state.epoch
-        if not due.any():
+        if not np.count_nonzero(due):
             return
-        idx = np.nonzero(due)[0][: self.spares_left]
+        # Each block swaps its lowest due replicas from its own pool.
         swap = np.zeros(self.n_replicas, dtype=bool)
-        swap[idx] = True
+        for b, rows in enumerate(self.blocks):
+            idx = np.flatnonzero(due[rows])[: self.spares_left[b]]
+            swap[idx + rows.start] = True
+            self.spares_left[b] -= idx.size
         self._full_repair(state, processes, detectors, swap)
-        self.spares_left -= int(swap.sum())
         self.pending[due] = -1  # dry pool: cancelled, not retried
 
-    def stats(self):
-        return {
-            "repairs": self.n_repairs,
-            "spares_used": self.n_spares - self.spares_left,
-            "spares_left": self.spares_left,
-        }
+    def block_stats(self):
+        return [
+            {
+                "repairs": int(self.repairs[rows].sum()),
+                "spares_used": self.n_spares - left,
+                "spares_left": left,
+            }
+            for rows, left in zip(self.blocks, self.spares_left)
+        ]
 
 
 def recommended_spares(

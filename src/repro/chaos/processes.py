@@ -14,9 +14,11 @@ Processes are **array-level**: one :meth:`~FaultProcess.step` call
 mutates the fleet masks (per-layer ``(R, N_l)`` views of the flat
 ``(R, ΣN_l)`` channels) for all ``R`` replicas at once —
 no per-replica or per-neuron Python in the epoch loop.  They are also
-**deterministic**: every draw comes from the generator threaded in by
-the campaign, and the draw shapes do not depend on worker count, so a
-chaos run replays bitwise from its seed (serial == parallel).
+**deterministic**: every draw comes from the owning replica block's
+generator (a :class:`~repro.chaos.deployment.ReplicaStreams`, or one
+plain generator for a one-block fleet) with the calls, shapes and
+order that block alone would make, so a chaos run replays bitwise from
+its seed whichever blocks share a fleet (serial == parallel).
 
 The taxonomy mirrors the failure modes the paper and the
 chaos-engineering literature care about:
@@ -43,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .deployment import layer_columns
+from .deployment import ReplicaStreams, layer_columns
 
 __all__ = [
     "FaultProcess",
@@ -91,21 +93,23 @@ def _scatter_counted_hits(
 class FaultProcess:
     """Advances fleet health by one epoch; subclasses are picklable.
 
-    Lifecycle: the campaign calls :meth:`reset` once per replica block
-    (workers receive pickled copies and reset them too, so serial and
-    parallel runs see identical state), then :meth:`step` once per
-    epoch with the block's generator, and :meth:`on_repair` whenever a
-    policy repairs replicas (so age- or burst-tracking state restarts
-    with the replica).
+    Lifecycle: the campaign calls :meth:`reset` once per fleet it
+    simulates (workers receive pickled copies and reset them too, so
+    serial and parallel runs see identical state), then :meth:`step`
+    once per epoch with the fleet's per-block streams, and
+    :meth:`on_repair` whenever a policy repairs replicas (so age- or
+    burst-tracking state restarts with the replica).
     """
 
     def reset(self, n_replicas: int, layer_sizes: Sequence[int]) -> None:
         self.n_replicas = int(n_replicas)
         self.layer_sizes = tuple(int(n) for n in layer_sizes)
 
-    def step(self, state, rng: np.random.Generator) -> None:
+    def step(self, state, rng) -> None:
         """Mutate ``state`` (a :class:`repro.chaos.deployment.FleetState`)
-        for the current epoch."""
+        for the current epoch, drawing from ``rng`` (a
+        :class:`~repro.chaos.deployment.ReplicaStreams` or a plain
+        generator)."""
         raise NotImplementedError
 
     def on_repair(self, state, replicas: np.ndarray) -> None:
@@ -133,12 +137,16 @@ class PoissonArrivalProcess(FaultProcess):
             raise ValueError(f"arrival rates must be >= 0, got {self.rates}")
 
     def step(self, state, rng):
+        streams = ReplicaStreams.of(rng, self.n_replicas)
         for l0, (n, rate) in enumerate(zip(self.layer_sizes, self.rates)):
             if rate == 0.0:
                 continue
-            counts = rng.poisson(rate, self.n_replicas)
-            if counts.any():
-                state.crash[l0] |= _scatter_counted_hits(rng, counts, n)
+            for g, rows in streams.blocks():
+                counts = g.poisson(rate, rows.stop - rows.start)
+                if counts.any():
+                    state.crash[l0][rows] |= _scatter_counted_hits(
+                        g, counts, n
+                    )
 
 
 class ComponentLifetimeProcess(FaultProcess):
@@ -172,6 +180,7 @@ class ComponentLifetimeProcess(FaultProcess):
         self._p_const = 1.0 - np.exp(-self.rate * self.dt)
 
     def step(self, state, rng):
+        streams = ReplicaStreams.of(rng, self.n_replicas)
         for l0, n in enumerate(self.layer_sizes):
             if self.shape == 1.0:
                 p = self._p_const
@@ -183,8 +192,7 @@ class ComponentLifetimeProcess(FaultProcess):
                 )
             # Draw for every component (constant stream shape; the
             # already-crashed simply cannot fail twice).
-            hits = rng.random((self.n_replicas, n)) < p
-            state.crash[l0] |= hits
+            state.crash[l0] |= streams.random(n) < p
 
 
 class TransientBurstProcess(FaultProcess):
@@ -233,15 +241,17 @@ class TransientBurstProcess(FaultProcess):
         self.affected = layer_columns(self.affected_flat, self.layer_sizes)
 
     def step(self, state, rng):
-        starts = (self.remaining == 0) & (
-            rng.random(self.n_replicas) < self.burst_rate
-        )
-        # count_nonzero: on (R,)-sized masks a far cheaper test than any()
-        k = np.count_nonzero(starts)
-        if k:
-            self.remaining[starts] = self.duration
+        streams = ReplicaStreams.of(rng, self.n_replicas)
+        starts = (self.remaining == 0) & (streams.random() < self.burst_rate)
+        started = np.flatnonzero(starts)
+        if started.size:
+            self.remaining[started] = self.duration
+            # Footprints: per layer, one (k_b, N_l) draw from each block
+            # with k_b > 0 starting replicas.
             for l0, n in enumerate(self.layer_sizes):
-                self.affected[l0][starts] = rng.random((k, n)) < self.fraction
+                self.affected[l0][started] = (
+                    streams.random(n, rows=started) < self.fraction
+                )
         active = self.remaining > 0
         if np.count_nonzero(active):
             cells = self.affected_flat & active[:, None]
@@ -273,17 +283,21 @@ class CorrelatedBlastProcess(FaultProcess):
         self.fraction = float(fraction)
 
     def step(self, state, rng):
-        R = self.n_replicas
-        hit = rng.random(R) < self.rate
+        streams = ReplicaStreams.of(rng, self.n_replicas)
+        hit = streams.random() < self.rate
         # Layer choices are drawn for every replica so the stream shape
         # never depends on the hit pattern (deterministic replay).
-        layers = rng.integers(0, len(self.layer_sizes), size=R)
-        if not hit.any():
+        layers = streams.integers(len(self.layer_sizes))
+        if not np.count_nonzero(hit):
             return
         for l0, n in enumerate(self.layer_sizes):
-            rows = hit & (layers == l0)
-            if not rows.any():
+            blasted = hit & (layers == l0)
+            if not np.count_nonzero(blasted):
                 continue
             k = max(1, int(round(self.fraction * n)))
-            counts = np.where(rows, k, 0)
-            state.crash[l0] |= _scatter_counted_hits(rng, counts, n)
+            for g, rows in streams.blocks():
+                if np.count_nonzero(blasted[rows]):
+                    counts = np.where(blasted[rows], k, 0)
+                    state.crash[l0][rows] |= _scatter_counted_hits(
+                        g, counts, n
+                    )

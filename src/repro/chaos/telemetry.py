@@ -26,10 +26,12 @@ counts and per-process damage attribution) are optional: they cost
 two mask copies per process step and are only recorded when telemetry
 is enabled with ``ground_truth=True``.
 
-Blocks are the unit of parallelism: each replica block records its
-own trace and :func:`concat_traces` joins them along the replica axis
-in fixed block order, so the assembled trace is bitwise identical
-whether the blocks ran serially or on the fork-once pool.
+Blocks are the unit of seeding and fan-out: a job steps several
+replica blocks in lockstep under one recorder, :meth:`TelemetryRecorder.
+finish` splits the job's channels back into one trace per block, and
+:func:`concat_traces` joins them along the replica axis in fixed block
+order, so the assembled trace is bitwise identical however the blocks
+were grouped into jobs, serially or on the fork-once pool.
 
 Persistence is schema-versioned and split: :func:`save_trace` writes
 ``<base>.json`` (scalar metadata, block policy stats, the originating
@@ -46,6 +48,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .deployment import block_slices
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
@@ -228,7 +232,7 @@ class TelemetryTrace:
 
 
 class TelemetryRecorder:
-    """The epoch loop's write seam: one recorder per replica block.
+    """The epoch loop's write seam: one recorder per simulated fleet.
 
     The campaign installs the recorder as ``FleetState.telemetry``, so
     state mutations that carry operational meaning — full repairs,
@@ -396,35 +400,61 @@ class TelemetryRecorder:
         if self.ground_truth:
             self._flush_ground_truth(first_epoch, w)
 
-    def finish(self, policy_stats: dict) -> TelemetryTrace:
-        """Seal the block's trace (events sorted into flat columns)."""
+    def finish(
+        self,
+        block_policy_stats: Sequence[dict],
+        block_sizes: Optional[Sequence[int]] = None,
+    ) -> List[TelemetryTrace]:
+        """Seal one trace per replica block (default: one block).
+
+        Block ``b``'s trace holds its replica columns of every channel
+        and its own action events, in recorded order with block-local
+        replica indices — exactly what recording the block alone
+        produces, because no channel mixes replicas.
+        """
         if self._events:
             kinds, epochs_col, reps = zip(*self._events)
         else:
             kinds, epochs_col, reps = (), (), ()
-        return TelemetryTrace(
-            epochs=self.epochs,
-            n_replicas=self.n_replicas,
-            epsilon=self.epsilon,
-            epsilon_prime=self.epsilon_prime,
-            layer_sizes=self.layer_sizes,
-            process_kinds=self.process_kinds,
-            detector_names=self.detector_names,
-            policy_name=self.policy_name,
-            epochs_chunk=self.epochs_chunk,
-            block_sizes=(self.n_replicas,),
-            viol=self.viol,
-            down=self.down,
-            alarms=self.alarms,
-            action_kind=np.asarray(kinds, dtype=np.int8),
-            action_epoch=np.asarray(epochs_col, dtype=np.int64),
-            action_replica=np.asarray(reps, dtype=np.int64),
-            block_policy_stats=(dict(policy_stats),),
-            errors=self.errors,
-            crash_counts=self.crash_counts,
-            transient_counts=self.transient_counts,
-            process_hits=self.process_hits,
-        )
+        kinds = np.asarray(kinds, dtype=np.int8)
+        epochs_col = np.asarray(epochs_col, dtype=np.int64)
+        reps = np.asarray(reps, dtype=np.int64)
+        sizes = block_sizes if block_sizes is not None else (self.n_replicas,)
+        traces = []
+        for cols, stats in zip(block_slices(sizes), block_policy_stats):
+            size = cols.stop - cols.start
+            own = (reps >= cols.start) & (reps < cols.stop)
+
+            def part(grid):  # the block's replica columns
+                return None if grid is None else grid[:, cols]
+
+            traces.append(TelemetryTrace(
+                epochs=self.epochs,
+                n_replicas=size,
+                epsilon=self.epsilon,
+                epsilon_prime=self.epsilon_prime,
+                layer_sizes=self.layer_sizes,
+                process_kinds=self.process_kinds,
+                detector_names=self.detector_names,
+                policy_name=self.policy_name,
+                epochs_chunk=self.epochs_chunk,
+                block_sizes=(size,),
+                viol=part(self.viol),
+                down=part(self.down),
+                alarms={k: part(g) for k, g in self.alarms.items()},
+                action_kind=kinds[own],
+                action_epoch=epochs_col[own],
+                action_replica=reps[own] - cols.start,
+                block_policy_stats=(dict(stats),),
+                errors=part(self.errors),
+                crash_counts=part(self.crash_counts),
+                transient_counts=part(self.transient_counts),
+                process_hits=(
+                    None if self.process_hits is None
+                    else self.process_hits[:, :, cols]
+                ),
+            ))
+        return traces
 
 
 def concat_traces(

@@ -78,15 +78,6 @@ __all__ = [
     "apply_synapse_corrections",
 ]
 
-#: A permanent zero/set/scale/add channel write goes through the sparse
-#: gather/scatter kernel when the affected cells cover at most
-#: ``1 / _SPARSE_ROWS_LIMIT`` of the ``(S, N)`` mask; denser masks keep
-#: the vectorised masked write.
-#: Both kernels are bitwise-identical, so the threshold is purely a
-#: throughput heuristic.
-_SPARSE_ROWS_LIMIT = 4
-
-
 class MaskWorkspace:
     """Reusable scratch buffers for the per-chunk mask kernels.
 
@@ -293,20 +284,18 @@ def apply_mask_channels(
     seeded ``rng`` and raise without one — unseeded campaigns are not
     reproducible.
 
-    Gated (intermittent) and noisy cells are processed sparsely: per
-    channel, the ``K`` affected cells are gathered through a transposed
-    ``(S, N, B)`` view, draws cost ``(K, B)`` rather than ``(S, B, N)``,
-    and the dense vectorised writes below only serve the permanent
-    cells.  Draw order is fixed (gates per channel in zero / set /
-    scale / add order, then noise), each in row-major cell order, so
-    the stream is deterministic for a given batch.  A ``workspace``
-    lets the gate draws reuse one growable buffer across chunks (same
-    stream, fewer allocations).  Permanent ``zero``/``set``/``scale``/
-    ``add`` cells below the :data:`_SPARSE_ROWS_LIMIT` density
-    additionally go through a gather/compute/scatter kernel on the
-    ``(K, B)`` cells instead of full ``(S, B, N)`` masked writes —
-    elementwise identical and drawing nothing, so results are
-    bitwise-equal either way.
+    Every channel is one gather → compute → scatter over its ``K``
+    affected cells through the transposed ``(S, N, B)`` view, whatever
+    the mask density: permanent cells are selected by one boolean
+    gather, gated and noisy cells by their row-major coordinates, so
+    the work and the draws cost ``(K, B)`` rather than ``(S, B, N)``.
+    The result is elementwise identical to a masked write over the
+    whole tensor (``tests/oracles.py`` keeps that form).  Draw order
+    is fixed (gates per channel in zero / set / scale / add order,
+    then noise), each in row-major cell order, so the stream is
+    deterministic for a given batch.  A ``workspace`` lets the gate
+    draws reuse one growable buffer across chunks (same stream, fewer
+    allocations).
     """
     B = Y.shape[1]
     gated_cells = gate_p is not None and np.any(gate_p < 1.0)
@@ -337,21 +326,10 @@ def apply_mask_channels(
         hit = draw_uniform(rows.size) < gate_p[rows, cols][:, None]
         return mask & ~g, (rows, cols, hit)
 
-    def sparse_rows(dense: np.ndarray):
-        """Cell coordinates when the mask is sparse enough, else None."""
-        k = np.count_nonzero(dense)
-        if k == 0 or k * _SPARSE_ROWS_LIMIT > dense.size:
-            return None
-        return np.nonzero(dense)
-
     if zero.any():
         dense, gated = split(zero)
         if dense.any():
-            sparse = sparse_rows(dense)
-            if sparse is not None:
-                Yt[sparse] = 0.0
-            else:
-                np.copyto(Y, 0.0, where=dense[:, None, :])
+            Yt[dense] = 0.0
         if gated is not None:
             rows, cols, hit = gated
             cells = Yt[rows, cols]
@@ -360,21 +338,11 @@ def apply_mask_channels(
     if set_mask.any():
         dense, gated = split(set_mask)
         if dense.any():
-            sparse = sparse_rows(dense)
-            if sparse is not None:
-                rows, cols = sparse
-                cells = Yt[rows, cols]
-                vals = np.broadcast_to(
-                    set_values[rows, cols][:, None], cells.shape
-                )
-                if capacity is not None:
-                    vals = np.clip(vals, cells - capacity, cells + capacity)
-                Yt[rows, cols] = vals
-            else:
-                vals = np.broadcast_to(set_values[:, None, :], Y.shape)
-                if capacity is not None:
-                    vals = np.clip(vals, Y - capacity, Y + capacity)
-                np.copyto(Y, vals, where=dense[:, None, :], casting="unsafe")
+            cells = Yt[dense]
+            vals = np.broadcast_to(set_values[dense][:, None], cells.shape)
+            if capacity is not None:
+                vals = np.clip(vals, cells - capacity, cells + capacity)
+            Yt[dense] = vals
         if gated is not None:
             rows, cols, hit = gated
             cells = Yt[rows, cols]
@@ -387,19 +355,11 @@ def apply_mask_channels(
     if scale_mask is not None and scale_mask.any():
         dense, gated = split(scale_mask)
         if dense.any():
-            sparse = sparse_rows(dense)
-            if sparse is not None:
-                rows, cols = sparse
-                cells = Yt[rows, cols]
-                vals = scale_values[rows, cols][:, None] * cells
-                if capacity is not None:
-                    vals = np.clip(vals, cells - capacity, cells + capacity)
-                Yt[rows, cols] = vals
-            else:
-                vals = scale_values[:, None, :] * Y
-                if capacity is not None:
-                    vals = np.clip(vals, Y - capacity, Y + capacity)
-                np.copyto(Y, vals, where=dense[:, None, :], casting="unsafe")
+            cells = Yt[dense]
+            vals = scale_values[dense][:, None] * cells
+            if capacity is not None:
+                vals = np.clip(vals, cells - capacity, cells + capacity)
+            Yt[dense] = vals
         if gated is not None:
             rows, cols, hit = gated
             cells = Yt[rows, cols]
@@ -414,21 +374,12 @@ def apply_mask_channels(
             )
         dense, gated = split(add_mask)
         if dense.any():
-            sparse = sparse_rows(dense)
-            if sparse is not None:
-                rows, cols = sparse
-                add = add_values[rows, cols]
-                if capacity is not None:
-                    add = np.clip(add, -capacity, capacity)
-                cells = Yt[rows, cols]
-                cells += add[:, None]
-                Yt[rows, cols] = cells
-            else:
-                add = add_values
-                if capacity is not None:
-                    add = np.clip(add, -capacity, capacity)
-                np.add(Y, add[:, None, :], out=Y, where=dense[:, None, :],
-                       casting="unsafe")
+            add = add_values[dense]
+            if capacity is not None:
+                add = np.clip(add, -capacity, capacity)
+            cells = Yt[dense]
+            cells += add[:, None]
+            Yt[dense] = cells
         if gated is not None:
             rows, cols, hit = gated
             add = add_values[rows, cols]

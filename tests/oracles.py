@@ -7,8 +7,9 @@ associativity otherwise.  None of them is imported by the package.
 * :func:`scalar_errors` — per-scenario output errors through the
   scalar :meth:`FaultInjector.run` path, the oracle for every batched
   evaluation (:class:`~repro.faults.masks.MaskCampaignEngine`);
-* :func:`apply_zero_channel_reference` — the dense masked crash
-  write the sparse zero-channel scatter of
+* :func:`apply_mask_channels_reference` — every permanent channel as
+  one masked write over the whole ``(S, B, N)`` tensor, the form the
+  gather/compute/scatter kernel of
   :func:`repro.faults.injector.apply_mask_channels` must reproduce bit
   for bit, RNG stream included;
 * :func:`apply_synapse_corrections_reference` /
@@ -19,7 +20,13 @@ associativity otherwise.  None of them is imported by the package.
   oracle of :func:`repro.chaos.telemetry.episode_runs`;
 * :func:`mean_failures_to_violation_scalar` — the one-crash-at-a-time
   loop :func:`repro.faults.reliability.mean_failures_to_violation`
-  must match permutation for permutation.
+  must match permutation for permutation;
+* :func:`simulate_block_reference` / :class:`PerBlockDriver` — the
+  chaos epoch loop one replica block at a time on a plain generator,
+  the oracle of the lockstep job loop
+  (:func:`repro.chaos.campaign._simulate_job`);
+* :class:`DamageAttributionOracle` — naive per-step damage counts, the
+  oracle of the recorder's ground-truth channels.
 """
 
 from __future__ import annotations
@@ -28,12 +35,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.chaos.deployment import DeployedNetwork
 from repro.chaos.processes import FaultProcess
+from repro.chaos.telemetry import TelemetryRecorder
 from repro.faults.injector import (
     FaultInjector,
     _bound_deviation,
     _synapse_emissions,
 )
+from repro.faults.masks import MaskCampaignEngine
 from repro.faults.scenarios import FailureScenario
 from repro.faults.types import CrashFault
 
@@ -46,21 +56,90 @@ def scalar_errors(injector, x, scenarios, seed=1234) -> np.ndarray:
     )
 
 
-def apply_zero_channel_reference(Y, zero, gate_p=None, rng=None):
-    """The crash channel as one dense masked write: every permanent
-    ``zero`` cell reads 0 through ``np.copyto`` over the whole
-    ``(S, B, N)`` tensor; gated (intermittent) cells draw their
-    ``(K, B)`` Bernoulli pattern from ``rng`` in row-major cell order
-    and are zeroed where it hits."""
-    gated = np.zeros_like(zero) if gate_p is None else zero & (gate_p < 1.0)
-    np.copyto(Y, 0.0, where=(zero & ~gated)[:, None, :])
-    if gated.any():
-        rows, cols = np.nonzero(gated)
+def apply_mask_channels_reference(
+    Y, zero, set_mask, set_values, add_mask, add_values, capacity, *,
+    scale_mask=None, scale_values=None, noise_mask=None, noise_sigma=None,
+    gate_p=None, rng=None,
+):
+    """One layer's fault channels as masked writes over the whole
+    ``(S, B, N)`` tensor: each permanent channel is an ``np.copyto`` /
+    ``np.add`` with a broadcast ``where=`` mask.  Gated cells draw
+    their ``(K, B)`` Bernoulli pattern from ``rng`` per channel (zero,
+    set, scale, add), in row-major cell order, then noise draws — the
+    draw order of the production kernel."""
+    gated_cells = gate_p is not None and np.any(gate_p < 1.0)
+    Yt = Y.transpose(0, 2, 1)
+
+    def split(mask):
+        if not gated_cells:
+            return mask, None
+        g = mask & (gate_p < 1.0)
+        if not g.any():
+            return mask, None
+        rows, cols = np.nonzero(g)
         hit = rng.random((rows.size, Y.shape[1])) < gate_p[rows, cols][:, None]
-        view = Y.transpose(0, 2, 1)
-        cells = view[rows, cols]
-        cells[hit] = 0.0
-        view[rows, cols] = cells
+        return mask & ~g, (rows, cols, hit)
+
+    def gated_write(gated, fn):
+        rows, cols, hit = gated
+        cells = Yt[rows, cols]
+        Yt[rows, cols] = np.where(hit, fn(cells, rows, cols), cells)
+
+    def clip(vals, ref):
+        if capacity is None:
+            return vals
+        return np.clip(vals, ref - capacity, ref + capacity)
+
+    if zero.any():
+        dense, gated = split(zero)
+        np.copyto(Y, 0.0, where=dense[:, None, :])
+        if gated is not None:
+            gated_write(gated, lambda c, r, k: 0.0)
+    if set_mask.any():
+        dense, gated = split(set_mask)
+        vals = clip(np.broadcast_to(set_values[:, None, :], Y.shape), Y)
+        np.copyto(Y, vals, where=dense[:, None, :], casting="unsafe")
+        if gated is not None:
+            gated_write(gated, lambda c, r, k: clip(
+                np.broadcast_to(set_values[r, k][:, None], c.shape), c
+            ))
+    if scale_mask is not None and scale_mask.any():
+        dense, gated = split(scale_mask)
+        vals = clip(scale_values[:, None, :] * Y, Y)
+        np.copyto(Y, vals, where=dense[:, None, :], casting="unsafe")
+        if gated is not None:
+            gated_write(gated, lambda c, r, k: clip(
+                scale_values[r, k][:, None] * c, c
+            ))
+    if add_mask.any():
+        dense, gated = split(add_mask)
+        add = add_values
+        if capacity is not None:
+            add = np.clip(add, -capacity, capacity)
+        np.add(Y, add[:, None, :], out=Y, where=dense[:, None, :],
+               casting="unsafe")
+        if gated is not None:
+            rows, cols, hit = gated
+            cells = Yt[rows, cols]
+            cells += np.where(hit, add[rows, cols][:, None], 0.0)
+            Yt[rows, cols] = cells
+    if noise_mask is not None and noise_mask.any():
+        rows, cols = np.nonzero(noise_mask)
+        delta = (
+            rng.standard_normal((rows.size, Y.shape[1]))
+            * noise_sigma[rows, cols][:, None]
+        )
+        if capacity is not None:
+            np.clip(delta, -capacity, capacity, out=delta)
+        if gated_cells:
+            gp = gate_p[rows, cols]
+            flaky = gp < 1.0
+            if flaky.any():
+                delta[flaky] *= (
+                    rng.random((int(flaky.sum()), Y.shape[1]))
+                    < gp[flaky][:, None]
+                )
+        Yt[rows, cols] += delta
     return Y
 
 
@@ -290,3 +369,99 @@ class _CountingProcess(FaultProcess):
 
     def on_repair(self, state, replicas):
         self.inner.on_repair(state, replicas)
+
+
+def simulate_block_reference(engine, shared: tuple, n_replicas: int, rng):
+    """One replica block's chaos lifecycle on one plain generator.
+
+    The per-block epoch loop :func:`repro.chaos.campaign._simulate_job`
+    must reproduce block for block: a fleet of this block alone, reset
+    on its own, every draw and its window evaluations on ``rng``.
+    ``shared`` is the job function's campaign-wide tuple.  Returns the
+    block's :class:`~repro.chaos.telemetry.TelemetryTrace`.
+    """
+    (processes, detectors, policy, epochs, epochs_chunk, epsilon,
+     epsilon_prime, probe_counts, ground_truth) = shared
+    network = engine.network
+    fleet = DeployedNetwork(
+        network, engine.xb64, n_replicas, window=epochs_chunk, engine=engine
+    )
+    state = fleet.state
+    for proc in processes:
+        proc.reset(n_replicas, network.layer_sizes)
+    for det in detectors:
+        det.reset(n_replicas)
+    policy.reset(network, n_replicas)
+    recorder = TelemetryRecorder(
+        epochs=epochs,
+        n_replicas=n_replicas,
+        epsilon=epsilon,
+        epsilon_prime=epsilon_prime,
+        layer_sizes=network.layer_sizes,
+        process_kinds=tuple(type(p).__name__ for p in processes),
+        detector_names=tuple(d.name for d in detectors),
+        policy_name=policy.name,
+        epochs_chunk=epochs_chunk,
+        ground_truth=ground_truth,
+    )
+    state.telemetry = recorder
+    budget = epsilon - epsilon_prime
+    epoch = 0
+    while epoch < epochs:
+        w = min(epochs_chunk, epochs - epoch)
+        fleet.window.clear()
+        for k in range(w):
+            state.begin_epoch(epoch + k)
+            policy.apply(state, processes, detectors, rng)
+            for p_idx, proc in enumerate(processes):
+                proc.step(state, rng)
+                if ground_truth:
+                    recorder.record_step(p_idx, k, state)
+            fleet.window.snapshot(state)
+            state.advance_ages()
+        counts = (
+            probe_counts[epoch : epoch + w]
+            if probe_counts is not None
+            else None
+        )
+        errors = fleet.evaluate_window(rng, counts)
+        down_w = fleet.window.down
+        viol_w = (errors > budget + 1e-12) & ~down_w
+        observed = np.where(down_w, 0.0, errors)
+        firings_w = {
+            det.name: det.update(observed, epoch) for det in detectors
+        }
+        policy.observe(state, errors, firings_w, epoch)
+        recorder.record_window(epoch, errors, down_w, viol_w, firings_w)
+        epoch += w
+    state.telemetry = None
+    (trace,) = recorder.finish(policy.block_stats())
+    return trace
+
+
+class PerBlockDriver:
+    """Drop-in for the chaos campaign's ``_run_blocks``: every replica
+    block of every job runs on its own through
+    :func:`simulate_block_reference`, in block order, with a plain
+    generator per block (kept in :attr:`generators` for their final
+    states)."""
+
+    def __init__(self):
+        self.generators: List[np.random.Generator] = []
+
+    def __call__(self, block_fn, shared, jobs, injector, x, *, chunk_size,
+                 dtype=np.float64, **_):
+        engine = MaskCampaignEngine(
+            injector, x, chunk_size=chunk_size, dtype=dtype
+        )
+        results = []
+        for _, sizes, seeds in jobs:
+            job = []
+            for size, seed in zip(sizes, seeds):
+                rng = np.random.default_rng(seed)
+                self.generators.append(rng)
+                job.append(
+                    (simulate_block_reference(engine, shared, size, rng), 0.0)
+                )
+            results.append(job)
+        return results

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.faults import injector as injector_mod
 from repro.faults.injector import FaultInjector, apply_mask_channels
 from repro.faults.masks import MaskCampaignEngine
 from repro.faults.scenarios import (
@@ -25,7 +24,7 @@ from repro.faults.types import (
 )
 from repro.network.model import NeuronAddress
 
-from oracles import apply_zero_channel_reference
+from oracles import apply_mask_channels_reference
 
 
 class TestNominal:
@@ -253,12 +252,12 @@ class TestBatchedPath:
             self._errors(inj, batch, scenarios, reduction="median")
 
 
-class TestZeroChannelScatter:
-    """The crash channel scatters its cells below the sparse-rows limit.
+class TestChannelScatter:
+    """Every channel is one gather/compute/scatter over its cells.
 
-    The scatter must write the dense masked write's bits (``+0.0``
-    over ``-0.0``, NaN and huge activations alike) and draw exactly the
-    same stream, at every density and whichever kernel the limit picks.
+    The kernel must write the whole-tensor masked write's bits
+    (``+0.0`` over ``-0.0``, NaN and huge activations alike) and draw
+    exactly the same stream, at every density.
     """
 
     S, B, N = 32, 5, 16
@@ -289,12 +288,9 @@ class TestZeroChannelScatter:
             gate_p[rows[pick], cols[pick]] = 0.5
         return gate_p
 
-    @pytest.mark.parametrize("limit", [None, 1, 10**9])
     @pytest.mark.parametrize("gated", [False, True])
     @pytest.mark.parametrize("density", [1 / 64, 1 / 8, 1 / 4, 1 / 2, 1.0])
-    def test_matches_dense_write(self, monkeypatch, density, gated, limit):
-        if limit is not None:  # 1: always scatter; 10**9: never
-            monkeypatch.setattr(injector_mod, "_SPARSE_ROWS_LIMIT", limit)
+    def test_crash_matches_masked_write(self, density, gated):
         rng = np.random.default_rng(17)
         Y = self._activations(rng)
         zero = self._cells(rng, density)
@@ -307,39 +303,49 @@ class TestZeroChannelScatter:
             Y.copy(), zero, none, values, none, values, 1.0,
             gate_p=gate_p, rng=rng_kernel,
         )
-        want = apply_zero_channel_reference(
-            Y.copy(), zero, gate_p, rng_oracle
+        want = apply_mask_channels_reference(
+            Y.copy(), zero, none, values, none, values, 1.0,
+            gate_p=gate_p, rng=rng_oracle,
         )
         assert got.tobytes() == want.tobytes()
         assert rng_kernel.bit_generator.state == rng_oracle.bit_generator.state
 
+    @pytest.mark.parametrize("capacity", [0.5, None])
     @pytest.mark.parametrize("gated", [False, True])
     @pytest.mark.parametrize("density", [1 / 32, 1 / 4, 1 / 2])
-    def test_scatter_and_dense_kernels_agree_with_every_channel(
-        self, monkeypatch, density, gated
+    def test_every_channel_matches_masked_write(
+        self, density, gated, capacity
     ):
-        """Crash cells beside set/add/noise cells: forcing the scatter
-        and forcing the masked writes give the same bits and leave the
-        generator in the same state."""
+        """Crash cells beside set/scale/add/noise cells: the kernel and
+        the masked writes give the same bits and leave the generator
+        in the same state."""
         rng = np.random.default_rng(23)
         Y = self._activations(rng)
         zero = self._cells(rng, density)
         set_mask = self._cells(rng, density / 2, zero)
-        add_mask = self._cells(rng, density / 2, zero | set_mask)
-        noise_mask = self._cells(rng, 1 / 32, zero | set_mask | add_mask)
-        gate_p = self._gates(rng, zero | set_mask | add_mask, gated)
+        scale_mask = self._cells(rng, density / 4, zero | set_mask)
+        add_mask = self._cells(rng, density / 2, zero | set_mask | scale_mask)
+        noise_mask = self._cells(
+            rng, 1 / 32, zero | set_mask | scale_mask | add_mask
+        )
+        gate_p = self._gates(
+            rng, zero | set_mask | scale_mask | add_mask, gated
+        )
         set_values = rng.standard_normal((self.S, self.N))
+        scale_values = rng.standard_normal((self.S, self.N))
         add_values = rng.standard_normal((self.S, self.N))
         sigma = np.full((self.S, self.N), 0.1)
 
-        def kernel(limit):
-            monkeypatch.setattr(injector_mod, "_SPARSE_ROWS_LIMIT", limit)
+        def kernel(fn):
             gen = np.random.default_rng(9)
-            out = apply_mask_channels(
+            out = fn(
                 Y.copy(), zero, set_mask, set_values, add_mask, add_values,
-                0.5, noise_mask=noise_mask, noise_sigma=sigma,
-                gate_p=gate_p, rng=gen,
+                capacity, scale_mask=scale_mask, scale_values=scale_values,
+                noise_mask=noise_mask, noise_sigma=sigma, gate_p=gate_p,
+                rng=gen,
             )
             return out.tobytes(), gen.bit_generator.state
 
-        assert kernel(1) == kernel(10**9)
+        assert kernel(apply_mask_channels) == kernel(
+            apply_mask_channels_reference
+        )
