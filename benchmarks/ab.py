@@ -31,6 +31,15 @@ Each run lasts ``BENCHMARK.json``'s ``run_seconds`` on both sides (0.3 s
 under ``--smoke``), so no run length other than the benchmark's own
 can back a verdict.
 
+Before every run a separate process times perfbench's reference kernel
+(``perfbench.core.ReferenceKernel``, both kinds) and reports the host
+factor: the kernel's nominal time over its measured median, geometric
+mean of the kinds (above 1: the host ran faster than the reference).
+Keeping the kernel out of the measured process keeps its imports and
+allocations out of that process's numbers.  The summary prints each
+pair's factors and their spread beside the verdicts: a wide spread
+says the host, not the program, moved between runs.
+
 The share of failed operations is compared as well.  The last line of
 standard output is one JSON object with every number printed above.
 """
@@ -58,6 +67,21 @@ MIN_PAIRS = 10
 WIN_SHARE = 0.9
 #: Seconds per run under ``--smoke``, which checks the runner only.
 SMOKE_SECONDS = 0.3
+#: Timed calls of each reference-kernel kind per host probe.
+PROBE_REPEATS = 25
+
+#: The host probe, run by a fresh interpreter in the head checkout.
+HOST_PROBE = f"""
+import json, math
+from perfbench.core import ReferenceKernel, median, timed
+logs = []
+for kind in ("narrow", "wide"):
+    kernel = ReferenceKernel(kind)
+    kernel()
+    t = median([timed(kernel)[0] for _ in range({PROBE_REPEATS})])
+    logs.append(math.log(kernel.nominal_s / t))
+print(json.dumps(math.exp(sum(logs) / len(logs))))
+"""
 
 
 def export_revision(rev: str, dest: Path) -> Path:
@@ -96,6 +120,21 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float,
             f"{out.stderr[-2000:]}"
         )
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def host_factor() -> float:
+    """The host's speed relative to the reference host, measured in a
+    fresh process (see the module docstring)."""
+    out = subprocess.run([sys.executable, "-c", HOST_PROBE], cwd=ROOT,
+                         check=True, capture_output=True, text=True)
+    return float(out.stdout.strip())
+
+
+def host_spread(factors: list) -> dict:
+    """Median, relative IQR and range of a run of host factors."""
+    q25, q50, q75 = quartiles(factors)
+    return {"median": q50, "iqr_rel": (q75 - q25) / q50,
+            "min": min(factors), "max": max(factors)}
 
 
 def quartiles(values):
@@ -175,13 +214,17 @@ def main(argv=None) -> int:
         trees = {"base": export_revision(args.base, scratch), "head": ROOT}
         for workload in args.workload:
             runs = {"base": [], "head": []}
+            hosts = {"base": [], "head": []}
             for i, seed in enumerate(seeds):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 for side in order:
+                    hosts[side].append(host_factor())
                     runs[side].append(bench_once(
                         trees[side], workload, seed, seconds, args.smoke))
                 print(f"{workload} pair {i + 1}/{args.pairs} (seed {seed}, "
-                      f"{order[0]} first) done", flush=True)
+                      f"{order[0]} first) done; host factor base "
+                      f"{hosts['base'][-1]:.3f}, head {hosts['head'][-1]:.3f}",
+                      flush=True)
             rows = {}
             print(f"\n{workload}")
             print(f"  {'metric':<18} {'base median':>12} {'IQR':>9} "
@@ -204,8 +247,18 @@ def main(argv=None) -> int:
             print(f"  failed share: base {shares['base']:.3g}, "
                   f"head {shares['head']:.3g}"
                   + ("  WORSE" if shares["head"] > shares["base"] else ""))
-            report["workloads"][workload] = {"metrics": rows,
-                                             "failed_share": shares}
+            spread = host_spread(hosts["base"] + hosts["head"])
+            print("  host factor per pair (base/head): " + ", ".join(
+                f"{b:.3f}/{h:.3f}"
+                for b, h in zip(hosts["base"], hosts["head"])
+            ))
+            print(f"  host factor spread: median {spread['median']:.3f}, "
+                  f"IQR {spread['iqr_rel']:.1%} of the median, "
+                  f"range {spread['min']:.3f}-{spread['max']:.3f}")
+            report["workloads"][workload] = {
+                "metrics": rows, "failed_share": shares,
+                "host_factors": hosts, "host_spread": spread,
+            }
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     print(json.dumps(report))

@@ -74,3 +74,15 @@ def test_export_revision_holds_the_benchmark(tmp_path):
     tree = ab.export_revision("HEAD", tmp_path)
     assert (tree / "perfbench" / "run.py").is_file()
     assert (tree / "src" / "repro" / "__init__.py").is_file()
+
+
+def test_host_factor_runs_the_reference_kernel_out_of_process():
+    factor = ab.host_factor()
+    assert 0.01 < factor < 100.0
+
+
+def test_host_spread():
+    spread = ab.host_spread([1.0, 0.9, 1.1, 1.0, 1.2])
+    assert spread["median"] == 1.0
+    assert abs(spread["iqr_rel"] - 0.1) < 1e-12
+    assert (spread["min"], spread["max"]) == (0.9, 1.2)
