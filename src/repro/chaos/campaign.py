@@ -404,13 +404,10 @@ def _run_chaos_campaign(
 
     # One job in-process; with workers, contiguous runs of blocks.
     n_jobs = min(n_workers, len(sizes)) if n_workers and n_workers > 1 else 1
+    cuts = [len(sizes) * j // n_jobs for j in range(n_jobs + 1)]
     jobs = [
-        (
-            sum(sizes[i] for i in part),
-            tuple(sizes[i] for i in part),
-            tuple(children[1 + i] for i in part),
-        )
-        for part in np.array_split(np.arange(len(sizes)), n_jobs)
+        (sum(sizes[a:b]), tuple(sizes[a:b]), tuple(children[1 + a : 1 + b]))
+        for a, b in zip(cuts, cuts[1:])
     ]
     results = _run_blocks(
         _simulate_job,
