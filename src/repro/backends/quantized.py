@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from ..faults.masks import MaskCampaignEngine
+from ..faults.masks import DEFAULT_CHUNK, MaskCampaignEngine
 from ..quantization.quantizers import (
     FixedPointQuantizer,
     HalfPrecisionQuantizer,
@@ -75,7 +75,7 @@ class QuantizedMaskEngine(MaskCampaignEngine):
         x: np.ndarray,
         *,
         quantizers: Sequence["Quantizer | None"],
-        chunk_size: int = 1024,
+        chunk_size: int = DEFAULT_CHUNK,
         reduction: str = "max",
         dtype: "str | np.dtype" = np.float64,
     ):

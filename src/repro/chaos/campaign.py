@@ -4,12 +4,15 @@
 subsystem's entry point.  Per epoch it (1) applies due repairs, (2)
 steps every fault process over the whole replica fleet, (3) snapshots
 the fleet into the window buffers; per *window* of ``epochs_chunk``
-epochs it compiles one
-:class:`~repro.faults.injector.CompiledScenarioBatch` of ``W * R``
-scenario rows and streams it through a single
+epochs it gathers the ``W * R`` (epoch, replica) rows into one
+:class:`~repro.faults.injector.CompiledScenarioBatch` per group of
+replica blocks and streams each through one
 :class:`~repro.faults.masks.MaskCampaignEngine` evaluation — the hot
-loop contains zero per-scenario Python.  Detectors consume the
-evaluated errors and policies schedule repairs from the firings.
+loop contains zero per-scenario Python, and a row that repeats its
+replica's previous epoch is carried forward rather than evaluated
+(:meth:`~repro.chaos.deployment.DeployedNetwork.evaluate`).  Detectors
+consume the evaluated errors and policies schedule repairs from the
+firings.
 
 The loop computes no summary statistics of its own: every evaluated
 window and every repair/rejuvenation action is *emitted* into a
@@ -30,27 +33,27 @@ spawned child of ``SeedSequence(seed)`` (child 0 drives the traffic
 draw).  The block is the unit of seeding and fan-out; the *job* is the
 unit of vectorisation: :func:`_simulate_job` steps a run of
 consecutive blocks in lockstep over one fleet, so each epoch costs a
-few whole-job numpy calls rather than a few per block, while every
-draw still goes to the owning block's generator
-(:class:`~repro.chaos.deployment.ReplicaStreams`) and every block's
-window is still one engine call on its own generator.  In-process one
-job holds every block; with workers the blocks split into contiguous
-jobs on the campaigns' block driver
-(:func:`~repro.faults.masks._run_blocks`).  The fault schedule,
+few whole-job numpy calls rather than a few per block, and a window
+costs one engine call per group of blocks that fits the engine chunk
+(by default, the whole job), while every draw still goes to the
+owning block's generator
+(:class:`~repro.chaos.deployment.ReplicaStreams`, routed by batch row
+inside the engine).  In-process one job holds every block; with
+workers the blocks split into contiguous jobs on the campaigns' block
+driver (:func:`~repro.faults.masks._run_blocks`).  The fault schedule,
 detector firings and SLO report are bitwise identical however the
 blocks are grouped, serial == parallel.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..faults.injector import FaultInjector
-from ..faults.masks import MaskCampaignEngine, _run_blocks
+from ..faults.masks import DEFAULT_CHUNK, MaskCampaignEngine, _run_blocks
 from ..network.model import FeedForwardNetwork
 from ..obs import RunObserver
 from .deployment import DeployedNetwork, ReplicaStreams
@@ -189,9 +192,10 @@ def _simulate_job(
     holds the campaign-wide objects.  One fleet holds all the job's
     replicas and every epoch steps it as a whole, but each block draws
     from its own generator (:class:`~repro.chaos.deployment.
-    ReplicaStreams`) and each block's window is one engine call on
-    that generator — so every block's trajectory, and the stream it
-    leaves behind, is the one simulating it alone produces.  The
+    ReplicaStreams`), in the window evaluations too
+    (:meth:`~repro.chaos.deployment.DeployedNetwork.evaluate`) — so
+    every block's trajectory, and the stream it leaves behind, is the
+    one simulating it alone produces.  The
     process/detector/policy objects are reset here (the worker and the
     serial path reuse the same pickled objects across jobs).  The
     recorder is installed as the fleet state's telemetry seam, so
@@ -200,7 +204,7 @@ def _simulate_job(
     identical with ground-truth recording on or off.
 
     Returns one ``(trace, engine seconds)`` pair per block, the
-    seconds being that block's own window evaluations.
+    seconds being that block's share of the window evaluations.
     """
     (processes, detectors, policy, epochs, epochs_chunk, epsilon,
      epsilon_prime, probe_counts, ground_truth) = shared
@@ -231,7 +235,7 @@ def _simulate_job(
     )
     state.telemetry = recorder
     budget = epsilon - epsilon_prime
-    seconds = [0.0] * len(sizes)
+    seconds = np.zeros(len(sizes))
 
     epoch = 0
     while epoch < epochs:
@@ -254,11 +258,8 @@ def _simulate_job(
             if probe_counts is not None
             else None
         )
-        errors = np.empty((w, n_replicas))
-        for b, (g, rows) in enumerate(streams.blocks()):
-            t0 = time.perf_counter()
-            errors[:, rows] = fleet.evaluate_window(g, counts, rows)
-            seconds[b] += time.perf_counter() - t0
+        errors, dt = fleet.evaluate(streams, counts)
+        seconds += dt
         down_w = fleet.window.down
         viol_w = (errors > budget + 1e-12) & ~down_w
         # Monitoring sees nothing from an out-of-service replica: its
@@ -273,17 +274,18 @@ def _simulate_job(
 
     state.telemetry = None
     traces = recorder.finish(policy.block_stats(), sizes)
-    return list(zip(traces, seconds))
+    return list(zip(traces, seconds.tolist()))
 
 
 def _block_spans(sizes: Sequence[int], seconds: Sequence[float]) -> dict:
     """An observer payload with one ``block`` span per replica block.
 
-    Blocks step in lockstep inside a job, so no span can wrap one
-    block's work alone: each span is recorded after the run and timed
-    by that block's own window evaluations.  Its shape does not depend
-    on how the blocks were grouped into jobs, which keeps the run's
-    span tree identical serial vs parallel.
+    Blocks step in lockstep inside a job and share engine calls, so no
+    span can wrap one block's work alone: each span is recorded after
+    the run and timed by that block's share of the window evaluations
+    (each call's time split by the block's evaluated rows).  Its shape
+    does not depend on how the blocks were grouped into jobs or calls,
+    which keeps the run's span tree identical serial vs parallel.
     """
     ob = RunObserver()
     for index, (size, dt) in enumerate(zip(sizes, seconds)):
@@ -322,11 +324,12 @@ def _run_chaos_campaign(
     Parameters mirror the static campaigns where they overlap
     (``capacity`` defaults to ``sup phi``; ``dtype=float32`` selects
     the engine's fast path).  ``epochs_chunk`` is the evaluation
-    window: each engine call covers ``epochs_chunk * block`` scenario
-    rows, and detection/repair scheduling happens at window
-    granularity (a real monitoring pipeline's aggregation interval).
-    Larger windows amortise better; smaller windows tighten the
-    repair feedback loop.
+    window: detection/repair scheduling happens at window granularity
+    (a real monitoring pipeline's aggregation interval).  Larger
+    windows amortise better; smaller windows tighten the repair
+    feedback loop.  ``chunk_size`` (default ``max(epochs_chunk *
+    REPLICA_BLOCK, DEFAULT_CHUNK)``) bounds the rows of one engine
+    call: consecutive blocks whose windows fit in it share a call.
 
     The simulation emits a :class:`~repro.chaos.telemetry.TelemetryTrace`
     and the report is derived from it
@@ -395,7 +398,7 @@ def _run_chaos_campaign(
     probe_counts = None
     if traffic is not None and traffic.modulate_probes:
         probe_counts = traffic.probe_counts(requests, xb.shape[0])
-    chunk = chunk_size or max(epochs_chunk * REPLICA_BLOCK, 1)
+    chunk = chunk_size or max(epochs_chunk * REPLICA_BLOCK, DEFAULT_CHUNK)
     ground_truth = bool(
         telemetry is not None
         and getattr(telemetry, "enabled", False)

@@ -3,7 +3,7 @@
 A chaos campaign watches ``R`` independent replicas of one trained
 network serve traffic over discrete epochs while fault processes
 (:mod:`repro.chaos.processes`) degrade them and repair policies
-(:mod:`repro.chaos.policies`) heal them.  Two classes carry that
+(:mod:`repro.chaos.policies`) heal them.  Three classes carry that
 story:
 
 * :class:`FleetState` — the mutable health of the fleet at one epoch:
@@ -14,15 +14,18 @@ story:
   Python objects;
 * :class:`EpochWindow` — the bridge to the engine: it snapshots the
   fleet once per epoch into preallocated ``(W, R, ΣN_l)`` buffers and
-  compiles a window of ``W`` epochs of a replica range into **one**
-  :class:`~repro.faults.injector.CompiledScenarioBatch` of
-  ``W * R`` scenario rows (epoch-major), so a replica block's whole
-  replica × time grid streams through a single
-  :class:`~repro.faults.masks.MaskCampaignEngine` evaluation — never
+  gathers any set of a window's ``(epoch, replica)`` rows into **one**
+  :class:`~repro.faults.injector.CompiledScenarioBatch`, so the
+  replica × time grid streams through
+  :class:`~repro.faults.masks.MaskCampaignEngine` calls — never
   per-scenario Python;
-* :class:`ReplicaStreams` — one generator per replica block over the
-  fleet's replica axis, so a fleet holding several blocks draws each
-  block's randomness from that block's own stream.
+* :class:`DeployedNetwork` — the fleet wired to its engine: one call
+  per group of consecutive replica blocks, with every gate draw routed
+  to its block's generator, and the rows that repeat the previous
+  epoch carried forward instead of evaluated.
+
+:class:`ReplicaStreams` (one generator per replica block, defined next
+to the mask kernels that route draws through it) is re-exported here.
 
 Everything temporal lowers onto exactly two engine channels: permanent
 damage (crashes, blasts) and rejuvenation resets are crash (``zero``)
@@ -34,11 +37,16 @@ every other campaign in the repo.
 
 from __future__ import annotations
 
+import time
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..faults.injector import CompiledScenarioBatch, FaultInjector
+from ..faults.injector import (
+    CompiledScenarioBatch,
+    FaultInjector,
+    ReplicaStreams,
+)
 from ..faults.masks import MaskCampaignEngine, empty_mask_batch
 from ..network.model import FeedForwardNetwork
 
@@ -55,73 +63,6 @@ def layer_columns(
         views.append(buf[..., start : start + n])
         start += n
     return views
-
-
-def block_slices(sizes: Sequence[int]) -> List[slice]:
-    """The replica ranges of consecutive blocks of ``sizes`` replicas."""
-    bounds = np.cumsum((0,) + tuple(int(n) for n in sizes))
-    return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-class ReplicaStreams:
-    """One generator per replica block, laid along a fleet's replica axis.
-
-    Block ``b`` owns the replicas ``slices[b]`` and draws from
-    ``generators[b]``: every draw a process, policy or window
-    evaluation makes for those replicas goes to that generator, with
-    the calls, shapes and order a fleet of that block alone would
-    make.  So a fleet that steps several blocks in lockstep leaves
-    every block's stream exactly where simulating the block on its own
-    would.  Uniform and integer draws go through :meth:`random` /
-    :meth:`integers` (one call per block, rows stacked in block
-    order; ``random(rows=...)`` draws for a subset of replicas, so a
-    block with none of them draws nothing); other draws that depend on
-    a block's own state (whether any arrival landed) loop over
-    :meth:`blocks`.
-    """
-
-    def __init__(
-        self, generators: Sequence[np.random.Generator], sizes: Sequence[int]
-    ):
-        self.generators = tuple(generators)
-        self.slices = block_slices(sizes)
-        #: Block ``b`` covers replicas ``bounds[b]:bounds[b + 1]``.
-        self.bounds = np.array([0] + [rows.stop for rows in self.slices])
-        self.n_replicas = int(self.bounds[-1])
-
-    @classmethod
-    def of(cls, rng, n_replicas: int) -> "ReplicaStreams":
-        """``rng`` itself, or a plain generator as one block of
-        ``n_replicas`` replicas."""
-        return rng if isinstance(rng, cls) else cls((rng,), (n_replicas,))
-
-    def blocks(self):
-        """``(generator, replica slice)`` per block, in block order."""
-        return zip(self.generators, self.slices)
-
-    def random(
-        self, *tail: int, rows: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """``(R, *tail)`` uniforms, or ``(len(rows), *tail)`` for the
-        ascending replica indices ``rows``: block ``b``'s rows are one
-        ``random((R_b, *tail))`` draw of its generator (no draw for a
-        block without rows)."""
-        cuts = (
-            self.bounds if rows is None
-            else np.searchsorted(rows, self.bounds)
-        )
-        out = np.empty((int(cuts[-1]),) + tail)
-        for g, lo, hi in zip(self.generators, cuts[:-1], cuts[1:]):
-            if hi > lo:
-                g.random(out=out[lo:hi])
-        return out
-
-    def integers(self, high: int) -> np.ndarray:
-        """``(R,)`` integers in ``[0, high)``, one call per block."""
-        return np.concatenate([
-            g.integers(0, high, size=rows.stop - rows.start)
-            for g, rows in self.blocks()
-        ])
 
 
 class FleetState:
@@ -250,16 +191,18 @@ class FleetState:
         return self.epoch < self.down_until
 
 
+
+
 class EpochWindow:
     """Preallocated ``(W, R, ΣN_l)`` snapshot buffers for one window.
 
-    ``snapshot`` copies the fleet's flat channels into row ``w`` (one
-    call per channel, whatever the depth or the block count);
-    ``compile`` reshapes the filled rows of a replica range into a
-    ``(w * R_b, ΣN_l)`` block and hands the engine its per-layer
-    column views (epoch-major: scenario ``k`` is epoch ``k // R_b``,
-    replica ``k % R_b`` of the range) without touching per-scenario
-    Python.
+    ``snapshot`` copies the fleet's flat channels into the next epoch
+    row (one call per channel, whatever the depth or the block count).
+    Row 0 of the buffers holds the previous window's last epoch, which
+    :meth:`skips` compares the first epoch against.  :meth:`batch`
+    gathers any set of filled ``(epoch, replica)`` rows into one mask
+    batch — one gather per channel, handing the engine per-layer
+    column views, never per-scenario Python.
     """
 
     def __init__(self, layer_sizes: Sequence[int], window: int, n_replicas: int):
@@ -268,14 +211,38 @@ class EpochWindow:
         self.layer_sizes = tuple(int(n) for n in layer_sizes)
         self.window = int(window)
         self.n_replicas = int(n_replicas)
-        shape = (self.window, self.n_replicas, sum(self.layer_sizes))
+        width = sum(self.layer_sizes)
+        shape = (self.window + 1, self.n_replicas, width)
         self._zero = np.zeros(shape, dtype=bool)
+        # Each crash row as one opaque ``width``-byte item: comparing
+        # two epochs' rows is one elementwise ``==`` over ``(W, R)``.
+        self._zero_rows = self._zero.view(np.dtype((np.void, width)))[..., 0]
         self._gate = np.ones(shape, dtype=np.float64)
-        self._down = np.zeros(shape[:2], dtype=bool)
+        # The channels a crash window never sets, shared (read-only) by
+        # every batch it gathers.
+        self._blank = empty_mask_batch(self.layer_sizes, self.window * n_replicas)
+        for arrays in (self._blank.set_masks, self._blank.set_values,
+                       self._blank.add_masks, self._blank.add_values):
+            for a in arrays:
+                a.flags.writeable = False
+        self._down = np.zeros((self.window, self.n_replicas), dtype=bool)
         self.count = 0
         self._any_gate = False
+        # Whether row 0 holds an epoch, and which of its replicas were
+        # gated there.
+        self._has_prev = False
+        self._prev_gated = np.zeros(self.n_replicas, dtype=bool)
 
     def clear(self) -> None:
+        """Start a new window; the last filled epoch becomes row 0."""
+        if self.count:
+            last = self.count
+            self._zero[0] = self._zero[last]
+            if self._any_gate:
+                np.any(self._gate[last] < 1.0, axis=1, out=self._prev_gated)
+            else:
+                self._prev_gated.fill(False)
+            self._has_prev = True
         self.count = 0
         if self._any_gate:
             self._gate.fill(1.0)
@@ -286,7 +253,7 @@ class EpochWindow:
         w = self.count
         if w >= self.window:
             raise RuntimeError("window buffers full; call clear() first")
-        zero = self._zero[w]
+        zero = self._zero[w + 1]
         np.logical_or(state.crash_flat, state.reset_flat, out=zero)
         if state.has_transients:
             # Permanent damage wins on overlap: a crashed component
@@ -297,28 +264,66 @@ class EpochWindow:
                 # The engine's gate_p is the fault's per-evaluation
                 # activation probability (1.0 = permanent), exactly
                 # the transient hit probability stored in the state.
-                np.copyto(self._gate[w], state.transient_flat, where=gated)
+                np.copyto(self._gate[w + 1], state.transient_flat, where=gated)
                 self._any_gate = True
         self._down[w] = state.down_now
         self.count += 1
 
-    def compile(self, replicas: slice = slice(None)) -> CompiledScenarioBatch:
-        """The filled rows of ``replicas`` as one mask batch of
-        ``count * R_b`` scenarios.
+    def skips(self, same_count: Optional[np.ndarray] = None) -> np.ndarray:
+        """``(count, R)``: the rows whose error equals the same
+        replica's error one epoch earlier, known without evaluation.
 
-        A block whose rows carry no gate while another block's do gets
-        an all-ones ``gate_p``, which the mask kernel treats exactly
-        like none: no gated cell, no draw.
+        A row qualifies when it has no gate (no draw, so its error is a
+        pure function of its crash mask and probe count), its crash
+        mask equals the replica's previous-epoch mask (row 0's for the
+        first epoch), that earlier row had no gate either, and both
+        epochs use the same probe count (``same_count[e]``, per epoch;
+        ``None``: a fixed count).  The first window has no earlier
+        epoch.
         """
-        zero = self._zero[: self.count, replicas]
-        S = zero.shape[0] * zero.shape[1]
-        sizes = self.layer_sizes
-        batch = empty_mask_batch(sizes, S)
-        batch.zero_masks = layer_columns(zero.reshape(S, -1), sizes)
+        w = self.count
+        skip = self._zero_rows[1 : w + 1] == self._zero_rows[:w]
+        if not self._has_prev:
+            skip[0] = False
+        else:
+            skip[0] &= ~self._prev_gated
         if self._any_gate:
-            gate = self._gate[: self.count, replicas]
-            batch.gate_p = layer_columns(gate.reshape(S, -1), sizes)
-        return batch
+            gated = np.any(self._gate[1 : w + 1] < 1.0, axis=2)
+            skip &= ~gated
+            skip[1:] &= ~gated[:-1]
+        if same_count is not None:
+            skip &= same_count[:, None]
+        return skip
+
+    def batch(self, index: Optional[np.ndarray] = None) -> CompiledScenarioBatch:
+        """The filled rows ``index`` (flat ``epoch * R + replica``
+        positions, default: every filled row, epoch-major) as one mask
+        batch, in ``index`` order.
+
+        Without any gate in the window the batch has no ``gate_p``; a
+        gate-free row of a gated window gets all-ones gates, which the
+        mask kernel treats exactly like none: no gated cell, no draw.
+        """
+        if index is None:
+            index = np.arange(self.count * self.n_replicas)
+        sizes, S = self.layer_sizes, index.size
+        width = sum(sizes)
+        gate = None
+        if self._any_gate:
+            gate = self._gate[1:].reshape(-1, width)
+            gate = layer_columns(gate[index], sizes)
+        blank = self._blank
+        return CompiledScenarioBatch(
+            zero_masks=layer_columns(
+                self._zero[1:].reshape(-1, width)[index], sizes
+            ),
+            set_masks=[a[:S] for a in blank.set_masks],
+            set_values=[a[:S] for a in blank.set_values],
+            add_masks=[a[:S] for a in blank.add_masks],
+            add_values=[a[:S] for a in blank.add_values],
+            names=[],
+            gate_p=gate,
+        )
 
     @property
     def down(self) -> np.ndarray:
@@ -332,9 +337,9 @@ class DeployedNetwork:
     Owns the :class:`FleetState`, the :class:`EpochWindow` buffers and
     the :class:`~repro.faults.masks.MaskCampaignEngine` (built once —
     weight casts, nominal pass and chunk buffers are paid per fleet,
-    not per epoch).  ``evaluate_window`` turns the buffered epochs
-    into per-cell output errors, optionally reduced over a per-epoch
-    probe count (traffic modulation).
+    not per epoch).  :meth:`evaluate` turns the buffered epochs into
+    per-cell output errors, optionally reduced over a per-epoch probe
+    count (traffic modulation).
     """
 
     def __init__(
@@ -364,47 +369,138 @@ class DeployedNetwork:
         self.engine = engine
         self.state = FleetState(network.layer_sizes, n_replicas)
         self.window = EpochWindow(network.layer_sizes, window, n_replicas)
+        self._last_errors: Optional[np.ndarray] = None
+        self._last_count: Optional[int] = None
+        self._orders: dict = {}
 
     @property
     def n_replicas(self) -> int:
         return self.state.n_replicas
 
-    def evaluate_window(
+    def row_errors(
         self,
-        rng: np.random.Generator,
-        probe_counts: Optional[np.ndarray] = None,
-        replicas: slice = slice(None),
+        batch: CompiledScenarioBatch,
+        rng,
+        counts: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Errors of the buffered epochs of ``replicas`` (default: the
-        whole fleet), shape ``(count, R_b)``, from one engine call
-        drawing its gates from ``rng``.
+        """Errors of ``batch``'s rows from one engine call on ``rng``.
 
-        ``probe_counts`` (per buffered epoch, values in ``1..B``)
-        restricts each epoch's error reduction to its first ``n_e``
-        probes — the traffic-modulated probe batch.  Without it the
-        engine's streamed reduction over the full probe batch is used
-        (the fast path).
+        ``counts`` (per row, values in ``1..B``) restricts each row's
+        error reduction to its first ``counts[s]`` probes — the
+        traffic-modulated probe batch.  Without it the engine's
+        streamed reduction over the full probe batch is used (the fast
+        path).  Either way a row's error depends only on its own masks,
+        draws and count, not on the rows it shares the call with.
         """
-        w = self.window.count
-        batch = self.window.compile(replicas)
-        R = batch.num_scenarios // w
-        if probe_counts is None:
-            return self.engine.evaluate(batch, rng=rng).reshape(w, R)
-        counts = np.asarray(probe_counts, dtype=np.intp)
-        if counts.shape != (w,):
-            raise ValueError(
-                f"probe_counts shape {counts.shape} != ({w},)"
-            )
-        B = self.engine.batch_size
-        if counts.min() < 1 or counts.max() > B:
-            raise ValueError(
-                f"probe counts must lie in 1..{B}, got "
-                f"[{counts.min()}, {counts.max()}]"
-            )
+        if counts is None:
+            return self.engine.evaluate(batch, rng=rng)
         outs = self.engine.outputs(batch, rng=rng)  # (S, B, n_out)
         err = np.abs(
             outs - np.asarray(self.engine.nominal, dtype=np.float64)[None]
         ).max(axis=2)  # (S, B)
-        live = np.arange(B)[None, :] < np.repeat(counts, R)[:, None]
+        live = np.arange(self.engine.batch_size)[None, :] < counts[:, None]
         err[~live] = -np.inf
-        return err.max(axis=1).reshape(w, R)
+        return err.max(axis=1)
+
+    def _order(self, w: int, streams: ReplicaStreams) -> np.ndarray:
+        """Flat ``epoch * R + replica`` positions of a ``w``-epoch
+        window, block-major and epoch-major within each block — the
+        rows a call on each block alone sees, in block order."""
+        key = (w, tuple(streams.bounds.tolist()))
+        order = self._orders.get(key)
+        if order is None:
+            R = self.n_replicas
+            order = self._orders[key] = np.concatenate([
+                (np.arange(w)[:, None] * R
+                 + np.arange(rows.start, rows.stop)).ravel()
+                for rows in streams.slices
+            ])
+        return order
+
+    def evaluate(
+        self,
+        rng: "np.random.Generator | ReplicaStreams",
+        probe_counts: Optional[np.ndarray] = None,
+    ) -> tuple:
+        """Errors of the buffered epochs, shape ``(count, R)``, and the
+        engine seconds charged to each replica block.
+
+        ``rng`` is one generator per replica block (a plain generator:
+        the fleet is one block).  Consecutive blocks whose window rows
+        fit in the engine's chunk share one engine call, each gate draw
+        routed to its block's generator, so every block draws what a
+        call on its own rows would.  Rows that repeat the replica's
+        previous epoch (:meth:`EpochWindow.skips`) are not evaluated;
+        their error is carried forward.  A block whose window alone
+        exceeds the chunk is its own call, every row evaluated and
+        sliced at the chunk as a call on that block alone slices it.
+        Each call's seconds are split over its blocks by evaluated
+        rows.  ``probe_counts`` (per buffered epoch, values in
+        ``1..B``) is :meth:`row_errors`' traffic modulation.
+        """
+        w, R = self.window.count, self.n_replicas
+        streams = ReplicaStreams.of(rng, R)
+        counts = None
+        same_count = None
+        if probe_counts is not None:
+            counts = np.asarray(probe_counts, dtype=np.intp)
+            if counts.shape != (w,):
+                raise ValueError(
+                    f"probe_counts shape {counts.shape} != ({w},)"
+                )
+            B = self.engine.batch_size
+            if counts.min() < 1 or counts.max() > B:
+                raise ValueError(
+                    f"probe counts must lie in 1..{B}, got "
+                    f"[{counts.min()}, {counts.max()}]"
+                )
+            before = np.concatenate(
+                ([-1 if self._last_count is None else self._last_count],
+                 counts[:-1])
+            )
+            same_count = counts == before
+        skip = self.window.skips(same_count)
+
+        # Groups of consecutive blocks ``[b0, b1)``; ``open_rows``
+        # counts the last group's window rows while it can still grow.
+        chunk = self.engine.chunk_size
+        groups: list = []
+        open_rows = None
+        for b, rows in enumerate(streams.slices):
+            size = w * (rows.stop - rows.start)
+            if open_rows is not None and open_rows + size <= chunk:
+                groups[-1][1] = b + 1
+                open_rows += size
+                continue
+            groups.append([b, b + 1])
+            open_rows = size if size <= chunk else None
+            if open_rows is None:
+                skip[:, rows] = False  # its own call, evaluated in full
+
+        order = self._order(w, streams)
+        keep = ~skip.reshape(-1)[order]
+        done = np.concatenate(([0], np.cumsum(keep)))
+        errors = np.empty((w, R))
+        seconds = np.zeros(len(streams.generators))
+        for b0, b1 in groups:
+            lo, hi = w * streams.bounds[b0], w * streams.bounds[b1]
+            index = order[lo:hi][keep[lo:hi]]
+            if not index.size:
+                continue
+            evaluated = np.diff(done[w * streams.bounds[b0 : b1 + 1]])
+            t0 = time.perf_counter()
+            errors.reshape(-1)[index] = self.row_errors(
+                self.window.batch(index),
+                ReplicaStreams(streams.generators[b0:b1], evaluated),
+                None if counts is None else counts[index // R],
+            )
+            dt = time.perf_counter() - t0
+            seconds[b0:b1] += dt * evaluated / index.size
+
+        for e in np.flatnonzero(skip.any(axis=1)):
+            earlier = errors[e - 1] if e else self._last_errors
+            np.copyto(errors[e], earlier, where=skip[e])
+        self._last_errors = errors[-1].copy()
+        if counts is not None:
+            self._last_count = int(counts[-1])
+        return errors, seconds

@@ -41,9 +41,10 @@ from typing import Optional
 import numpy as np
 
 from ..distributed.boosting import LatencyModel, boosted_reset_masks
+from ..faults.injector import block_slices
 from ..faults.reliability import certified_survival_probability
 from ..network.model import FeedForwardNetwork
-from .deployment import ReplicaStreams, block_slices
+from .deployment import ReplicaStreams
 
 __all__ = [
     "RepairPolicy",

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .deployment import ReplicaStreams, layer_columns
+from .deployment import ReplicaStreams
 
 __all__ = [
     "FaultProcess",
@@ -181,18 +181,18 @@ class ComponentLifetimeProcess(FaultProcess):
 
     def step(self, state, rng):
         streams = ReplicaStreams.of(rng, self.n_replicas)
-        for l0, n in enumerate(self.layer_sizes):
-            if self.shape == 1.0:
-                p = self._p_const
-            else:
-                a = state.age[l0] * self.dt
-                p = 1.0 - np.exp(
-                    (self.rate * a) ** self.shape
-                    - (self.rate * (a + self.dt)) ** self.shape
-                )
-            # Draw for every component (constant stream shape; the
-            # already-crashed simply cannot fail twice).
-            state.crash[l0] |= streams.random(n) < p
+        if self.shape == 1.0:
+            p = self._p_const
+        else:
+            a = state.age_flat * self.dt
+            p = 1.0 - np.exp(
+                (self.rate * a) ** self.shape
+                - (self.rate * (a + self.dt)) ** self.shape
+            )
+        # Draw for every component (constant stream shape; the
+        # already-crashed simply cannot fail twice): one draw per block,
+        # layer by layer.
+        state.crash_flat |= streams.random_flat(self.layer_sizes) < p
 
 
 class TransientBurstProcess(FaultProcess):
@@ -233,12 +233,11 @@ class TransientBurstProcess(FaultProcess):
     def reset(self, n_replicas, layer_sizes):
         super().reset(n_replicas, layer_sizes)
         self.remaining = np.zeros(self.n_replicas, dtype=np.int64)
-        # One flat (R, ΣN_l) mask, drawn per layer through its views and
-        # armed on the fleet's flat transient channel in one call.
+        # One flat (R, ΣN_l) mask, drawn and armed on the fleet's flat
+        # transient channel in one call each.
         self.affected_flat = np.zeros(
             (self.n_replicas, sum(self.layer_sizes)), dtype=bool
         )
-        self.affected = layer_columns(self.affected_flat, self.layer_sizes)
 
     def step(self, state, rng):
         streams = ReplicaStreams.of(rng, self.n_replicas)
@@ -246,12 +245,12 @@ class TransientBurstProcess(FaultProcess):
         started = np.flatnonzero(starts)
         if started.size:
             self.remaining[started] = self.duration
-            # Footprints: per layer, one (k_b, N_l) draw from each block
-            # with k_b > 0 starting replicas.
-            for l0, n in enumerate(self.layer_sizes):
-                self.affected[l0][started] = (
-                    streams.random(n, rows=started) < self.fraction
-                )
+            # Footprints: one (k_b * ΣN_l) draw, layer by layer, from
+            # each block with k_b > 0 starting replicas.
+            self.affected_flat[started] = (
+                streams.random_flat(self.layer_sizes, rows=started)
+                < self.fraction
+            )
         active = self.remaining > 0
         if np.count_nonzero(active):
             cells = self.affected_flat & active[:, None]

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .deployment import block_slices
+from ..faults.injector import block_slices
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",

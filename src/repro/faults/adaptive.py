@@ -51,6 +51,7 @@ import numpy as np
 from ..obs.recorder import span_if
 from .injector import FaultInjector
 from .masks import (
+    DEFAULT_CHUNK,
     SAMPLE_BLOCK,
     MaskCampaignEngine,
     MaskSampler,
@@ -175,7 +176,7 @@ def adaptive_campaign_errors(
     min_scenarios: int = SAMPLE_BLOCK,
     tol: float = 0.0,
     seed: "int | np.random.SeedSequence | None" = None,
-    chunk_size: int = 1024,
+    chunk_size: int = DEFAULT_CHUNK,
     reduction: str = "max",
     dtype: "str | np.dtype" = np.float64,
     n_workers: int = 0,
@@ -390,7 +391,7 @@ def stratified_violation_estimate(
     delta: float = 0.05,
     prune_mode: Optional[str] = None,
     seed: "int | np.random.SeedSequence | None" = None,
-    chunk_size: int = 1024,
+    chunk_size: int = DEFAULT_CHUNK,
     reduction: str = "max",
     dtype: "str | np.dtype" = np.float64,
     engine: "MaskCampaignEngine | None" = None,

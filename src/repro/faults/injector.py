@@ -42,7 +42,9 @@ same batches directly as arrays.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -69,6 +71,7 @@ __all__ = [
     "FaultInjector",
     "CompiledScenarioBatch",
     "MaskWorkspace",
+    "ReplicaStreams",
     "SynapseStageChannels",
     "static_fault_action",
     "fault_channel_action",
@@ -93,21 +96,174 @@ class MaskWorkspace:
     def __init__(self) -> None:
         self._uniform: Optional[np.ndarray] = None
 
-    def uniform(self, rng: np.random.Generator, k: int, b: int) -> np.ndarray:
-        """A ``(k, b)`` float64 uniform draw backed by the shared buffer.
-
-        The returned view is invalidated by the next call; callers
-        consume it immediately (comparisons materialise fresh bools).
-        """
+    def buffer(self, k: int, b: int) -> np.ndarray:
+        """A ``(k, b)`` float64 view of the shared buffer, invalidated
+        by the next call; callers consume it immediately (comparisons
+        materialise fresh bools)."""
         buf = self._uniform
         if buf is None or buf.shape[0] < k or buf.shape[1] != b:
             rows = k if buf is None or buf.shape[1] != b else max(
                 k, 2 * buf.shape[0]
             )
             buf = self._uniform = np.empty((rows, b))
-        out = buf[:k]
+        return buf[:k]
+
+    def uniform(self, rng: np.random.Generator, k: int, b: int) -> np.ndarray:
+        """A ``(k, b)`` float64 uniform draw backed by the shared buffer."""
+        out = self.buffer(k, b)
         rng.random(out=out)
         return out
+
+
+def block_slices(sizes: Sequence[int]) -> List[slice]:
+    """The ranges of consecutive blocks of ``sizes`` rows."""
+    bounds = [0, *itertools.accumulate(int(n) for n in sizes)]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+@lru_cache(maxsize=64)
+def _flat_index(cuts: tuple, layer_sizes: tuple) -> np.ndarray:
+    """Gather index from block-wise layer-major draws to the flat layout.
+
+    Block ``b`` owns rows ``cuts[b]:cuts[b + 1]`` and its ``k_b * ΣN_l``
+    draws (layer 0's ``(k_b, N_0)`` values, then layer 1's, …) sit at
+    ``cuts[b] * ΣN_l`` of one buffer; ``draws[index]`` reshaped to
+    ``(cuts[-1], ΣN_l)`` puts them in the flat rows, layers side by
+    side along the columns.
+    """
+    sizes = np.asarray(layer_sizes, dtype=np.intp)
+    width = int(sizes.sum())
+    offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)  # per column
+    widths = np.repeat(sizes, sizes)
+    cuts = np.asarray(cuts, dtype=np.intp)
+    k = np.diff(cuts)
+    block = np.repeat(np.arange(k.size), k)  # the block of every row
+    lo, rows = cuts[:-1][block], k[block]
+    r = np.arange(int(cuts[-1])) - lo
+    index = (
+        (lo * width)[:, None] + rows[:, None] * offsets
+        + r[:, None] * widths + (np.arange(width) - offsets)
+    ).ravel()
+    index.flags.writeable = False
+    return index
+
+
+class ReplicaStreams:
+    """One generator per block of consecutive rows.
+
+    Block ``b`` owns the rows ``slices[b]`` and draws from
+    ``generators[b]``: every draw made for those rows goes to that
+    generator, with the calls, shapes and order a run of that block
+    alone would make.  The rows are a chaos fleet's replicas (so a
+    fleet that steps several replica blocks in lockstep leaves every
+    block's stream where simulating the block on its own would) or a
+    mask batch's scenario rows (so one
+    :class:`~repro.faults.masks.MaskCampaignEngine` call over several
+    blocks' rows routes each gate draw to the block owning its cell).
+
+    Uniform and integer draws go through :meth:`random`,
+    :meth:`random_flat` and :meth:`integers` (one call per block, rows
+    stacked in block order; ``rows=...`` draws for a subset of rows,
+    so a block with none of them draws nothing); other draws that
+    depend on a block's own state (whether any arrival landed) loop
+    over :meth:`blocks`.  Draws that cannot be split by rows (Gaussian
+    noise) need a one-block stream (:meth:`generator`).
+    """
+
+    def __init__(
+        self, generators: Sequence[np.random.Generator], sizes: Sequence[int]
+    ):
+        self.generators = tuple(generators)
+        self.slices = block_slices(sizes)
+        #: Block ``b`` covers rows ``bounds[b]:bounds[b + 1]``.
+        self.bounds = np.array([0] + [rows.stop for rows in self.slices])
+        self.n_replicas = self.slices[-1].stop if self.slices else 0
+
+    @classmethod
+    def of(cls, rng, n_replicas: int) -> "ReplicaStreams":
+        """``rng`` itself, or a plain generator as one block of
+        ``n_replicas`` rows."""
+        return rng if isinstance(rng, cls) else cls((rng,), (n_replicas,))
+
+    def blocks(self):
+        """``(generator, row slice)`` per block, in block order."""
+        return zip(self.generators, self.slices)
+
+    def at(self, rows: np.ndarray) -> "ReplicaStreams":
+        """The same generators over positions whose rows are the
+        ascending ``rows``: position ``p`` belongs to the block owning
+        row ``rows[p]``."""
+        return ReplicaStreams(
+            self.generators, np.diff(np.searchsorted(rows, self.bounds))
+        )
+
+    def generator(self, what: str) -> np.random.Generator:
+        """The only generator of a one-block stream; ``what`` names the
+        draw in the ``TypeError`` a multi-block stream raises."""
+        if len(self.generators) != 1:
+            raise TypeError(
+                f"{what} draws cannot be routed across "
+                f"{len(self.generators)} row blocks; pass a generator"
+            )
+        return self.generators[0]
+
+    def _cuts(self, rows: Optional[np.ndarray]) -> np.ndarray:
+        return (
+            self.bounds if rows is None
+            else np.searchsorted(rows, self.bounds)
+        )
+
+    def random(
+        self,
+        *tail: int,
+        rows: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """``(R, *tail)`` uniforms, or ``(len(rows), *tail)`` for the
+        ascending row indices ``rows`` (repeats allowed): block ``b``'s
+        rows are one ``random((R_b, *tail))`` draw of its generator (no
+        draw for a block without rows).  ``out`` receives the draw."""
+        cuts = self._cuts(rows)
+        if out is None:
+            out = np.empty((int(cuts[-1]),) + tail)
+        for g, lo, hi in zip(self.generators, cuts[:-1], cuts[1:]):
+            if hi > lo:
+                g.random(out=out[lo:hi])
+        return out
+
+    def random_flat(
+        self, layer_sizes: Sequence[int], rows: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``(R, ΣN_l)`` uniforms (or ``len(rows)`` rows, as in
+        :meth:`random`) in the flat layout, layers side by side: block
+        ``b``'s rows are one ``random(R_b * ΣN_l)`` draw of its
+        generator — the stream of per-layer ``random((R_b, N_l))``
+        draws in layer order — scattered into the layout by one cached
+        gather."""
+        sizes = tuple(int(n) for n in layer_sizes)
+        width = sum(sizes)
+        cuts = self._cuts(rows)
+        draws = np.empty(int(cuts[-1]) * width)
+        for g, lo, hi in zip(
+            self.generators, (cuts[:-1] * width).tolist(),
+            (cuts[1:] * width).tolist(),
+        ):
+            if hi > lo:
+                g.random(out=draws[lo:hi])
+        flat = draws[_flat_index(tuple(cuts.tolist()), sizes)]
+        return flat.reshape(-1, width)
+
+    def integers(self, high: int) -> np.ndarray:
+        """``(R,)`` integers in ``[0, high)``, one call per block."""
+        return np.concatenate([
+            g.integers(0, high, size=rows.stop - rows.start)
+            for g, rows in self.blocks()
+        ])
+
+
+def _one_generator(rng, what: str) -> np.random.Generator:
+    """``rng``, or the generator of a one-block :class:`ReplicaStreams`."""
+    return rng.generator(what) if isinstance(rng, ReplicaStreams) else rng
 
 
 def static_fault_action(fault: FaultModel) -> Optional[tuple[str, float]]:
@@ -253,7 +409,7 @@ def apply_mask_channels(
     noise_mask: Optional[np.ndarray] = None,
     noise_sigma: Optional[np.ndarray] = None,
     gate_p: Optional[np.ndarray] = None,
-    rng: Optional[np.random.Generator] = None,
+    rng: "np.random.Generator | ReplicaStreams | None" = None,
     workspace: Optional[MaskWorkspace] = None,
 ) -> np.ndarray:
     """Apply one layer's fault channels in place on ``(S, B, N)`` activations.
@@ -296,6 +452,13 @@ def apply_mask_channels(
     deterministic for a given batch.  A ``workspace`` lets the gate
     draws reuse one growable buffer across chunks (same stream, fewer
     allocations).
+
+    ``rng`` may be a :class:`ReplicaStreams` whose blocks are row
+    ranges of ``Y``: each gate draw then splits at the block bounds,
+    block ``b``'s ``K_b`` cells drawing ``(K_b, B)`` from generator
+    ``b`` — the draw a call on block ``b``'s rows alone makes.  Noise
+    draws cannot be split so; they raise ``TypeError`` on a
+    multi-block stream.
     """
     B = Y.shape[1]
     gated_cells = gate_p is not None and np.any(gate_p < 1.0)
@@ -306,10 +469,14 @@ def apply_mask_channels(
         )
     Yt = Y.transpose(0, 2, 1)  # (S, N, B) view for per-cell gather/scatter
 
-    def draw_uniform(k: int) -> np.ndarray:
+    def draw_uniform(rows: np.ndarray) -> np.ndarray:
+        """``(K, B)`` uniforms for cells in the ascending ``rows``."""
+        if isinstance(rng, ReplicaStreams):
+            out = workspace.buffer(rows.size, B) if workspace else None
+            return rng.random(B, rows=rows, out=out)
         if workspace is not None:
-            return workspace.uniform(rng, k, B)
-        return rng.random((k, B))
+            return workspace.uniform(rng, rows.size, B)
+        return rng.random((rows.size, B))
 
     def split(mask: np.ndarray):
         """Partition a channel mask into (permanent part, gated cells).
@@ -323,7 +490,7 @@ def apply_mask_channels(
         if not g.any():
             return mask, None
         rows, cols = np.nonzero(g)
-        hit = draw_uniform(rows.size) < gate_p[rows, cols][:, None]
+        hit = draw_uniform(rows) < gate_p[rows, cols][:, None]
         return mask & ~g, (rows, cols, hit)
 
     if zero.any():
@@ -393,9 +560,10 @@ def apply_mask_channels(
             raise ValueError(
                 "noise mask channels need an rng; pass the campaign generator"
             )
+        gen = _one_generator(rng, "noise")
         rows, cols = np.nonzero(noise_mask)
         delta = (
-            rng.standard_normal((rows.size, B))
+            gen.standard_normal((rows.size, B))
             * noise_sigma[rows, cols][:, None]
         )
         if capacity is not None:
@@ -405,8 +573,7 @@ def apply_mask_channels(
             gated_idx = gp < 1.0
             if gated_idx.any():
                 delta[gated_idx] *= (
-                    draw_uniform(int(gated_idx.sum()))
-                    < gp[gated_idx][:, None]
+                    draw_uniform(rows[gated_idx]) < gp[gated_idx][:, None]
                 )
         Yt[rows, cols] += delta
     return Y
@@ -580,7 +747,8 @@ def _stage_contributions(
                 "synapse noise channels need an rng; pass the campaign "
                 "generator"
             )
-        dev = rng.standard_normal((stage.noise_s.size, B))
+        gen = _one_generator(rng, "synapse noise")
+        dev = gen.standard_normal((stage.noise_s.size, B))
         np.multiply(dev, stage.noise_sigma[:, None], out=dev)
         bound_inplace(dev)
         np.multiply(dev, w_noise[:, None], out=dev)

@@ -53,6 +53,7 @@ from .injector import (
     CompiledScenarioBatch,
     FaultInjector,
     MaskWorkspace,
+    ReplicaStreams,
     SynapseStageChannels,
     _stage_contributions,
     _stage_plan,
@@ -84,6 +85,7 @@ __all__ = [
     "combination_index_array",
     "masks_from_flat_indices",
     "MaskCampaignEngine",
+    "DEFAULT_CHUNK",
     "sampled_campaign_errors",
     "exhaustive_crash_errors",
 ]
@@ -861,6 +863,11 @@ def masks_from_flat_indices(
 #: dense GEMM.  Chosen by the width sweep in DESIGN.md.
 RANK_K_RATIO = 16
 
+#: Default evaluation chunk: the most scenario rows one engine slice
+#: holds (the static campaigns' default; chaos windows take at least
+#: this).
+DEFAULT_CHUNK = 1024
+
 
 class MaskCampaignEngine:
     """Streams mask batches through preallocated activation buffers.
@@ -883,7 +890,7 @@ class MaskCampaignEngine:
         injector: FaultInjector,
         x: np.ndarray,
         *,
-        chunk_size: int = 1024,
+        chunk_size: int = DEFAULT_CHUNK,
         reduction: str = "max",
         dtype: "str | np.dtype" = np.float64,
     ):
@@ -996,7 +1003,7 @@ class MaskCampaignEngine:
         l0: int,
         lo: int,
         hi: int,
-        rng: "np.random.Generator | None" = None,
+        rng: "np.random.Generator | ReplicaStreams | None" = None,
         cells: "tuple | None" = None,
     ) -> None:
         """In-place fault application on ``(S, B, N_l)`` activations
@@ -1007,6 +1014,8 @@ class MaskCampaignEngine:
         row-major order: each channel is gathered at the cells, so the
         kernel visits (and draws for) the faulty cells in the same
         order as the dense pass — the same values, the same stream.
+        A routed ``rng`` (slice-local, see :meth:`_evaluate_slice`) is
+        re-routed to the cells, each to the block of its scenario.
         """
         if batch.neuron_channels_clear:
             return  # scan-free, draw-free skip (see CompiledScenarioBatch)
@@ -1015,6 +1024,8 @@ class MaskCampaignEngine:
             def chan(lst):
                 return lst[l0][lo:hi] if lst is not None else None
         else:
+            if isinstance(rng, ReplicaStreams):
+                rng = rng.at(cells[0])
             rows, cols = cells[0] + lo, cells[1]
 
             def chan(lst):
@@ -1236,10 +1247,12 @@ class MaskCampaignEngine:
         lo: int,
         hi: int,
         want_outputs: bool,
-        rng: "np.random.Generator | None" = None,
+        rng: "np.random.Generator | ReplicaStreams | None" = None,
     ) -> np.ndarray:
         self._ensure_buffers()
         S = hi - lo
+        if isinstance(rng, ReplicaStreams):
+            rng = rng.at(np.arange(lo, hi))  # blocks over slice rows
         net = self.network
         stages = batch.synapse_stages
         prof = self.profile
@@ -1326,10 +1339,20 @@ class MaskCampaignEngine:
         return result
 
     def _resolve_rng(
-        self, batch: CompiledScenarioBatch, rng: "np.random.Generator | None"
-    ) -> "np.random.Generator | None":
+        self,
+        batch: CompiledScenarioBatch,
+        rng: "np.random.Generator | ReplicaStreams | None",
+    ) -> "np.random.Generator | ReplicaStreams | None":
         if rng is None and batch.is_stochastic:
             rng = unseeded_rng("MaskCampaignEngine.evaluate")
+        if (
+            isinstance(rng, ReplicaStreams)
+            and rng.n_replicas != batch.num_scenarios
+        ):
+            raise ValueError(
+                f"routed streams cover {rng.n_replicas} rows, the batch "
+                f"has {batch.num_scenarios}"
+            )
         return rng
 
     # -- public API --------------------------------------------------------
@@ -1338,14 +1361,19 @@ class MaskCampaignEngine:
         self,
         batch: CompiledScenarioBatch,
         *,
-        rng: "np.random.Generator | None" = None,
+        rng: "np.random.Generator | ReplicaStreams | None" = None,
     ) -> np.ndarray:
         """Per-scenario output errors, shape ``(S,)``, streamed in chunks.
 
         Stochastic batches (noise channels, intermittent gates, synapse
         noise) realise their draws from ``rng``, slice by slice;
         omitting it on such a batch warns once and falls back to fresh
-        entropy (irreproducible).
+        entropy (irreproducible).  ``rng`` may be a
+        :class:`~repro.faults.injector.ReplicaStreams` whose blocks are
+        batch rows: each gate draw then goes to the generator of its
+        cell's block, so one call over several blocks' rows draws, per
+        block, what a call on that block's rows alone draws (given the
+        same slicing).  Noise draws need a one-block stream.
         """
         S = batch.num_scenarios
         if S == 0:
@@ -1363,10 +1391,11 @@ class MaskCampaignEngine:
         self,
         batch: CompiledScenarioBatch,
         *,
-        rng: "np.random.Generator | None" = None,
+        rng: "np.random.Generator | ReplicaStreams | None" = None,
     ) -> np.ndarray:
         """Faulty outputs ``(S, B, n_outputs)`` (materialised; prefer
-        :meth:`evaluate` for large campaigns)."""
+        :meth:`evaluate` for large campaigns); ``rng`` as in
+        :meth:`evaluate`."""
         S = batch.num_scenarios
         if S == 0:
             return np.empty((0, self.batch_size, self.network.n_outputs))
@@ -1603,7 +1632,7 @@ def sampled_campaign_errors(
     n_scenarios: int,
     *,
     seed: "int | np.random.SeedSequence | None" = None,
-    chunk_size: int = 1024,
+    chunk_size: int = DEFAULT_CHUNK,
     reduction: str = "max",
     dtype: "str | np.dtype" = np.float64,
     n_workers: int = 0,

@@ -186,7 +186,7 @@ def build_policy(spec: PolicySpec, chaos: ChaosSpec, network):
 def _run_campaign(spec: CampaignSpec, engine, workers, profile, obs=None):
     from ..faults.campaign import CampaignResult, exhaustive_crash_campaign
     from ..faults.injector import FaultInjector
-    from ..faults.masks import sampled_campaign_errors
+    from ..faults.masks import DEFAULT_CHUNK, sampled_campaign_errors
     from ..obs.recorder import span_if
 
     if engine is not None:
@@ -215,7 +215,7 @@ def _run_campaign(spec: CampaignSpec, engine, workers, profile, obs=None):
         injector = FaultInjector(network, capacity=capacity)
     x = _probe_batch(spec, network)
     n_workers = workers if workers is not None else spec.engine.workers
-    chunk = spec.engine.chunk_size if spec.engine.chunk_size else 1024
+    chunk = spec.engine.chunk_size or DEFAULT_CHUNK
 
     if engine is None and spec.engine.backend != "numpy":
         # A quantized tier: its engine is built here and then runs like

@@ -371,6 +371,30 @@ class _CountingProcess(FaultProcess):
         self.inner.on_repair(state, replicas)
 
 
+def evaluate_window_reference(fleet, rng, probe_counts=None) -> np.ndarray:
+    """Errors ``(count, R)`` of a fleet's buffered window: every row
+    evaluated, epoch-major, in one engine call drawing from ``rng``.
+
+    The full-window form production's grouped, carry-forward
+    :meth:`~repro.chaos.deployment.DeployedNetwork.evaluate` must
+    reproduce for a one-block fleet — so comparing the two checks the
+    skip rule independently.  ``probe_counts`` (per epoch) restricts
+    each epoch's reduction to its first ``n_e`` probes.
+    """
+    w, R = fleet.window.count, fleet.n_replicas
+    batch = fleet.window.batch()
+    engine = fleet.engine
+    if probe_counts is None:
+        return engine.evaluate(batch, rng=rng).reshape(w, R)
+    outs = engine.outputs(batch, rng=rng)  # (S, B, n_out)
+    err = np.abs(
+        outs - np.asarray(engine.nominal, dtype=np.float64)[None]
+    ).max(axis=2)  # (S, B)
+    counts = np.repeat(np.asarray(probe_counts, dtype=np.intp), R)
+    err[np.arange(engine.batch_size)[None, :] >= counts[:, None]] = -np.inf
+    return err.max(axis=1).reshape(w, R)
+
+
 def simulate_block_reference(engine, shared: tuple, n_replicas: int, rng):
     """One replica block's chaos lifecycle on one plain generator.
 
@@ -424,7 +448,7 @@ def simulate_block_reference(engine, shared: tuple, n_replicas: int, rng):
             if probe_counts is not None
             else None
         )
-        errors = fleet.evaluate_window(rng, counts)
+        errors = evaluate_window_reference(fleet, rng, counts)
         down_w = fleet.window.down
         viol_w = (errors > budget + 1e-12) & ~down_w
         observed = np.where(down_w, 0.0, errors)

@@ -225,7 +225,7 @@ class TestDeployment:
             win.snapshot(state)
             snapshots.append([c.copy() for c in state.crash])
             state.advance_ages()
-        batch = win.compile()
+        batch = win.batch()
         assert batch.num_scenarios == W * R
         injector = FaultInjector(
             sensitive_net, capacity=sensitive_net.output_bound
@@ -267,7 +267,7 @@ class TestDeployment:
         # The compiled gate carries the combined hit probability.
         win = EpochWindow((4,), 1, 2)
         win.snapshot(state)
-        batch = win.compile()
+        batch = win.batch()
         assert batch.gate_p is not None
         assert batch.zero_masks[0][0, 1]
         assert batch.gate_p[0][0, 1] == pytest.approx(0.92)

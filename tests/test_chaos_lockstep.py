@@ -1,15 +1,21 @@
 """The lockstep chaos job loop against the per-block reference loop.
 
 A chaos job steps several replica blocks over one fleet, drawing each
-block's randomness from its own generator.  Over generated specs —
-every process, policy and detector kind, 1–80 replicas, ground truth
-on and off, in-process and on two workers — the report and the trace
-must be bitwise equal to running every block on its own through
-``tests/oracles.py::simulate_block_reference``, and (in-process) every
+block's randomness from its own generator, evaluates each window in
+one engine call per group of blocks with the gate draws routed to
+their blocks, and carries forward the errors of rows that repeat the
+previous epoch.  Over generated specs — every process, policy and
+detector kind, 1–80 replicas, a narrow net and one whose sparse rows
+take the rank-k route, the default engine chunk or an explicit one of
+1–64 rows, ground truth on and off, in-process and on two workers —
+the report and the trace must be bitwise equal to running every block
+on its own through ``tests/oracles.py::simulate_block_reference``
+(every row evaluated, one call per window), and (in-process) every
 block's generator must end in the same state.
 
 The fast profile runs in tier-1; the deep one is marked ``slow_stats``
-(``python -m pytest -m slow_stats tests/test_chaos_lockstep.py``).
+(``make test-stats``, or ``python -m pytest -m slow_stats
+tests/test_chaos_lockstep.py``).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from repro.chaos.deployment import ReplicaStreams
 from repro.specs import (
     ChaosSpec,
     DetectorSpec,
+    EngineSpec,
     NetworkRef,
     PolicySpec,
     ProcessSpec,
@@ -35,17 +42,24 @@ from repro.specs import (
     run,
 )
 
-NET = NetworkRef(
-    builder="mlp",
-    params={
-        "input_dim": 3,
-        "hidden": [7, 5],
-        "activation": {"name": "sigmoid", "k": 1.0},
-        "init": {"name": "uniform", "scale": 0.4},
-        "output_scale": 0.3,
-        "seed": 8,
-    },
-)
+def _net(hidden) -> NetworkRef:
+    return NetworkRef(
+        builder="mlp",
+        params={
+            "input_dim": 3,
+            "hidden": list(hidden),
+            "activation": {"name": "sigmoid", "k": 1.0},
+            "init": {"name": "uniform", "scale": 0.4},
+            "output_scale": 0.3,
+            "seed": 8,
+        },
+    )
+
+
+NET = _net([7, 5])
+#: ``N_1 = 20 > RANK_K_RATIO``: rows with at most one faulty first-layer
+#: cell take the engine's rank-k route.
+WIDE_NET = _net([20, 6])
 
 PROCESSES = st.one_of(
     st.builds(
@@ -97,7 +111,7 @@ def chaos_specs(draw):
     ))
     modulate = draw(st.booleans())
     return ChaosSpec(
-        network=NET,
+        network=draw(st.sampled_from([NET, WIDE_NET])),
         epsilon=0.5,
         epsilon_prime=0.1,
         processes=tuple(draw(st.lists(PROCESSES, min_size=1, max_size=3))),
@@ -113,6 +127,9 @@ def chaos_specs(draw):
         batch=draw(st.integers(2, 6)),
         seed=draw(st.integers(0, 2**16)),
         telemetry=TelemetrySpec() if draw(st.booleans()) else None,
+        engine=EngineSpec(
+            chunk_size=draw(st.one_of(st.none(), st.integers(1, 64)))
+        ),
     )
 
 
