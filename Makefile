@@ -10,8 +10,8 @@ test:            ## tier-1: the full pytest suite
 fast-test:       ## skip the slow training-loop tests
 	$(PYTHON) -m pytest -x -q -m "not slow" tests
 
-test-stats:      ## nightly statistical-guarantee tier: seeded coverage replications
-	$(PYTHON) -m pytest -q -m slow_stats tests/test_adaptive.py
+test-stats:      ## nightly deep tier: every slow_stats test (adaptive coverage replications, the deep chaos lockstep oracle)
+	$(PYTHON) -m pytest -q -m slow_stats tests
 
 docs-check:      ## registry <-> EXPERIMENTS.md <-> paper map <-> docs/api.md stay in sync
 	$(PYTHON) -m pytest -q -m docs tests/test_docs.py

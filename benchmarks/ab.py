@@ -40,6 +40,14 @@ allocations out of that process's numbers.  The summary prints each
 pair's factors and their spread beside the verdicts: a wide spread
 says the host, not the program, moved between runs.
 
+perfbench scales its latencies by a host factor of its own, measured
+in the benchmarked process, and also prints the p50 latency it
+measured before that scaling (``unscaled latency p50``; for
+``service-mixed``, ``unscaled: hit p50``).  The summary prints each
+side's median of that figure beside the verdicts: a scaled move that
+the unscaled figures do not show comes from the in-process host
+factor, not from the program (DESIGN.md, Benchmarks).
+
 The share of failed operations is compared as well.  The last line of
 standard output is one JSON object with every number printed above.
 """
@@ -50,6 +58,7 @@ import argparse
 import io
 import json
 import math
+import re
 import secrets
 import shutil
 import subprocess
@@ -69,6 +78,10 @@ WIN_SHARE = 0.9
 SMOKE_SECONDS = 0.3
 #: Timed calls of each reference-kernel kind per host probe.
 PROBE_REPEATS = 25
+#: perfbench's line with the p50 latency before host scaling: the
+#: in-process workloads print ``unscaled latency p50 X ms``,
+#: service-mixed ``unscaled: hit p50 X ms``.
+UNSCALED_P50 = re.compile(r"unscaled(?: latency|: hit) p50 ([0-9.eE+-]+) ms")
 
 #: The host probe, run by a fresh interpreter in the head checkout.
 HOST_PROBE = f"""
@@ -106,9 +119,16 @@ def pair_seeds(root_seed: int, pairs: int) -> list:
             np.random.SeedSequence(root_seed).generate_state(pairs)]
 
 
+def unscaled_p50(stdout: str):
+    """The last unscaled p50 latency (ms) perfbench printed, or None."""
+    found = UNSCALED_P50.findall(stdout)
+    return float(found[-1]) if found else None
+
+
 def bench_once(tree: Path, workload: str, seed: int, seconds: float,
                smoke: bool) -> dict:
-    """One untraced perfbench run in ``tree``; its result object."""
+    """One untraced perfbench run in ``tree``; its result object, with
+    the run's :func:`unscaled_p50` under ``"unscaled_p50_ms"``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     if smoke:
@@ -119,7 +139,9 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float,
             f"{' '.join(cmd)} in {tree} exited {out.returncode}:\n"
             f"{out.stderr[-2000:]}"
         )
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    result["unscaled_p50_ms"] = unscaled_p50(out.stdout)
+    return result
 
 
 def host_factor() -> float:
@@ -167,6 +189,17 @@ def summarise(metric: dict, base: list, head: list) -> dict:
         "change": rel, "wins": wins, "pairs": len(base),
         "bound": metric["bound"], "verdict": verdict,
     }
+
+
+def unscaled_medians(runs: dict) -> dict:
+    """Each side's median unscaled p50 (ms), None where no run
+    printed one."""
+    out = {}
+    for side, results in runs.items():
+        values = [r["unscaled_p50_ms"] for r in results
+                  if r.get("unscaled_p50_ms") is not None]
+        out[side] = percentile(values, 50) if values else None
+    return out
 
 
 def failed_share(results: list) -> float:
@@ -243,6 +276,11 @@ def main(argv=None) -> int:
                       f"{row['head_iqr']:>9.3g} {row['change']:>+8.1%} "
                       f"{row['wins']:>3}/{row['pairs']:<2}  {row['verdict']}"
                       f" (bound {row['bound']:.0%})")
+            unscaled = unscaled_medians(runs)
+            if None not in unscaled.values() and unscaled["base"]:
+                print(f"  unscaled p50 (ms, median): base "
+                      f"{unscaled['base']:.5g}, head {unscaled['head']:.5g} "
+                      f"({unscaled['head'] / unscaled['base'] - 1:+.1%})")
             shares = {side: failed_share(runs[side]) for side in runs}
             print(f"  failed share: base {shares['base']:.3g}, "
                   f"head {shares['head']:.3g}"
@@ -256,7 +294,8 @@ def main(argv=None) -> int:
                   f"IQR {spread['iqr_rel']:.1%} of the median, "
                   f"range {spread['min']:.3f}-{spread['max']:.3f}")
             report["workloads"][workload] = {
-                "metrics": rows, "failed_share": shares,
+                "metrics": rows, "unscaled_p50_ms": unscaled,
+                "failed_share": shares,
                 "host_factors": hosts, "host_spread": spread,
             }
     finally:

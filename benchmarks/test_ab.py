@@ -86,3 +86,37 @@ def test_host_spread():
     assert spread["median"] == 1.0
     assert abs(spread["iqr_rel"] - 0.1) < 1e-12
     assert (spread["min"], spread["max"]) == (0.9, 1.2)
+
+
+#: perfbench stdout, abridged: an in-process workload and service-mixed.
+INPROC_STDOUT = """\
+platform: {"nproc": 2}
+host speed: wide reference kernel median 4.731 ms, factors 0.602-0.711; \
+unscaled latency p50 84.812 ms
+latency_p50_ms                        59.9824 ms
+{"correct": true, "attempted": 96, "failed": 0, "metrics": {}}
+"""
+SERVICE_STDOUT = """\
+platform: {"nproc": 2}
+unscaled: hit p50 1.284 ms, closed loop 281.0 requests/s; open loop 120/s; \
+generator late p99 0.41 ms
+{"correct": true, "attempted": 50, "failed": 0, "metrics": {}}
+"""
+
+
+def test_unscaled_p50_is_read_from_perfbench_stdout():
+    assert ab.unscaled_p50(INPROC_STDOUT) == 84.812
+    assert ab.unscaled_p50(SERVICE_STDOUT) == 1.284
+    assert ab.unscaled_p50('{"metrics": {}}') is None
+
+
+def test_unscaled_medians_per_side():
+    runs = {
+        "base": [{"unscaled_p50_ms": v} for v in (84.6, 84.8, 85.0)],
+        "head": [{"unscaled_p50_ms": 80.0}, {"unscaled_p50_ms": None},
+                 {"unscaled_p50_ms": 82.0}],
+    }
+    assert ab.unscaled_medians(runs) == {"base": 84.8, "head": 81.0}
+    assert ab.unscaled_medians({"base": [{}], "head": []}) == {
+        "base": None, "head": None,
+    }
