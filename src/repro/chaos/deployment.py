@@ -216,11 +216,14 @@ class EpochWindow:
         self._zero = np.zeros(shape, dtype=bool)
         # Each crash row as one opaque ``width``-byte item: comparing
         # two epochs' rows is one elementwise ``==`` over ``(W, R)``.
-        self._zero_rows = self._zero.view(np.dtype((np.void, width)))[..., 0]
+        row = np.dtype((np.void, width))
+        self._zero_rows = self._zero.view(row)[..., 0]
         self._gate = np.ones(shape, dtype=np.float64)
         # The channels a crash window never sets, shared (read-only) by
         # every batch it gathers.
-        self._blank = empty_mask_batch(self.layer_sizes, self.window * n_replicas)
+        self._blank = empty_mask_batch(
+            self.layer_sizes, self.window * self.n_replicas
+        )
         for arrays in (self._blank.set_masks, self._blank.set_values,
                        self._blank.add_masks, self._blank.add_values):
             for a in arrays:
@@ -295,7 +298,9 @@ class EpochWindow:
             skip &= same_count[:, None]
         return skip
 
-    def batch(self, index: Optional[np.ndarray] = None) -> CompiledScenarioBatch:
+    def batch(
+        self, index: Optional[np.ndarray] = None
+    ) -> CompiledScenarioBatch:
         """The filled rows ``index`` (flat ``epoch * R + replica``
         positions, default: every filled row, epoch-major) as one mask
         batch, in ``index`` order.
@@ -377,7 +382,7 @@ class DeployedNetwork:
     def n_replicas(self) -> int:
         return self.state.n_replicas
 
-    def row_errors(
+    def _row_errors(
         self,
         batch: CompiledScenarioBatch,
         rng,
@@ -436,7 +441,7 @@ class DeployedNetwork:
         sliced at the chunk as a call on that block alone slices it.
         Each call's seconds are split over its blocks by evaluated
         rows.  ``probe_counts`` (per buffered epoch, values in
-        ``1..B``) is :meth:`row_errors`' traffic modulation.
+        ``1..B``) is :meth:`_row_errors`' traffic modulation.
         """
         w, R = self.window.count, self.n_replicas
         streams = ReplicaStreams.of(rng, R)
@@ -489,7 +494,7 @@ class DeployedNetwork:
                 continue
             evaluated = np.diff(done[w * streams.bounds[b0 : b1 + 1]])
             t0 = time.perf_counter()
-            errors.reshape(-1)[index] = self.row_errors(
+            errors.reshape(-1)[index] = self._row_errors(
                 self.window.batch(index),
                 ReplicaStreams(streams.generators[b0:b1], evaluated),
                 None if counts is None else counts[index // R],

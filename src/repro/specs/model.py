@@ -905,8 +905,9 @@ class EngineSpec(Spec):
     """Mask-engine evaluation parameters shared by every workload.
 
     ``chunk_size=None`` takes the subsystem default (1024 scenario rows
-    for static campaigns; ``epochs_chunk * REPLICA_BLOCK`` for chaos
-    windows).  ``dtype='float32'`` selects the fast evaluation path;
+    for static campaigns; ``max(epochs_chunk * REPLICA_BLOCK, 1024)``
+    for chaos windows, so one engine call covers as many replica
+    blocks' windows as fit).  ``dtype='float32'`` selects the fast evaluation path;
     ``workers > 1`` fans chunks/blocks over the fork-once pool.
     ``backend`` picks the evaluation engine from
     :data:`ENGINE_BACKENDS` (stored specs predating the field load as
