@@ -191,8 +191,6 @@ class FleetState:
         return self.epoch < self.down_until
 
 
-
-
 class EpochWindow:
     """Preallocated ``(W, R, ΣN_l)`` snapshot buffers for one window.
 
@@ -267,7 +265,9 @@ class EpochWindow:
                 # The engine's gate_p is the fault's per-evaluation
                 # activation probability (1.0 = permanent), exactly
                 # the transient hit probability stored in the state.
-                np.copyto(self._gate[w + 1], state.transient_flat, where=gated)
+                np.copyto(
+                    self._gate[w + 1], state.transient_flat, where=gated
+                )
                 self._any_gate = True
         self._down[w] = state.down_now
         self.count += 1
@@ -376,7 +376,6 @@ class DeployedNetwork:
         self.window = EpochWindow(network.layer_sizes, window, n_replicas)
         self._last_errors: Optional[np.ndarray] = None
         self._last_count: Optional[int] = None
-        self._orders: dict = {}
 
     @property
     def n_replicas(self) -> int:
@@ -406,21 +405,6 @@ class DeployedNetwork:
         live = np.arange(self.engine.batch_size)[None, :] < counts[:, None]
         err[~live] = -np.inf
         return err.max(axis=1)
-
-    def _order(self, w: int, streams: ReplicaStreams) -> np.ndarray:
-        """Flat ``epoch * R + replica`` positions of a ``w``-epoch
-        window, block-major and epoch-major within each block — the
-        rows a call on each block alone sees, in block order."""
-        key = (w, tuple(streams.bounds.tolist()))
-        order = self._orders.get(key)
-        if order is None:
-            R = self.n_replicas
-            order = self._orders[key] = np.concatenate([
-                (np.arange(w)[:, None] * R
-                 + np.arange(rows.start, rows.stop)).ravel()
-                for rows in streams.slices
-            ])
-        return order
 
     def evaluate(
         self,
@@ -482,7 +466,14 @@ class DeployedNetwork:
             if open_rows is None:
                 skip[:, rows] = False  # its own call, evaluated in full
 
-        order = self._order(w, streams)
+        # Flat ``epoch * R + replica`` positions, block-major and
+        # epoch-major within each block: the rows a call on each block
+        # alone sees, in block order.
+        order = np.concatenate([
+            (np.arange(w)[:, None] * R + np.arange(rows.start, rows.stop))
+            .ravel()
+            for rows in streams.slices
+        ])
         keep = ~skip.reshape(-1)[order]
         done = np.concatenate(([0], np.cumsum(keep)))
         errors = np.empty((w, R))

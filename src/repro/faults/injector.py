@@ -108,12 +108,6 @@ class MaskWorkspace:
             buf = self._uniform = np.empty((rows, b))
         return buf[:k]
 
-    def uniform(self, rng: np.random.Generator, k: int, b: int) -> np.ndarray:
-        """A ``(k, b)`` float64 uniform draw backed by the shared buffer."""
-        out = self.buffer(k, b)
-        rng.random(out=out)
-        return out
-
 
 def block_slices(sizes: Sequence[int]) -> List[slice]:
     """The ranges of consecutive blocks of ``sizes`` rows."""
@@ -471,12 +465,10 @@ def apply_mask_channels(
 
     def draw_uniform(rows: np.ndarray) -> np.ndarray:
         """``(K, B)`` uniforms for cells in the ascending ``rows``."""
+        out = workspace.buffer(rows.size, B) if workspace else None
         if isinstance(rng, ReplicaStreams):
-            out = workspace.buffer(rows.size, B) if workspace else None
             return rng.random(B, rows=rows, out=out)
-        if workspace is not None:
-            return workspace.uniform(rng, rows.size, B)
-        return rng.random((rows.size, B))
+        return rng.random((rows.size, B), out=out)
 
     def split(mask: np.ndarray):
         """Partition a channel mask into (permanent part, gated cells).

@@ -272,6 +272,46 @@ class TestDeployment:
         assert batch.zero_masks[0][0, 1]
         assert batch.gate_p[0][0, 1] == pytest.approx(0.92)
 
+    def test_unchanged_rows_carry_forward(self, sensitive_net, probes):
+        """Only rows that differ from the replica's previous epoch, or
+        carry a gate there or before, reach the engine; every error
+        equals the every-row reference, across windows."""
+        from oracles import evaluate_window_reference
+        from repro.chaos.deployment import DeployedNetwork
+
+        R, W = 3, 4
+        fleet = DeployedNetwork(sensitive_net, probes, R, window=W)
+        ref = DeployedNetwork(sensitive_net, probes, R, window=W)
+        seen = []
+        evaluate = fleet.engine.evaluate
+
+        def counting(batch, **kw):
+            seen.append(batch.num_scenarios)
+            return evaluate(batch, **kw)
+
+        fleet.engine.evaluate = counting
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        flaky = np.zeros((R, sum(sensitive_net.layer_sizes)), dtype=bool)
+        flaky[1, 2] = True
+        # Replica 0 is healthy at each window's first epoch and loses
+        # two cells from its second on; replica 1 is gated at epoch 2.
+        # Window 0 evaluates all of epoch 0, replica 0 at epoch 1 and
+        # replica 1 at epochs 2 and 3 (3 + 1 + 2); window 1 only
+        # replica 0 at its first two epochs.
+        for window, evaluated in ((0, 6), (1, 2)):
+            for f in (fleet, ref):
+                f.window.clear()
+                for k in range(W):
+                    f.state.begin_epoch(window * W + k)
+                    f.state.crash[0][0, :2] = k >= 1
+                    if window * W + k == 2:
+                        f.state.set_transient(flaky, 0.5)
+                    f.window.snapshot(f.state)
+            got, _ = fleet.evaluate(a)
+            assert np.array_equal(got, evaluate_window_reference(ref, b))
+            assert seen.pop() == evaluated
+        assert a.bit_generator.state == b.bit_generator.state
+
     def test_repair_clears_masks_and_ages(self):
         state = FleetState((5, 4), 3)
         state.crash[0][1] = True
