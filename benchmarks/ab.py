@@ -81,7 +81,9 @@ PROBE_REPEATS = 25
 #: perfbench's line with the p50 latency before host scaling: the
 #: in-process workloads print ``unscaled latency p50 X ms``,
 #: service-mixed ``unscaled: hit p50 X ms``.
-UNSCALED_P50 = re.compile(r"unscaled(?: latency|: hit) p50 ([0-9.eE+-]+) ms")
+UNSCALED_P50 = re.compile(
+    r"unscaled(?: latency|: hit) p50 ([0-9.eE+-]+) ms"
+)
 
 #: The host probe, run by a fresh interpreter in the head checkout.
 HOST_PROBE = f"""
