@@ -196,9 +196,8 @@ class EpochWindow:
 
     ``snapshot`` copies the fleet's flat channels into the next epoch
     row (one call per channel, whatever the depth or the block count).
-    Row 0 of the buffers holds the previous window's last epoch, which
-    :meth:`skips` compares the first epoch against.  :meth:`batch`
-    gathers any set of filled ``(epoch, replica)`` rows into one mask
+    :meth:`skips` finds the rows that repeat the previous epoch of the
+    same window.  :meth:`batch` gathers any set of filled ``(epoch, replica)`` rows into one mask
     batch — one gather per channel, handing the engine per-layer
     column views, never per-scenario Python.
     """
@@ -210,7 +209,7 @@ class EpochWindow:
         self.window = int(window)
         self.n_replicas = int(n_replicas)
         width = sum(self.layer_sizes)
-        shape = (self.window + 1, self.n_replicas, width)
+        shape = (self.window, self.n_replicas, width)
         self._zero = np.zeros(shape, dtype=bool)
         # Each crash row as one opaque ``width``-byte item: comparing
         # two epochs' rows is one elementwise ``==`` over ``(W, R)``.
@@ -229,21 +228,9 @@ class EpochWindow:
         self._down = np.zeros((self.window, self.n_replicas), dtype=bool)
         self.count = 0
         self._any_gate = False
-        # Whether row 0 holds an epoch, and which of its replicas were
-        # gated there.
-        self._has_prev = False
-        self._prev_gated = np.zeros(self.n_replicas, dtype=bool)
 
     def clear(self) -> None:
-        """Start a new window; the last filled epoch becomes row 0."""
-        if self.count:
-            last = self.count
-            self._zero[0] = self._zero[last]
-            if self._any_gate:
-                np.any(self._gate[last] < 1.0, axis=1, out=self._prev_gated)
-            else:
-                self._prev_gated.fill(False)
-            self._has_prev = True
+        """Start a new window."""
         self.count = 0
         if self._any_gate:
             self._gate.fill(1.0)
@@ -254,7 +241,7 @@ class EpochWindow:
         w = self.count
         if w >= self.window:
             raise RuntimeError("window buffers full; call clear() first")
-        zero = self._zero[w + 1]
+        zero = self._zero[w]
         np.logical_or(state.crash_flat, state.reset_flat, out=zero)
         if state.has_transients:
             # Permanent damage wins on overlap: a crashed component
@@ -266,7 +253,7 @@ class EpochWindow:
                 # activation probability (1.0 = permanent), exactly
                 # the transient hit probability stored in the state.
                 np.copyto(
-                    self._gate[w + 1], state.transient_flat, where=gated
+                    self._gate[w], state.transient_flat, where=gated
                 )
                 self._any_gate = True
         self._down[w] = state.down_now
@@ -278,49 +265,41 @@ class EpochWindow:
 
         A row qualifies when it has no gate (no draw, so its error is a
         pure function of its crash mask and probe count), its crash
-        mask equals the replica's previous-epoch mask (row 0's for the
-        first epoch), that earlier row had no gate either, and both
-        epochs use the same probe count (``same_count[e]``, per epoch;
-        ``None``: a fixed count).  The first window has no earlier
-        epoch.
+        mask equals the replica's mask one epoch earlier in this
+        window, that earlier row had no gate either, and both epochs
+        use the same probe count (``same_count[e - 1]`` for epoch ``e``;
+        ``None``: a fixed count).  A window's first epoch is always
+        evaluated.
         """
         w = self.count
-        skip = self._zero_rows[1 : w + 1] == self._zero_rows[:w]
-        if not self._has_prev:
-            skip[0] = False
-        else:
-            skip[0] &= ~self._prev_gated
+        skip = np.zeros((w, self.n_replicas), dtype=bool)
+        skip[1:] = self._zero_rows[1:w] == self._zero_rows[: w - 1]
         if self._any_gate:
-            gated = np.any(self._gate[1 : w + 1] < 1.0, axis=2)
+            gated = np.any(self._gate[:w] < 1.0, axis=2)
             skip &= ~gated
             skip[1:] &= ~gated[:-1]
         if same_count is not None:
-            skip &= same_count[:, None]
+            skip[1:] &= same_count[:, None]
         return skip
 
-    def batch(
-        self, index: Optional[np.ndarray] = None
-    ) -> CompiledScenarioBatch:
+    def batch(self, index: np.ndarray) -> CompiledScenarioBatch:
         """The filled rows ``index`` (flat ``epoch * R + replica``
-        positions, default: every filled row, epoch-major) as one mask
-        batch, in ``index`` order.
+        positions) as one mask batch, in ``index`` order.
 
         Without any gate in the window the batch has no ``gate_p``; a
         gate-free row of a gated window gets all-ones gates, which the
         mask kernel treats exactly like none: no gated cell, no draw.
         """
-        if index is None:
-            index = np.arange(self.count * self.n_replicas)
         sizes, S = self.layer_sizes, index.size
         width = sum(sizes)
         gate = None
         if self._any_gate:
-            gate = self._gate[1:].reshape(-1, width)
+            gate = self._gate.reshape(-1, width)
             gate = layer_columns(gate[index], sizes)
         blank = self._blank
         return CompiledScenarioBatch(
             zero_masks=layer_columns(
-                self._zero[1:].reshape(-1, width)[index], sizes
+                self._zero.reshape(-1, width)[index], sizes
             ),
             set_masks=[a[:S] for a in blank.set_masks],
             set_values=[a[:S] for a in blank.set_values],
@@ -374,8 +353,6 @@ class DeployedNetwork:
         self.engine = engine
         self.state = FleetState(network.layer_sizes, n_replicas)
         self.window = EpochWindow(network.layer_sizes, window, n_replicas)
-        self._last_errors: Optional[np.ndarray] = None
-        self._last_count: Optional[int] = None
 
     @property
     def n_replicas(self) -> int:
@@ -408,18 +385,18 @@ class DeployedNetwork:
 
     def evaluate(
         self,
-        rng: "np.random.Generator | ReplicaStreams",
+        streams: ReplicaStreams,
         probe_counts: Optional[np.ndarray] = None,
     ) -> tuple:
         """Errors of the buffered epochs, shape ``(count, R)``, and the
         engine seconds charged to each replica block.
 
-        ``rng`` is one generator per replica block (a plain generator:
-        the fleet is one block).  Consecutive blocks whose window rows
+        ``streams`` holds one generator per replica block.  Consecutive blocks whose window rows
         fit in the engine's chunk share one engine call, each gate draw
         routed to its block's generator, so every block draws what a
         call on its own rows would.  Rows that repeat the replica's
-        previous epoch (:meth:`EpochWindow.skips`) are not evaluated;
+        previous epoch in the window (:meth:`EpochWindow.skips`) are not
+        evaluated;
         their error is carried forward.  A block whose window alone
         exceeds the chunk is its own call, every row evaluated and
         sliced at the chunk as a call on that block alone slices it.
@@ -428,7 +405,6 @@ class DeployedNetwork:
         ``1..B``) is :meth:`_row_errors`' traffic modulation.
         """
         w, R = self.window.count, self.n_replicas
-        streams = ReplicaStreams.of(rng, R)
         counts = None
         same_count = None
         if probe_counts is not None:
@@ -443,11 +419,7 @@ class DeployedNetwork:
                     f"probe counts must lie in 1..{B}, got "
                     f"[{counts.min()}, {counts.max()}]"
                 )
-            before = np.concatenate(
-                ([-1 if self._last_count is None else self._last_count],
-                 counts[:-1])
-            )
-            same_count = counts == before
+            same_count = counts[1:] == counts[:-1]
         skip = self.window.skips(same_count)
 
         # Groups of consecutive blocks ``[b0, b1)``; ``open_rows``
@@ -494,9 +466,5 @@ class DeployedNetwork:
             seconds[b0:b1] += dt * evaluated / index.size
 
         for e in np.flatnonzero(skip.any(axis=1)):
-            earlier = errors[e - 1] if e else self._last_errors
-            np.copyto(errors[e], earlier, where=skip[e])
-        self._last_errors = errors[-1].copy()
-        if counts is not None:
-            self._last_count = int(counts[-1])
+            np.copyto(errors[e], errors[e - 1], where=skip[e])
         return errors, seconds

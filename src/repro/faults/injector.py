@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -115,8 +114,7 @@ def block_slices(sizes: Sequence[int]) -> List[slice]:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-@lru_cache(maxsize=64)
-def _flat_index(cuts: tuple, layer_sizes: tuple) -> np.ndarray:
+def _flat_index(cuts: np.ndarray, layer_sizes: tuple) -> np.ndarray:
     """Gather index from block-wise layer-major draws to the flat layout.
 
     Block ``b`` owns rows ``cuts[b]:cuts[b + 1]`` and its ``k_b * ΣN_l``
@@ -129,17 +127,14 @@ def _flat_index(cuts: tuple, layer_sizes: tuple) -> np.ndarray:
     width = int(sizes.sum())
     offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)  # per column
     widths = np.repeat(sizes, sizes)
-    cuts = np.asarray(cuts, dtype=np.intp)
     k = np.diff(cuts)
     block = np.repeat(np.arange(k.size), k)  # the block of every row
     lo, rows = cuts[:-1][block], k[block]
     r = np.arange(int(cuts[-1])) - lo
-    index = (
+    return (
         (lo * width)[:, None] + rows[:, None] * offsets
         + r[:, None] * widths + (np.arange(width) - offsets)
     ).ravel()
-    index.flags.writeable = False
-    return index
 
 
 class ReplicaStreams:
@@ -172,6 +167,9 @@ class ReplicaStreams:
         #: Block ``b`` covers rows ``bounds[b]:bounds[b + 1]``.
         self.bounds = np.array([0] + [rows.stop for rows in self.slices])
         self.n_replicas = self.slices[-1].stop if self.slices else 0
+        # ``(layer sizes, index)`` of the last whole-fleet
+        # :meth:`random_flat` gather, kept for the streams' lifetime.
+        self._fleet_index: Optional[tuple] = None
 
     @classmethod
     def of(cls, rng, n_replicas: int) -> "ReplicaStreams":
@@ -232,8 +230,9 @@ class ReplicaStreams:
         :meth:`random`) in the flat layout, layers side by side: block
         ``b``'s rows are one ``random(R_b * ΣN_l)`` draw of its
         generator — the stream of per-layer ``random((R_b, N_l))``
-        draws in layer order — scattered into the layout by one cached
-        gather."""
+        draws in layer order — scattered into the layout by one gather
+        (cached on these streams for the whole fleet, built per call
+        for a subset of rows)."""
         sizes = tuple(int(n) for n in layer_sizes)
         width = sum(sizes)
         cuts = self._cuts(rows)
@@ -244,8 +243,13 @@ class ReplicaStreams:
         ):
             if hi > lo:
                 g.random(out=draws[lo:hi])
-        flat = draws[_flat_index(tuple(cuts.tolist()), sizes)]
-        return flat.reshape(-1, width)
+        if rows is not None:
+            index = _flat_index(cuts, sizes)
+        else:
+            if self._fleet_index is None or self._fleet_index[0] != sizes:
+                self._fleet_index = (sizes, _flat_index(cuts, sizes))
+            index = self._fleet_index[1]
+        return draws[index].reshape(-1, width)
 
     def integers(self, high: int) -> np.ndarray:
         """``(R,)`` integers in ``[0, high)``, one call per block."""

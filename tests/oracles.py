@@ -382,7 +382,7 @@ def evaluate_window_reference(fleet, rng, probe_counts=None) -> np.ndarray:
     each epoch's reduction to its first ``n_e`` probes.
     """
     w, R = fleet.window.count, fleet.n_replicas
-    batch = fleet.window.batch()
+    batch = fleet.window.batch(np.arange(w * R))
     engine = fleet.engine
     if probe_counts is None:
         return engine.evaluate(batch, rng=rng).reshape(w, R)

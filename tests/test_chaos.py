@@ -225,7 +225,7 @@ class TestDeployment:
             win.snapshot(state)
             snapshots.append([c.copy() for c in state.crash])
             state.advance_ages()
-        batch = win.batch()
+        batch = win.batch(np.arange(W * R))
         assert batch.num_scenarios == W * R
         injector = FaultInjector(
             sensitive_net, capacity=sensitive_net.output_bound
@@ -267,17 +267,17 @@ class TestDeployment:
         # The compiled gate carries the combined hit probability.
         win = EpochWindow((4,), 1, 2)
         win.snapshot(state)
-        batch = win.batch()
+        batch = win.batch(np.arange(2))
         assert batch.gate_p is not None
         assert batch.zero_masks[0][0, 1]
         assert batch.gate_p[0][0, 1] == pytest.approx(0.92)
 
     def test_unchanged_rows_carry_forward(self, sensitive_net, probes):
-        """Only rows that differ from the replica's previous epoch, or
-        carry a gate there or before, reach the engine; every error
-        equals the every-row reference, across windows."""
+        """Only a window's first epoch and the rows that differ from the
+        replica's previous epoch, or carry a gate there or before, reach
+        the engine; every error equals the every-row reference."""
         from oracles import evaluate_window_reference
-        from repro.chaos.deployment import DeployedNetwork
+        from repro.chaos.deployment import DeployedNetwork, ReplicaStreams
 
         R, W = 3, 4
         fleet = DeployedNetwork(sensitive_net, probes, R, window=W)
@@ -296,9 +296,9 @@ class TestDeployment:
         # Replica 0 is healthy at each window's first epoch and loses
         # two cells from its second on; replica 1 is gated at epoch 2.
         # Window 0 evaluates all of epoch 0, replica 0 at epoch 1 and
-        # replica 1 at epochs 2 and 3 (3 + 1 + 2); window 1 only
-        # replica 0 at its first two epochs.
-        for window, evaluated in ((0, 6), (1, 2)):
+        # replica 1 at epochs 2 and 3 (3 + 1 + 2); window 1 all of its
+        # first epoch and replica 0 at its second (3 + 1).
+        for window, evaluated in ((0, 6), (1, 4)):
             for f in (fleet, ref):
                 f.window.clear()
                 for k in range(W):
@@ -307,7 +307,7 @@ class TestDeployment:
                     if window * W + k == 2:
                         f.state.set_transient(flaky, 0.5)
                     f.window.snapshot(f.state)
-            got, _ = fleet.evaluate(a)
+            got, _ = fleet.evaluate(ReplicaStreams.of(a, R))
             assert np.array_equal(got, evaluate_window_reference(ref, b))
             assert seen.pop() == evaluated
         assert a.bit_generator.state == b.bit_generator.state
