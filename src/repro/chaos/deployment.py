@@ -453,8 +453,6 @@ class DeployedNetwork:
         for b0, b1 in groups:
             lo, hi = w * streams.bounds[b0], w * streams.bounds[b1]
             index = order[lo:hi][keep[lo:hi]]
-            if not index.size:
-                continue
             evaluated = np.diff(done[w * streams.bounds[b0 : b1 + 1]])
             t0 = time.perf_counter()
             errors.reshape(-1)[index] = self._row_errors(
