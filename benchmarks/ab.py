@@ -7,7 +7,12 @@ Run from the repository root::
     python3 benchmarks/ab.py --smoke      # CI: HEAD against itself, tiny sizes
 
 The base revision's committed files are exported (``git archive``) into
-a temporary directory; the head is this working tree.  Each pair runs
+a temporary directory; the head is a copy of this working tree made the
+same way beside it (tracked files as they stand, with uncommitted
+edits, and untracked files that are not ignored; no ``.git`` and no
+``.perfbench``), so both sides run from fresh directories of the same
+kind (perfbench's in-process host factor follows the directory a run
+starts in; DESIGN.md, Benchmarks).  Each pair runs
 ``perfbench/run.py --workload W --seed S --trace 0`` once in each tree,
 base first in even pairs and head first in odd ones, so a drift of the
 host's speed hits both sides alike.  Pair ``i`` uses seed ``S_i``, drawn
@@ -99,19 +104,48 @@ print(json.dumps(math.exp(sum(logs) / len(logs))))
 """
 
 
-def export_revision(rev: str, dest: Path) -> Path:
-    """The committed tree of ``rev`` unpacked under ``dest``."""
-    blob = subprocess.run(
-        ["git", "archive", "--format=tar", rev],
-        cwd=ROOT, check=True, capture_output=True,
-    ).stdout
-    tree = dest / "base"
+#: Top-level entries of the working tree a head copy leaves out.
+NOT_COPIED = (".git", ".perfbench")
+
+
+def _unpack(blob: bytes, tree: Path) -> Path:
+    """The tar archive ``blob`` unpacked into ``tree``."""
     # The "data" filter refuses links and paths leaving ``tree``
     # (Pythons without it predate the filter argument).
     safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
         tar.extractall(tree, **safe)
     return tree
+
+
+def export_revision(rev: str, dest: Path) -> Path:
+    """The committed tree of ``rev`` unpacked under ``dest``."""
+    blob = subprocess.run(
+        ["git", "archive", "--format=tar", rev],
+        cwd=ROOT, check=True, capture_output=True,
+    ).stdout
+    return _unpack(blob, dest / "base")
+
+
+def export_worktree(dest: Path, root: Path = ROOT) -> Path:
+    """The working tree of ``root`` as it stands — tracked files with
+    their uncommitted edits and untracked files that are not ignored,
+    without :data:`NOT_COPIED` — unpacked under ``dest`` the way
+    :func:`export_revision` unpacks a revision."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        cwd=root, check=True, capture_output=True, text=True,
+    ).stdout.split("\0")
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w") as tar:
+        for name in sorted(set(listed)):
+            path = root / name
+            # a tracked file deleted in the tree is not copied
+            if (name and name.split("/")[0] not in NOT_COPIED
+                    and (path.is_file() or path.is_symlink())):
+                tar.add(path, arcname=name, recursive=False)
+    return _unpack(buf.getvalue(), dest / "head")
 
 
 def pair_seeds(root_seed: int, pairs: int) -> list:
@@ -240,13 +274,14 @@ def main(argv=None) -> int:
     root_seed = (args.root_seed if args.root_seed is not None
                  else secrets.randbits(32))
     seeds = pair_seeds(root_seed, args.pairs)
-    print(f"root seed {root_seed}; base {args.base}; head {ROOT}; "
+    print(f"root seed {root_seed}; base {args.base}; head a copy of {ROOT}; "
           f"{args.pairs} pairs of {seconds:g} s runs; seeds {seeds}")
     scratch = Path(tempfile.mkdtemp(prefix="ab-"))
     report = {"root_seed": root_seed, "base": args.base, "seeds": seeds,
               "workloads": {}}
     try:
-        trees = {"base": export_revision(args.base, scratch), "head": ROOT}
+        trees = {"base": export_revision(args.base, scratch),
+                 "head": export_worktree(scratch)}
         for workload in args.workload:
             runs = {"base": [], "head": []}
             hosts = {"base": [], "head": []}

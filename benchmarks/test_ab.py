@@ -120,3 +120,39 @@ def test_unscaled_medians_per_side():
     assert ab.unscaled_medians({"base": [{}], "head": []}) == {
         "base": None, "head": None,
     }
+
+
+def test_export_worktree_copies_the_tree_as_it_stands(tmp_path):
+    """Uncommitted edits and untracked files ride along; ignored files,
+    deleted files, ``.git`` and ``.perfbench`` do not."""
+    import subprocess
+
+    root = tmp_path / "repo"
+    (root / "src").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=ab", "-c", "user.email=ab@example.com",
+             *args], cwd=root, check=True, capture_output=True,
+        )
+
+    (root / ".gitignore").write_text("*.log\n.perfbench/\n")
+    (root / "src" / "kept.py").write_text("committed\n")
+    (root / "src" / "gone.py").write_text("committed\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (root / "src" / "kept.py").write_text("edited\n")
+    (root / "src" / "gone.py").unlink()
+    (root / "src" / "new.py").write_text("untracked\n")
+    (root / "run.log").write_text("ignored\n")
+    (root / ".perfbench").mkdir()
+    (root / ".perfbench" / "store").write_text("scratch\n")
+
+    tree = ab.export_worktree(tmp_path / "out", root=root)
+    assert tree == tmp_path / "out" / "head"
+    files = sorted(
+        p.relative_to(tree).as_posix() for p in tree.rglob("*") if p.is_file()
+    )
+    assert files == [".gitignore", "src/kept.py", "src/new.py"]
+    assert (tree / "src" / "kept.py").read_text() == "edited\n"

@@ -286,7 +286,11 @@ class TelemetryRecorder:
             self._masks = np.empty(
                 (2, P, rows, R, sum(self.layer_sizes)), dtype=bool
             )
-            self._layer_starts = np.cumsum((0,) + self.layer_sizes[:-1])
+            # (ΣN_l, L) layer membership: a mask row times it counts
+            # that row's set cells per layer.
+            self._membership = np.repeat(
+                np.eye(L, dtype=np.float32), self.layer_sizes, axis=0
+            )
             self._prev_zero = np.zeros((rows, R), dtype=bool)
             self._carry_zero = np.zeros(R, dtype=bool)
             self._carry_dead = np.zeros(R, dtype=np.int64)
@@ -353,8 +357,13 @@ class TelemetryRecorder:
         R = self.n_replicas
         # (2, P, w, R, L): per-layer crashed / intermittent counts at
         # every buffered boundary; the last boundary is the epoch end.
-        counts = np.add.reduceat(
-            self._masks[:, :, :w], self._layer_starts, axis=4, dtype=np.int32
+        # One float32 GEMM against the layer membership: a count is at
+        # most ΣN_l, exact in float32, so the int32 cast is exact too.
+        masks = self._masks[:, :, :w].astype(np.float32)
+        counts = (
+            (masks.reshape(-1, masks.shape[-1]) @ self._membership)
+            .reshape(masks.shape[:-1] + (-1,))
+            .astype(np.int32)
         )
         self.crash_counts[sl] = counts[0, -1]
         self.transient_counts[sl] = counts[1, -1]

@@ -232,5 +232,7 @@ def run_chaos_rejuvenation(
             "trade is a certified blip vs unbounded wear-out error",
             "every swept campaign is a ChaosSpec; the canonical "
             "period=10 spec keys the artifact cache",
+            "mttr_epochs is the mean violation-episode length; a fleet "
+            "with no violation episode reports nan (undefined)",
         ],
     )

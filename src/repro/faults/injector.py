@@ -114,29 +114,6 @@ def block_slices(sizes: Sequence[int]) -> List[slice]:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _flat_index(cuts: np.ndarray, layer_sizes: tuple) -> np.ndarray:
-    """Gather index from block-wise layer-major draws to the flat layout.
-
-    Block ``b`` owns rows ``cuts[b]:cuts[b + 1]`` and its ``k_b * ΣN_l``
-    draws (layer 0's ``(k_b, N_0)`` values, then layer 1's, …) sit at
-    ``cuts[b] * ΣN_l`` of one buffer; ``draws[index]`` reshaped to
-    ``(cuts[-1], ΣN_l)`` puts them in the flat rows, layers side by
-    side along the columns.
-    """
-    sizes = np.asarray(layer_sizes, dtype=np.intp)
-    width = int(sizes.sum())
-    offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)  # per column
-    widths = np.repeat(sizes, sizes)
-    k = np.diff(cuts)
-    block = np.repeat(np.arange(k.size), k)  # the block of every row
-    lo, rows = cuts[:-1][block], k[block]
-    r = np.arange(int(cuts[-1])) - lo
-    return (
-        (lo * width)[:, None] + rows[:, None] * offsets
-        + r[:, None] * widths + (np.arange(width) - offsets)
-    ).ravel()
-
-
 class ReplicaStreams:
     """One generator per block of consecutive rows.
 
@@ -167,9 +144,6 @@ class ReplicaStreams:
         #: Block ``b`` covers rows ``bounds[b]:bounds[b + 1]``.
         self.bounds = np.array([0] + [rows.stop for rows in self.slices])
         self.n_replicas = self.slices[-1].stop if self.slices else 0
-        # ``(layer sizes, index)`` of the last whole-fleet
-        # :meth:`random_flat` gather, kept for the streams' lifetime.
-        self._fleet_index: Optional[tuple] = None
 
     @classmethod
     def of(cls, rng, n_replicas: int) -> "ReplicaStreams":
@@ -230,26 +204,19 @@ class ReplicaStreams:
         :meth:`random`) in the flat layout, layers side by side: block
         ``b``'s rows are one ``random(R_b * ΣN_l)`` draw of its
         generator — the stream of per-layer ``random((R_b, N_l))``
-        draws in layer order — scattered into the layout by one gather
-        (cached on these streams for the whole fleet, built per call
-        for a subset of rows)."""
-        sizes = tuple(int(n) for n in layer_sizes)
-        width = sum(sizes)
-        cuts = self._cuts(rows)
-        draws = np.empty(int(cuts[-1]) * width)
-        for g, lo, hi in zip(
-            self.generators, (cuts[:-1] * width).tolist(),
-            (cuts[1:] * width).tolist(),
-        ):
-            if hi > lo:
-                g.random(out=draws[lo:hi])
-        if rows is not None:
-            index = _flat_index(cuts, sizes)
-        else:
-            if self._fleet_index is None or self._fleet_index[0] != sizes:
-                self._fleet_index = (sizes, _flat_index(cuts, sizes))
-            index = self._fleet_index[1]
-        return draws[index].reshape(-1, width)
+        draws in layer order — each layer's run of the draw filling
+        that layer's columns of the block's rows."""
+        edges = np.cumsum([0, *layer_sizes]).tolist()  # layer columns
+        cuts = self._cuts(rows).tolist()
+        out = np.empty((cuts[-1], edges[-1]))
+        for g, lo, hi in zip(self.generators, cuts[:-1], cuts[1:]):
+            k = hi - lo
+            if k == 0:
+                continue
+            draw = g.random(k * edges[-1])
+            for c0, c1 in zip(edges[:-1], edges[1:]):
+                out[lo:hi, c0:c1] = draw[k * c0:k * c1].reshape(k, c1 - c0)
+        return out
 
     def integers(self, high: int) -> np.ndarray:
         """``(R,)`` integers in ``[0, high)``, one call per block."""

@@ -115,10 +115,6 @@ def empty_mask_batch(
     )
 
 
-def _slice_masks(arrays: List[np.ndarray], lo: int, hi: int) -> List[np.ndarray]:
-    return [a[lo:hi] for a in arrays]
-
-
 def _sample_fixed_count_masks(
     rng: np.random.Generator,
     n_scenarios: int,
@@ -868,16 +864,26 @@ RANK_K_RATIO = 16
 #: this).
 DEFAULT_CHUNK = 1024
 
+#: Bytes of the widest per-layer buffer one tile of a deterministic
+#: batch fills: such a batch is evaluated in slices of
+#: ``TILE_BYTES // (B * max(N_l, n_outputs) * itemsize)`` rows (at
+#: most ``chunk_size``, at least 1).  Every 16-wide net at ``B = 16``
+#: gets 1024-row tiles, the default chunk.
+TILE_BYTES = 2 << 20
+
 
 class MaskCampaignEngine:
     """Streams mask batches through preallocated activation buffers.
 
     Built once per campaign (or once per worker): caches the probe
     inputs, the nominal outputs, and dtype-cast transposed weights; then
-    :meth:`evaluate` processes any number of scenarios in slices of at
-    most ``chunk_size``, reusing one ``(chunk, B, N_l)`` buffer per
-    layer.  Peak memory is therefore bounded by the chunk, not the
-    campaign.
+    :meth:`evaluate` processes any number of scenarios in slices,
+    reusing one ``(step, B, N_l)`` buffer per layer.  A stochastic
+    batch is sliced at ``chunk_size`` rows (its draws are made per
+    slice); a deterministic one in tiles of at most ``chunk_size``
+    rows whose widest buffer holds :data:`TILE_BYTES` (its results do
+    not depend on the slicing).  Peak memory is therefore bounded by
+    the step, not the campaign.
 
     ``dtype=float64`` (default) matches the scalar injector bit-for-bit
     up to float associativity; ``dtype=float32`` halves memory traffic
@@ -959,6 +965,9 @@ class MaskCampaignEngine:
         self._base_first_t = np.ascontiguousarray(self._base_first.T)
         self._base_pre0_t = np.ascontiguousarray(self._base_pre[0].T)
 
+        width = max(max(self.network.layer_sizes), self.network.n_outputs)
+        row_bytes = self.batch_size * width * self.dtype.itemsize
+        self._tile_rows = min(self.chunk_size, max(1, TILE_BYTES // row_bytes))
         self._buffers: Optional[List[np.ndarray]] = None
         self._out_buffer: Optional[np.ndarray] = None
         self._rank_k_buffer: Optional[np.ndarray] = None
@@ -984,16 +993,29 @@ class MaskCampaignEngine:
             return self._out_weights_t.T
         return self._weights_t[stage].T
 
-    def _ensure_buffers(self) -> None:
-        if self._buffers is not None:
+    def _step(self, batch: CompiledScenarioBatch) -> int:
+        """Rows per slice of ``batch``: ``chunk_size`` for a stochastic
+        batch, whose draws are made slice by slice (another slicing
+        would reorder its stream), else the tile rows."""
+        if self._tile_rows < self.chunk_size and not batch.is_stochastic:
+            return self._tile_rows
+        return self.chunk_size
+
+    def _ensure_buffers(self, rows: int) -> None:
+        """Per-layer ``(rows, B, N_l)`` and output buffers of at least
+        ``rows`` rows.  They only grow: the old arrays are dropped
+        before the new ones are allocated, and the rank-k scratch is
+        re-derived from the new buffers by :meth:`_scratch`."""
+        if self._buffers is not None and len(self._buffers[0]) >= rows:
             return
-        chunk, B = self.chunk_size, self.batch_size
+        self._buffers = self._out_buffer = self._rank_k_buffer = None
+        B = self.batch_size
         self._buffers = [
-            np.empty((chunk, B, n), dtype=self.dtype)
+            np.empty((rows, B, n), dtype=self.dtype)
             for n in self.network.layer_sizes
         ]
         self._out_buffer = np.empty(
-            (chunk, B, self.network.n_outputs), dtype=self.dtype
+            (rows, B, self.network.n_outputs), dtype=self.dtype
         )
 
     def _apply_masks(
@@ -1236,7 +1258,8 @@ class MaskCampaignEngine:
 
     def _scratch(self, rows: int) -> np.ndarray:
         """A reusable ``(rows, B, N_2)`` buffer for the rank-k route's
-        partial-slice products (allocated on first use only)."""
+        partial-slice products (allocated on first use after each
+        growth of the layer buffers)."""
         if self._rank_k_buffer is None:
             self._rank_k_buffer = np.empty_like(self._buffers[1])
         return self._rank_k_buffer[:rows]
@@ -1249,7 +1272,6 @@ class MaskCampaignEngine:
         want_outputs: bool,
         rng: "np.random.Generator | ReplicaStreams | None" = None,
     ) -> np.ndarray:
-        self._ensure_buffers()
         S = hi - lo
         if isinstance(rng, ReplicaStreams):
             rng = rng.at(np.arange(lo, hi))  # blocks over slice rows
@@ -1355,6 +1377,25 @@ class MaskCampaignEngine:
             )
         return rng
 
+    def _sliced(
+        self,
+        batch: CompiledScenarioBatch,
+        want_outputs: bool,
+        rng: "np.random.Generator | ReplicaStreams | None",
+    ) -> List[np.ndarray]:
+        """:meth:`_evaluate_slice` over the whole batch, one
+        :meth:`_step` at a time, in row order."""
+        S = batch.num_scenarios
+        rng = self._resolve_rng(batch, rng)
+        step = self._step(batch)
+        self._ensure_buffers(step)
+        return [
+            self._evaluate_slice(
+                batch, lo, min(lo + step, S), want_outputs, rng
+            )
+            for lo in range(0, S, step)
+        ]
+
     # -- public API --------------------------------------------------------
 
     def evaluate(
@@ -1363,7 +1404,9 @@ class MaskCampaignEngine:
         *,
         rng: "np.random.Generator | ReplicaStreams | None" = None,
     ) -> np.ndarray:
-        """Per-scenario output errors, shape ``(S,)``, streamed in chunks.
+        """Per-scenario output errors, shape ``(S,)``, streamed in
+        slices: ``chunk_size`` rows for a stochastic batch, tiles of at
+        most that for a deterministic one (see :data:`TILE_BYTES`).
 
         Stochastic batches (noise channels, intermittent gates, synapse
         noise) realise their draws from ``rng``, slice by slice;
@@ -1375,16 +1418,9 @@ class MaskCampaignEngine:
         block, what a call on that block's rows alone draws (given the
         same slicing).  Noise draws need a one-block stream.
         """
-        S = batch.num_scenarios
-        if S == 0:
+        if batch.num_scenarios == 0:
             return np.empty(0, dtype=np.float64)
-        rng = self._resolve_rng(batch, rng)
-        pieces = [
-            self._evaluate_slice(
-                batch, lo, min(lo + self.chunk_size, S), False, rng
-            )
-            for lo in range(0, S, self.chunk_size)
-        ]
+        pieces = self._sliced(batch, False, rng)
         return np.concatenate(pieces).astype(np.float64, copy=False)
 
     def outputs(
@@ -1396,17 +1432,9 @@ class MaskCampaignEngine:
         """Faulty outputs ``(S, B, n_outputs)`` (materialised; prefer
         :meth:`evaluate` for large campaigns); ``rng`` as in
         :meth:`evaluate`."""
-        S = batch.num_scenarios
-        if S == 0:
+        if batch.num_scenarios == 0:
             return np.empty((0, self.batch_size, self.network.n_outputs))
-        rng = self._resolve_rng(batch, rng)
-        pieces = [
-            self._evaluate_slice(
-                batch, lo, min(lo + self.chunk_size, S), True, rng
-            )
-            for lo in range(0, S, self.chunk_size)
-        ]
-        return np.concatenate(pieces)
+        return np.concatenate(self._sliced(batch, True, rng))
 
     @property
     def nominal(self) -> np.ndarray:

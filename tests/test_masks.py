@@ -438,6 +438,129 @@ class TestWideNetRankK:
         assert errors.max() <= network_fep(wide_net, dist, mode="crash")
 
 
+class TestDeterministicTiles:
+    """A deterministic batch is evaluated in tiles of at most
+    ``TILE_BYTES`` per layer buffer; a stochastic one keeps
+    ``chunk_size`` slices.  On 4-[64,64]-1 at ``B = 16`` a tile is
+    256 rows."""
+
+    TILE = 256
+
+    @pytest.fixture
+    def net(self):
+        return build_mlp(
+            4, [64, 64], activation={"name": "sigmoid", "k": 1.0},
+            init={"name": "uniform", "scale": 0.4}, output_scale=0.3,
+            seed=21,
+        )
+
+    @pytest.fixture
+    def inj(self, net):
+        return FaultInjector(net, capacity=net.output_bound)
+
+    @pytest.fixture
+    def probes(self, net):
+        return np.random.default_rng(3).random((16, net.input_dim))
+
+    @staticmethod
+    def _slices(monkeypatch):
+        """The ``(lo, hi)`` of every engine slice from now on."""
+        seen = []
+        inner = MaskCampaignEngine._evaluate_slice
+
+        def spy(self, batch, lo, hi, *args):
+            seen.append((lo, hi))
+            return inner(self, batch, lo, hi, *args)
+
+        monkeypatch.setattr(MaskCampaignEngine, "_evaluate_slice", spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda net: FixedDistributionSampler(net, (3, 2)),
+            lambda net: BernoulliSampler(
+                net, 0.05, fault=ByzantineFault(value=0.9)
+            ),
+        ],
+        ids=["fixed-crash", "bernoulli-byzantine"],
+    )
+    def test_wide_deterministic_batch_is_tiled_and_bitwise(
+        self, net, inj, probes, monkeypatch, make
+    ):
+        batch = make(net).sample(600, np.random.default_rng(5))
+        assert not batch.is_stochastic
+        engine = MaskCampaignEngine(inj, probes)
+        assert engine._step(batch) == self.TILE
+        seen = self._slices(monkeypatch)
+        errors, outputs = engine.evaluate(batch), engine.outputs(batch)
+        assert seen == 2 * [(0, 256), (256, 512), (512, 600)]
+        single = MaskCampaignEngine(inj, probes, chunk_size=1)
+        np.testing.assert_array_equal(errors, single.evaluate(batch))
+        np.testing.assert_array_equal(outputs, single.outputs(batch))
+
+    def test_stochastic_batch_keeps_chunk_slices(
+        self, net, inj, probes, monkeypatch
+    ):
+        batch = FixedDistributionSampler(
+            net, (3, 2), fault=IntermittentFault(p=0.5, fault=CrashFault())
+        ).sample(600, np.random.default_rng(5))
+        assert batch.is_stochastic
+        engine = MaskCampaignEngine(inj, probes, chunk_size=512)
+        seen = self._slices(monkeypatch)
+        engine.evaluate(batch, rng=np.random.default_rng(0))
+        assert seen == [(0, 512), (512, 600)]
+
+    def test_buffers_hold_one_step_and_only_grow(self, net, inj, probes):
+        # Mixed first-layer counts: rank-k rows and dense rows share
+        # slices, so the rank-k route takes its scratch buffer.
+        sampler = BernoulliSampler(net, 0.05)
+        gated = BernoulliSampler(
+            net, 0.05, fault=IntermittentFault(p=0.5, fault=CrashFault())
+        )
+        engine = MaskCampaignEngine(inj, probes, chunk_size=512)
+
+        def rows():
+            bufs = engine._buffers + [engine._out_buffer]
+            assert len({len(b) for b in bufs}) == 1
+            return len(bufs[0])
+
+        engine.evaluate(sampler.sample(40, np.random.default_rng(1)))
+        assert rows() == self.TILE
+        assert len(engine._rank_k_buffer) == self.TILE
+        engine.evaluate(
+            gated.sample(600, np.random.default_rng(1)),
+            rng=np.random.default_rng(2),
+        )
+        assert rows() == 512
+        assert len(engine._rank_k_buffer) == 512  # re-derived on growth
+        engine.evaluate(sampler.sample(600, np.random.default_rng(1)))
+        assert rows() == 512
+
+    def test_quantized_deterministic_batch_is_tile_invariant(
+        self, net, inj, probes
+    ):
+        from repro.backends.quantized import (
+            QuantizedMaskEngine,
+            tier_quantizers,
+        )
+
+        batch = FixedDistributionSampler(net, (3, 2)).sample(
+            600, np.random.default_rng(5)
+        )
+        runs = [
+            QuantizedMaskEngine(
+                inj, probes, chunk_size=chunk,
+                quantizers=tier_quantizers("quantized-int8", net.depth),
+            )
+            for chunk in (masks_mod.DEFAULT_CHUNK, 100, 1)
+        ]
+        assert [e._step(batch) for e in runs] == [self.TILE, 100, 1]
+        errors = [e.evaluate(batch) for e in runs]
+        for other in errors[1:]:
+            np.testing.assert_array_equal(errors[0], other)
+
+
 # ---------------------------------------------------------------------------
 # Samplers
 # ---------------------------------------------------------------------------
