@@ -49,7 +49,7 @@ perfbench scales its latencies by a host factor of its own, measured
 in the benchmarked process, and also prints the p50 latency it
 measured before that scaling (``unscaled latency p50``; for
 ``service-mixed``, ``unscaled: hit p50``).  The summary prints each
-side's median of that figure beside the verdicts: a scaled move that
+side's median and IQR of that figure beside the verdicts: a scaled move that
 the unscaled figures do not show comes from the in-process host
 factor, not from the program (DESIGN.md, Benchmarks).
 
@@ -227,13 +227,18 @@ def summarise(metric: dict, base: list, head: list) -> dict:
     }
 
 
+def unscaled_values(results: list) -> list:
+    """The unscaled p50s (ms) of the runs that printed one."""
+    return [r["unscaled_p50_ms"] for r in results
+            if r.get("unscaled_p50_ms") is not None]
+
+
 def unscaled_medians(runs: dict) -> dict:
     """Each side's median unscaled p50 (ms), None where no run
     printed one."""
     out = {}
     for side, results in runs.items():
-        values = [r["unscaled_p50_ms"] for r in results
-                  if r.get("unscaled_p50_ms") is not None]
+        values = unscaled_values(results)
         out[side] = percentile(values, 50) if values else None
     return out
 
@@ -314,9 +319,16 @@ def main(argv=None) -> int:
                       f"{row['wins']:>3}/{row['pairs']:<2}  {row['verdict']}"
                       f" (bound {row['bound']:.0%})")
             unscaled = unscaled_medians(runs)
+            spreads = {}
+            for side in runs:
+                values = unscaled_values(runs[side])
+                if values:
+                    q25, _, q75 = quartiles(values)
+                    spreads[side] = q75 - q25
             if None not in unscaled.values() and unscaled["base"]:
-                print(f"  unscaled p50 (ms, median): base "
-                      f"{unscaled['base']:.5g}, head {unscaled['head']:.5g} "
+                print(f"  unscaled p50 (ms, median [IQR]): base "
+                      f"{unscaled['base']:.5g} [{spreads['base']:.3g}], "
+                      f"head {unscaled['head']:.5g} [{spreads['head']:.3g}] "
                       f"({unscaled['head'] / unscaled['base'] - 1:+.1%})")
             shares = {side: failed_share(runs[side]) for side in runs}
             print(f"  failed share: base {shares['base']:.3g}, "
@@ -332,6 +344,7 @@ def main(argv=None) -> int:
                   f"range {spread['min']:.3f}-{spread['max']:.3f}")
             report["workloads"][workload] = {
                 "metrics": rows, "unscaled_p50_ms": unscaled,
+                "unscaled_p50_iqr_ms": spreads,
                 "failed_share": shares,
                 "host_factors": hosts, "host_spread": spread,
             }

@@ -904,10 +904,15 @@ ENGINE_BACKENDS = ("numpy", "quantized-int8", "float16")
 class EngineSpec(Spec):
     """Mask-engine evaluation parameters shared by every workload.
 
+    ``chunk_size`` is the slice size of a stochastic batch (its draws
+    are made slice by slice) and the upper bound of a deterministic
+    batch's tile (at most ``TILE_BYTES`` = 2 MiB per layer buffer; see
+    :class:`~repro.faults.masks.MaskCampaignEngine`).
     ``chunk_size=None`` takes the subsystem default (1024 scenario rows
     for static campaigns; ``max(epochs_chunk * REPLICA_BLOCK, 1024)``
     for chaos windows, so one engine call covers as many replica
-    blocks' windows as fit).  ``dtype='float32'`` selects the fast evaluation path;
+    blocks' windows as fit).  ``dtype='float32'`` selects the fast
+    evaluation path;
     ``workers > 1`` fans chunks/blocks over the fork-once pool.
     ``backend`` picks the evaluation engine from
     :data:`ENGINE_BACKENDS` (stored specs predating the field load as
