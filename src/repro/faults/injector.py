@@ -202,21 +202,17 @@ class ReplicaStreams:
     ) -> np.ndarray:
         """``(R, ΣN_l)`` uniforms (or ``len(rows)`` rows, as in
         :meth:`random`) in the flat layout, layers side by side: block
-        ``b``'s rows are one ``random(R_b * ΣN_l)`` draw of its
-        generator — the stream of per-layer ``random((R_b, N_l))``
-        draws in layer order — each layer's run of the draw filling
-        that layer's columns of the block's rows."""
-        edges = np.cumsum([0, *layer_sizes]).tolist()  # layer columns
+        ``b``'s generator makes per-layer ``random((R_b, N_l))`` draws
+        in layer order (the stream of one ``random(R_b * ΣN_l)``
+        draw), each straight into its layer's rows; the layers are
+        then joined column-wise."""
         cuts = self._cuts(rows).tolist()
-        out = np.empty((cuts[-1], edges[-1]))
+        layers = [np.empty((cuts[-1], int(n))) for n in layer_sizes]
         for g, lo, hi in zip(self.generators, cuts[:-1], cuts[1:]):
-            k = hi - lo
-            if k == 0:
-                continue
-            draw = g.random(k * edges[-1])
-            for c0, c1 in zip(edges[:-1], edges[1:]):
-                out[lo:hi, c0:c1] = draw[k * c0:k * c1].reshape(k, c1 - c0)
-        return out
+            if hi > lo:
+                for part in layers:
+                    g.random(out=part[lo:hi])
+        return np.concatenate(layers, axis=1)
 
     def integers(self, high: int) -> np.ndarray:
         """``(R,)`` integers in ``[0, high)``, one call per block."""

@@ -18,7 +18,7 @@ makes the whole pipeline live at the array level (see DESIGN.md):
   neuron indices into per-layer crash masks without touching Python
   scenario objects;
 * **evaluation** — :class:`MaskCampaignEngine` streams mask batches
-  through preallocated ``(chunk, B, N_l)`` buffers with a ``dtype``
+  through preallocated ``(step, B, N_l)`` buffers with a ``dtype``
   option (float32 fast path, float64 default) and per-campaign cached
   weights, producing per-scenario output errors; on wide first layers,
   scenarios with few faulty first-layer cells skip the second layer's
