@@ -11,8 +11,8 @@ a temporary directory; the head is a copy of this working tree made the
 same way beside it (tracked files as they stand, with uncommitted
 edits, and untracked files that are not ignored; no ``.git`` and no
 ``.perfbench``), so both sides run from fresh directories of the same
-kind (perfbench's in-process host factor follows the directory a run
-starts in; DESIGN.md, Benchmarks).  Each pair runs
+kind (perfbench's in-process host factor was seen to follow the
+directory a run starts in; DESIGN.md, Benchmarks).  Each pair runs
 ``perfbench/run.py --workload W --seed S --trace 0`` once in each tree,
 base first in even pairs and head first in odd ones, so a drift of the
 host's speed hits both sides alike.  Pair ``i`` uses seed ``S_i``, drawn
@@ -49,9 +49,9 @@ perfbench scales its latencies by a host factor of its own, measured
 in the benchmarked process, and also prints the p50 latency it
 measured before that scaling (``unscaled latency p50``; for
 ``service-mixed``, ``unscaled: hit p50``).  The summary prints each
-side's median and IQR of that figure beside the verdicts: a scaled move that
-the unscaled figures do not show comes from the in-process host
-factor, not from the program (DESIGN.md, Benchmarks).
+side's median and IQR of that figure beside the verdicts: a scaled
+move that the unscaled figures do not show comes from the in-process
+host factor, not from the program (DESIGN.md, Benchmarks).
 
 The share of failed operations is compared as well.  The last line of
 standard output is one JSON object with every number printed above.
