@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test fast-test test-stats docs-check spec-roundtrip experiments report bench serve-smoke service-leaks
+.PHONY: test fast-test test-stats docs-check spec-roundtrip repro-check experiments report bench serve-smoke service-leaks
 
 test:            ## tier-1: the full pytest suite
 	$(PYTHON) -m pytest -x -q
@@ -18,6 +18,9 @@ docs-check:      ## registry <-> EXPERIMENTS.md <-> paper map <-> docs/api.md st
 
 spec-roundtrip:  ## golden spec fixtures + CLI flag corpus round-trip (schema compatibility gate)
 	$(PYTHON) -m pytest -q tests/test_spec_fixtures.py tests/test_cli_corpus.py
+
+repro-check:     ## run-all --force into a temp dir; every stored artifact must reproduce (rtol 1e-12; writes nothing under results/)
+	$(PYTHON) benchmarks/repro_check.py
 
 experiments:     ## run the experiment registry through the artifact pipeline
 	$(PYTHON) -m repro run-all

@@ -1,5 +1,5 @@
 """Analysis utilities: Lipschitz estimation (Figure 2), topology export,
-parallel parameter sweeps, and error statistics / shape checks.
+pruning, error statistics / shape checks and Markdown reports.
 """
 
 from .lipschitz import (
@@ -18,7 +18,6 @@ from .stats import (
 )
 from .pruning import certified_prune, lowest_influence_neurons, prune_neurons
 from .reporting import result_to_markdown, results_to_markdown, write_markdown_report
-from .sweep import SweepResult, default_workers, grid_configurations, parameter_sweep
 from .topology import figure1_network_stats, to_graph, topology_stats
 
 __all__ = [
@@ -29,10 +28,6 @@ __all__ = [
     "to_graph",
     "topology_stats",
     "figure1_network_stats",
-    "SweepResult",
-    "grid_configurations",
-    "parameter_sweep",
-    "default_workers",
     "Summary",
     "summarize",
     "bootstrap_ci",

@@ -316,7 +316,6 @@ def _run_chaos_campaign(
     keep_errors: bool = False,
     telemetry=None,
     spec_payload: Optional[dict] = None,
-    profile=None,
     obs=None,
 ) -> ChaosReport:
     """Simulate a deployed fleet under temporal chaos; return the SLO report.
@@ -341,9 +340,9 @@ def _run_chaos_campaign(
     counts, per-process damage attribution) the AIOps tasks score
     against.  ``spec_payload`` (the originating spec's ``to_dict``)
     is embedded in the trace so a stored trace can rebuild its
-    detectors for replay.  ``n_workers`` and ``profile`` follow the
-    block driver's contract; ``obs`` records one ``block`` span per
-    replica block (:func:`_block_spans`).
+    detectors for replay.  ``n_workers`` follows the block driver's
+    contract.  ``obs`` records one ``block`` span per replica block
+    (:func:`_block_spans`) and its profile is charged by the engines.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -424,7 +423,7 @@ def _run_chaos_campaign(
         chunk_size=chunk,
         dtype=dtype,
         n_workers=n_workers,
-        profile=profile if profile is not None or obs is None else obs.profile,
+        profile=None if obs is None else obs.profile,
     )
     blocks = [pair for job in results for pair in job]
     if obs is not None:

@@ -625,28 +625,24 @@ def _dump(spec) -> int:
 
 
 def _instruments(args):
-    """``(profile, obs)``: a fresh PhaseProfile when ``--profile`` and a
-    fresh RunObserver when ``--obs`` was typed, else None each."""
-    profile = obs = None
+    """One fresh RunObserver when ``--profile`` or ``--obs`` was typed,
+    else None."""
+    if not args.profile and args.obs is None:
+        return None
+    from .obs import RunObserver
+
+    return RunObserver()
+
+
+def _report_instruments(obs, args, spec) -> None:
+    """Print the phase table (``--profile``) and persist the observer's
+    run record (``--obs``)."""
     if args.profile:
-        from .profiling import PhaseProfile
-
-        profile = PhaseProfile()
+        print(obs.profile.report())
     if args.obs is not None:
-        from .obs import RunObserver
-
-        obs = RunObserver()
-    return profile, obs
-
-
-def _report_instruments(profile, obs, spec, path) -> None:
-    """Print the phase table and persist the observer's run record."""
-    if profile is not None:
-        print(profile.report())
-    if obs is not None:
         from .obs import save_run_record
 
-        out = save_run_record(obs.record(spec.to_dict()), path)
+        out = save_run_record(obs.record(spec.to_dict()), args.obs)
         print(f"obs record -> {out} (inspect with 'repro obs {out}')")
 
 
@@ -665,10 +661,8 @@ def _cmd_survival(args) -> int:
     spec = _resolve_spec(args, SurvivalSpec)
     if args.dump_spec:
         return _dump(spec)
-    profile, obs = _instruments(args)
-    outcome = specs.run(
-        spec, workers=args.workers or None, profile=profile, obs=obs
-    )
+    obs = _instruments(args)
+    outcome = specs.run(spec, workers=args.workers or None, obs=obs)
     if spec.method == "certified":
         print(
             "certified P[eps-guarantee survives | "
@@ -676,7 +670,7 @@ def _cmd_survival(args) -> int:
         )
     else:
         print(f"monte-carlo survival: {outcome!r}")
-    _report_instruments(profile, obs, spec, args.obs)
+    _report_instruments(obs, args, spec)
     return 0
 
 
@@ -697,8 +691,8 @@ def _cmd_campaign(args) -> int:
     else:
         print(f"monte-carlo campaign: {spec.n_scenarios} scenarios, "
               f"{_describe_sampler(spec)}")
-    profile, obs = _instruments(args)
-    result = specs.run(spec, profile=profile, obs=obs)
+    obs = _instruments(args)
+    result = specs.run(spec, obs=obs)
     print(result.summary())
     if result.errors.size:
         print(
@@ -724,7 +718,7 @@ def _cmd_campaign(args) -> int:
             f"n={rep.n_scenarios}, certified-zero mass "
             f"{rep.certified_mass:.6g} over shells {list(rep.certified_shells)}"
         )
-    _report_instruments(profile, obs, spec, args.obs)
+    _report_instruments(obs, args, spec)
     return 0
 
 
@@ -787,8 +781,8 @@ def _cmd_chaos(args) -> int:
         f"epochs, processes {[p.kind for p in spec.processes]}, "
         f"policy {spec.policy.kind}"
     )
-    profile, obs = _instruments(args)
-    report = specs.run(spec, profile=profile, obs=obs)
+    obs = _instruments(args)
+    report = specs.run(spec, obs=obs)
     print(report.summary())
     if args.telemetry is not None:
         from .chaos.telemetry import save_trace
@@ -802,7 +796,7 @@ def _cmd_chaos(args) -> int:
             f"telemetry trace -> {json_path} "
             f"(+ {json_path.with_suffix('.npz').name})"
         )
-    _report_instruments(profile, obs, spec, args.obs)
+    _report_instruments(obs, args, spec)
     return 0
 
 

@@ -181,7 +181,6 @@ def adaptive_campaign_errors(
     dtype: "str | np.dtype" = np.float64,
     n_workers: int = 0,
     engine: "MaskCampaignEngine | None" = None,
-    profile=None,
     obs=None,
 ) -> Tuple[np.ndarray, AdaptiveReport]:
     """Stream scenario blocks until the violation-rate CI is tight.
@@ -200,10 +199,10 @@ def adaptive_campaign_errors(
     ``min_scenarios`` floors the sample count before the first stop
     decision; ``n_scenarios`` stays the hard cap.
 
-    ``profile`` and ``obs`` mirror :func:`sampled_campaign_errors`.
-    The observer additionally records one ``adaptive-look`` event per
-    stop decision (look number, scenarios seen, violations, CI bounds
-    once past ``min_scenarios``) and publishes the final report's stop
+    ``obs`` mirrors :func:`sampled_campaign_errors`.  The observer
+    additionally records one ``adaptive-look`` event per stop decision
+    (look number, scenarios seen, violations, CI bounds once past
+    ``min_scenarios``) and publishes the final report's stop
     epoch and CI as gauges.
     """
     if method not in STOPPING_METHODS:
@@ -251,7 +250,7 @@ def adaptive_campaign_errors(
     pieces = _sampled_blocks(
         injector, x, sampler, n_scenarios, seed=seed, chunk_size=chunk_size,
         reduction=reduction, dtype=dtype, n_workers=n_workers, engine=engine,
-        profile=profile, obs=obs, stop=consume,
+        obs=obs, stop=consume,
     )
     errors = np.concatenate(pieces)
     lo, hi = confidence_sequence_interval(
@@ -396,7 +395,6 @@ def stratified_violation_estimate(
     dtype: "str | np.dtype" = np.float64,
     engine: "MaskCampaignEngine | None" = None,
     max_grid: int = 200_000,
-    profile=None,
     obs=None,
 ) -> StratifiedReport:
     """Estimate ``P[error > threshold]`` under i.i.d. ``p_fail`` failures
@@ -422,9 +420,9 @@ def stratified_violation_estimate(
     rare-event path).  Shells whose binomial weight underflows to zero
     are dropped with their (zero) mass recorded in ``skipped_mass``.
 
-    ``profile`` / ``obs`` thread through the per-shell campaigns; the
-    observer wraps each sampled shell in a ``shell`` span (attrs: the
-    fault count ``k`` and draw count) around its block spans.
+    ``obs`` threads through the per-shell campaigns and wraps each
+    sampled shell in a ``shell`` span (attrs: the fault count ``k`` and
+    draw count) around its block spans.
     """
     from scipy import stats as sps
 
@@ -536,7 +534,6 @@ def stratified_violation_estimate(
                 reduction=reduction,
                 dtype=dtype,
                 engine=engine,
-                profile=profile,
                 obs=obs,
             )
 

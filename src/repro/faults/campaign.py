@@ -283,7 +283,6 @@ def exhaustive_crash_campaign(
     n_workers: int = 0,
     dtype: "str | np.dtype" = np.float64,
     engine=None,
-    profile=None,
     obs=None,
 ) -> CampaignResult:
     """Every configuration of exactly ``n_fail`` crashed neurons.
@@ -295,18 +294,11 @@ def exhaustive_crash_campaign(
     objects) and streamed through the mask engine.
 
     ``engine`` reuses a prebuilt evaluation engine (any backend built
-    for this injector and probe batch, in-process only); ``profile``
-    accumulates per-phase wall time and ``obs`` records block spans —
-    both worker-safe, forwarded to
+    for this injector and probe batch, in-process only); ``obs``
+    records block spans and per-phase wall time, worker-safe.  Both,
+    and the refusal, are those of
     :func:`~repro.faults.masks.exhaustive_crash_errors`.
     """
-    total = count_crash_configurations(injector.network, n_fail)
-    if total > max_configurations:
-        raise ValueError(
-            f"exhaustive campaign would evaluate {total} configurations "
-            f"(> {max_configurations}); sample it with a CampaignSpec or "
-            "raise max_configurations"
-        )
     errors = exhaustive_crash_errors(
         injector,
         x,
@@ -317,7 +309,6 @@ def exhaustive_crash_campaign(
         n_workers=n_workers,
         max_configurations=max_configurations,
         engine=engine,
-        profile=profile,
         obs=obs,
     )
     return CampaignResult(errors, [], reduction)

@@ -872,6 +872,10 @@ DEFAULT_CHUNK = 1024
 TILE_BYTES = 2 << 20
 
 
+def _untimed(phase: str) -> None:
+    """The phase tick of an unprofiled engine: charges nothing."""
+
+
 class MaskCampaignEngine:
     """Streams mask batches through preallocated activation buffers.
 
@@ -1181,7 +1185,7 @@ class MaskCampaignEngine:
         route: tuple,
         need_source: bool,
         rng: "np.random.Generator | None",
-        tick=None,
+        tick,
     ) -> None:
         """The rank-k route: faulty first layer, second-layer sums.
 
@@ -1215,14 +1219,12 @@ class MaskCampaignEngine:
             on = ~sparse[cell_s]
             row = np.cumsum(~sparse) - 1  # slice row -> row of ``src``
             src.transpose(0, 2, 1)[row[cell_s[on]], cell_j[on]] = vals[on]
-            if tick is not None:
-                tick("corrections")
+            tick("corrections")
             np.matmul(src, weights, out=out)
             if self._biases[1] is not None:
                 out += self._biases[1]
             pre[dense] = out
-            if tick is not None:
-                tick("gemm")
+            tick("gemm")
         if need_source:
             # Stage-2 synapse faults read every scenario's first layer.
             Y[...] = self._base_first
@@ -1253,8 +1255,7 @@ class MaskCampaignEngine:
             out += base
             if rows.size < S:
                 pre[rows] = out
-        if tick is not None:
-            tick("corrections")
+        tick("corrections")
 
     def _scratch(self, rows: int) -> np.ndarray:
         """A reusable ``(rows, B, N_2)`` buffer for the rank-k route's
@@ -1278,7 +1279,7 @@ class MaskCampaignEngine:
         net = self.network
         stages = batch.synapse_stages
         prof = self.profile
-        tick = prof.timer() if prof is not None else None
+        tick = prof.timer() if prof is not None else _untimed
 
         def stage(l0: int):
             if stages is None or stages[l0].is_empty:
@@ -1290,8 +1291,7 @@ class MaskCampaignEngine:
 
         st0 = stage(0)
         route = self._rank_k_route(batch, lo, hi, st0)
-        if tick is not None:
-            tick("compile")
+        tick("compile")
         if route is None:
             Y = self._buffers[0][:S]
             Y[...] = self._base_first  # broadcast (B, N_1) over S scenarios
@@ -1300,11 +1300,9 @@ class MaskCampaignEngine:
                 # layer 1.
                 u_s, u_j, tgt = self._stage1_cells(st0, rng)
                 Y.transpose(0, 2, 1)[u_s, u_j] = tgt
-            if tick is not None:
-                tick("gemm" if st0 is None else "corrections")
+            tick("gemm" if st0 is None else "corrections")
             self._apply_masks(Y, batch, 0, lo, hi, rng)
-            if tick is not None:
-                tick("corrections")
+            tick("corrections")
         else:
             self._rank_k_first_layers(
                 batch, lo, hi, st0, route,
@@ -1320,43 +1318,37 @@ class MaskCampaignEngine:
                 np.matmul(src, self._weights_t[l0], out=dst)
                 if self._biases[l0] is not None:
                     dst += self._biases[l0]
-                if tick is not None:
-                    tick("gemm")
+                tick("gemm")
             st = stage(l0)
             if st is not None:
                 apply_synapse_corrections(
                     dst, st, src, self._stage_weights(l0), self.capacity, rng,
                 )
-                if tick is not None:
-                    tick("corrections")
+                tick("corrections")
             net.layers[l0].activation.evaluate_into(dst, dst)
             self._post_activation(l0, dst)
-            if tick is not None:
-                tick("gemm")
+            tick("gemm")
             self._apply_masks(dst, batch, l0, lo, hi, rng)
-            if tick is not None:
-                tick("corrections")
+            tick("corrections")
         out = self._out_buffer[:S]
         np.matmul(
             self._buffers[net.depth - 1][:S], self._out_weights_t, out=out
         )
         out += self._out_bias
-        if tick is not None:
-            tick("gemm")
+        tick("gemm")
         st = stage(net.depth)
         if st is not None:
             apply_synapse_corrections(
                 out, st, self._buffers[net.depth - 1][:S],
                 self._stage_weights(net.depth), self.capacity, rng,
             )
-            if tick is not None:
-                tick("corrections")
+            tick("corrections")
         if want_outputs:
             return out.copy()
         err = np.abs(out - self._nominal[None]).max(axis=2)  # (S, B)
         result = err.max(axis=1) if self.reduction == "max" else err.mean(axis=1)
-        if tick is not None:
-            tick("reduction")
+        tick("reduction")
+        if prof is not None:
             prof.scenarios += S
         return result
 
@@ -1532,10 +1524,11 @@ def _run_blocks(
       once, jobs carry only their own payload, and results come back in
       submission order, so serial == parallel whenever ``block_fn``
       depends on nothing but its job;
-    * **observation** — ``profile`` (a
-      :class:`~repro.profiling.PhaseProfile`; defaults to
-      ``obs.profile``) is charged through ``engine.profile``, and
-      ``obs`` records one ``block`` span per job.  Workers record into a
+    * **observation** — ``obs`` records one ``block`` span per job, and
+      its profile is charged through ``engine.profile``; ``profile``
+      charges a :class:`~repro.profiling.PhaseProfile` without block
+      spans (the chaos driver records its own per replica block, so it
+      passes ``obs.profile`` alone).  Workers record into a
       private observer per block whose payload the parent folds in
       submission order, so the trace structure matches the serial run;
       recording draws no randomness, so results are bitwise identical
@@ -1665,7 +1658,6 @@ def sampled_campaign_errors(
     dtype: "str | np.dtype" = np.float64,
     n_workers: int = 0,
     engine: "MaskCampaignEngine | None" = None,
-    profile=None,
     obs=None,
 ) -> np.ndarray:
     """Sample-and-evaluate ``n_scenarios`` scenarios; returns ``(S,)`` errors.
@@ -1689,9 +1681,9 @@ def sampled_campaign_errors(
     skipping the per-campaign weight casts, nominal forward pass and
     buffer allocation.  The engine's injector, probe batch, chunk size,
     reduction and dtype take precedence over the corresponding
-    arguments.  ``profile`` (sampling here, the evaluation phases inside
-    the engine) and ``obs`` follow the block driver's contract
-    (:func:`_run_blocks`), as does ``n_workers``.
+    arguments.  ``obs`` (its profile charged with sampling here and the
+    evaluation phases inside the engine) follows the block driver's
+    contract (:func:`_run_blocks`), as does ``n_workers``.
     """
     if n_scenarios < 0:
         raise ValueError(f"n_scenarios must be >= 0, got {n_scenarios}")
@@ -1699,7 +1691,7 @@ def sampled_campaign_errors(
     return _concat(_sampled_blocks(
         injector, x, sampler, n_scenarios, seed=seed, chunk_size=chunk_size,
         reduction=reduction, dtype=dtype, n_workers=n_workers, engine=engine,
-        profile=profile, obs=obs,
+        obs=obs,
     ))
 
 
@@ -1732,7 +1724,6 @@ def exhaustive_crash_errors(
     n_workers: int = 0,
     max_configurations: int = 2_000_000,
     engine: "MaskCampaignEngine | None" = None,
-    profile=None,
     obs=None,
 ) -> np.ndarray:
     """Errors for every configuration of exactly ``n_fail`` crashes.
@@ -1742,8 +1733,8 @@ def exhaustive_crash_errors(
     and streamed through the engine.  Parallel workers receive only
     index blocks.  A reused ``engine``'s chunk size bounds the mask
     blocks; the combination-table scatter counts as the ``compile``
-    phase.  ``engine``, ``profile``, ``obs`` and ``n_workers`` follow
-    the block driver's contract (:func:`_run_blocks`).
+    phase.  ``engine``, ``obs`` and ``n_workers`` follow the block
+    driver's contract (:func:`_run_blocks`).
 
     Refuses beyond ``max_configurations`` — the table is materialised
     up front, so an unguarded call on a large network would try to
@@ -1759,13 +1750,13 @@ def exhaustive_crash_errors(
         raise ValueError(
             f"exhaustive sweep would compile {total} configurations "
             f"({cells} index cells; limit {max_configurations} "
-            "configurations); raise max_configurations only if the "
-            "index table fits in memory"
+            "configurations); sample it with a CampaignSpec, or raise "
+            "max_configurations only if the index table fits in memory"
         )
     combos = combination_index_array(net.num_neurons, int(n_fail))
     rows = int(engine.chunk_size) if engine is not None else chunk_size
     return _concat(_run_blocks(
         _crash_block, None, _row_blocks(combos, rows), injector, x,
         chunk_size=chunk_size, reduction=reduction, dtype=dtype,
-        n_workers=n_workers, engine=engine, profile=profile, obs=obs,
+        n_workers=n_workers, engine=engine, obs=obs,
     ))

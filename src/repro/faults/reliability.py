@@ -159,7 +159,6 @@ def monte_carlo_survival(
     confidence: float = 0.95,
     engine: "MaskCampaignEngine | None" = None,
     stopping=None,
-    profile=None,
     obs=None,
 ) -> ReliabilityEstimate:
     """Estimate the *actual* survival probability by injection.
@@ -196,8 +195,8 @@ def monte_carlo_survival(
     ``ReliabilityEstimate.adaptive``.  ``stopping.threshold`` defaults
     to the budget ``epsilon - epsilon_prime``.
 
-    ``profile`` (per-phase wall time) and ``obs`` (span trace +
-    metrics) thread straight through to the campaign engines — see
+    ``obs`` (span trace, metrics and per-phase wall time) threads
+    straight through to the campaign engines — see
     :func:`~repro.faults.masks.sampled_campaign_errors`.
     """
     if not 0 <= p_fail <= 1:
@@ -243,7 +242,7 @@ def monte_carlo_survival(
     if stopping is None:
         errors = sampled_campaign_errors(
             injector, x, sampler, n_trials, seed=seed, engine=engine,
-            profile=profile, obs=obs,
+            obs=obs,
         )
         survived = int(np.sum(errors <= budget + 1e-12))
         estimate = survived / n_trials
@@ -281,7 +280,6 @@ def monte_carlo_survival(
                 prune_mode=mode,
                 seed=seed,
                 engine=engine,
-                profile=profile,
                 obs=obs,
             )
         else:
@@ -298,7 +296,6 @@ def monte_carlo_survival(
                 tol=1e-12,
                 seed=seed,
                 engine=engine,
-                profile=profile,
                 obs=obs,
             )
         # Survival = 1 - violation rate; the CI flips accordingly.

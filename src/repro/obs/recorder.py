@@ -8,21 +8,24 @@ chaos orchestrator and the artifact store.  It owns:
 * a :class:`~repro.obs.trace.RunTrace` (the span plane),
 * a :class:`~repro.obs.registry.MetricsRegistry` (the metrics plane),
 * an embedded :class:`~repro.profiling.PhaseProfile` — the *same*
-  object the engines' existing ``engine.profile`` seam charges, so
-  per-phase wall time needs no second instrumentation path.
-  :meth:`finalize` publishes it into the registry
-  (``repro_phase_seconds{phase=...}``), which makes the classic
-  ``--profile`` table a pure **view** over observed data
+  object the engines' ``engine.profile`` seam charges, so per-phase
+  wall time needs no second instrumentation path.  It is the run's
+  only profile: ``repro.run(spec, profile=p)`` makes ``p`` the
+  observer's profile.  :meth:`finalize` publishes it into the registry
+  (``repro_phase_seconds{phase=...}``), and the ``--profile`` table is
+  printed from it, or rebuilt from a stored record
   (:func:`profile_from_metrics`).
 
 Worker protocol: a parallel worker builds its own observer per block,
 evaluates inside a ``block`` span, and ships
-:meth:`RunObserver.worker_payload` home; the parent folds the payload's
-profile seconds and calls :meth:`absorb` (spans graft, metrics merge)
-in block submission order.  The one place doing both is the campaigns'
-block driver, :func:`repro.faults.masks._run_blocks`.  The observer
-draws no randomness anywhere, so run results are bitwise identical
-with observation on or off.
+:meth:`RunObserver.worker_payload` home; the parent adds the payload's
+profile seconds to ``obs.profile`` and calls :meth:`absorb` (spans
+graft, metrics merge) in block submission order.  The one place doing
+both is the campaigns' block driver,
+:func:`repro.faults.masks._run_blocks`; for chaos it folds the profile
+alone, because the chaos driver records its own per-replica-block
+spans.  The observer draws no randomness anywhere, so run results are
+bitwise identical with observation on or off.
 """
 
 from __future__ import annotations
@@ -132,31 +135,25 @@ class RunObserver:
 
     def absorb(self, payload: Mapping) -> None:
         """Graft a worker payload's spans under the current span and
-        merge its metrics (its profile seconds fold separately, into
-        the run's :class:`PhaseProfile`)."""
+        merge its metrics (the block driver adds its profile seconds to
+        :attr:`profile`)."""
         self.trace.graft(payload["spans"])
         self.metrics.merge(payload["metrics"])
 
     # -- finalize + persistence --------------------------------------------
 
-    def finalize(self, profile: Optional[PhaseProfile] = None) -> None:
-        """Publish the phase profile into the metrics plane.
-
-        ``profile`` defaults to the embedded one; the dispatcher passes
-        the caller's when ``run(spec, profile=..., obs=...)`` supplied
-        both, so the table and the metrics describe the same run.
-        """
-        prof = profile if profile is not None else self.profile
+    def finalize(self) -> None:
+        """Publish the phase profile into the metrics plane."""
         for phase in PHASES:
             self.metrics.gauge(
                 "repro_phase_seconds",
                 "Wall seconds per campaign phase.",
                 phase=phase,
-            ).set(prof.seconds[phase])
-        if prof.scenarios:
+            ).set(self.profile.seconds[phase])
+        if self.profile.scenarios:
             self.metrics.counter(
                 "repro_scenarios", "Scenarios evaluated by the engines."
-            ).inc(prof.scenarios)
+            ).inc(self.profile.scenarios)
 
     def record(self, spec_payload: Optional[Mapping] = None) -> dict:
         """The persistable run record (spec + spans + metrics)."""

@@ -16,7 +16,7 @@ This module fixes both patterns once, for every caller:
 * :func:`fork_once_pool` builds a ``ProcessPoolExecutor`` whose
   *initializer* receives the shared state exactly once per worker;
   jobs afterwards carry only small per-chunk payloads (indices, RNG
-  seeds, configuration dicts);
+  seeds);
 * :func:`bounded_map` is an ordered ``imap`` with a bounded window of
   in-flight futures: the job iterable is consumed lazily, so a
   million-scenario campaign keeps O(window x chunk) state instead of

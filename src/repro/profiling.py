@@ -4,18 +4,18 @@ The campaign pipeline has five cost centres — scenario **sampling**,
 mask/stage **compile** work (slicing, segment-plan builds), the dense
 **gemm** path (matmul + bias + activation), the fault **corrections**
 (mask channels and synapse scatter), and the error **reduction**.  A
-:class:`PhaseProfile` attached to a :class:`~repro.faults.masks.
-MaskCampaignEngine` (``engine.profile``) accumulates wall time into
-those buckets as chunks stream through; the campaign CLI's
-``--profile`` flag prints the resulting table so a future slow path is
-diagnosable without external profilers.
+run's :class:`PhaseProfile` is its observer's ``obs.profile``
+(:class:`~repro.obs.RunObserver`); the block driver attaches it to the
+:class:`~repro.faults.masks.MaskCampaignEngine` (``engine.profile``),
+which accumulates wall time into those buckets as chunks stream
+through.  The CLI's ``--profile`` flag prints the resulting table so a
+future slow path is diagnosable without external profilers.
 
-Profiling works across the fan-out paths too: each fork-once worker
-charges a private per-block profile and ships its seconds home with
-the block result; the parent folds them with :meth:`PhaseProfile.
-add_dict` in block submission order, so ``--profile --workers N``
-reports the whole run's phase costs (summed across workers, hence
-exceeding wall time under real parallelism) instead of refusing.
+Under ``--workers N`` each fork-once worker's per-block observer
+charges its own profile, and the block driver folds the seconds home
+with :meth:`PhaseProfile.add_dict` in block submission order, so the
+table reports the whole run's phase costs (summed across workers,
+hence exceeding wall time under real parallelism).
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class PhaseProfile:
     def add_dict(self, payload: Mapping) -> None:
         """Fold an :meth:`as_dict` payload in — the worker-merge path.
 
-        Called in block submission order by the fan-out loops, so the
+        Called in block submission order by the block driver, so the
         folded totals are deterministic for a fixed block layout (the
         per-phase values themselves are wall-time measurements).
         """

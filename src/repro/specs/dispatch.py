@@ -183,7 +183,7 @@ def build_policy(spec: PolicySpec, chaos: ChaosSpec, network):
     return NoRepairPolicy()
 
 
-def _run_campaign(spec: CampaignSpec, engine, workers, profile, obs=None):
+def _run_campaign(spec: CampaignSpec, engine, workers, obs=None):
     from ..faults.campaign import CampaignResult, exhaustive_crash_campaign
     from ..faults.injector import FaultInjector
     from ..faults.masks import DEFAULT_CHUNK, sampled_campaign_errors
@@ -246,7 +246,6 @@ def _run_campaign(spec: CampaignSpec, engine, workers, profile, obs=None):
             n_workers=n_workers,
             dtype=spec.engine.dtype,
             engine=engine,
-            profile=profile,
             obs=obs,
         )
     sampler = build_sampler(spec.sampler, spec.fault, network)
@@ -294,7 +293,6 @@ def _run_campaign(spec: CampaignSpec, engine, workers, profile, obs=None):
                 reduction=spec.engine.reduction,
                 dtype=spec.engine.dtype,
                 engine=engine,
-                profile=profile,
                 obs=obs,
             )
             return CampaignResult(
@@ -318,7 +316,6 @@ def _run_campaign(spec: CampaignSpec, engine, workers, profile, obs=None):
             dtype=spec.engine.dtype,
             n_workers=n_workers,
             engine=engine,
-            profile=profile,
             obs=obs,
         )
         return CampaignResult(
@@ -335,13 +332,12 @@ def _run_campaign(spec: CampaignSpec, engine, workers, profile, obs=None):
         dtype=spec.engine.dtype,
         n_workers=n_workers,
         engine=engine,
-        profile=profile,
         obs=obs,
     )
     return CampaignResult(errors, [], spec.engine.reduction)
 
 
-def _run_survival(spec: SurvivalSpec, engine, workers, profile=None, obs=None):
+def _run_survival(spec: SurvivalSpec, engine, workers, obs=None):
     from ..faults.reliability import (
         certified_survival_probability,
         monte_carlo_survival,
@@ -390,12 +386,11 @@ def _run_survival(spec: SurvivalSpec, engine, workers, profile=None, obs=None):
         seed=spec.seed,
         engine=engine,
         stopping=spec.stopping,
-        profile=profile,
         obs=obs,
     )
 
 
-def _run_chaos(spec: ChaosSpec, engine, workers, profile=None, obs=None):
+def _run_chaos(spec: ChaosSpec, engine, workers, obs=None):
     from ..chaos.campaign import _run_chaos_campaign
     from ..obs.recorder import span_if
 
@@ -438,7 +433,6 @@ def _run_chaos(spec: ChaosSpec, engine, workers, profile=None, obs=None):
         keep_errors=spec.keep_errors,
         telemetry=spec.telemetry,
         spec_payload=spec.to_dict(),
-        profile=profile,
         obs=obs,
     )
 
@@ -470,14 +464,13 @@ def run(
     spec's ``backend``.  ``workers`` overrides the spec's
     ``engine.workers`` without rewriting the spec.
 
-    ``profile`` (a :class:`~repro.profiling.PhaseProfile`) accumulates
-    per-phase wall time for any spec kind, serial or fan-out — the
-    CLI's ``--profile`` flag.  ``obs`` (a
-    :class:`~repro.obs.RunObserver`) records the run's span trace and
-    metrics; observation never touches a random stream, so results are
-    bitwise identical with it on or off.  When both are given the
-    observer publishes the caller's profile; when only ``obs`` is
-    given its embedded profile is used.  A spec whose ``obs`` field is
+    ``obs`` (a :class:`~repro.obs.RunObserver`) records the run's span
+    trace, metrics and per-phase wall time (``obs.profile``) for any
+    spec kind, serial or fan-out; observation never touches a random
+    stream, so results are bitwise identical with it on or off.
+    ``profile`` (a :class:`~repro.profiling.PhaseProfile`) is shorthand
+    for observing into that profile: it becomes ``obs.profile``, on a
+    fresh observer when ``obs`` is None.  A spec whose ``obs`` field is
     enabled with a ``record`` path self-observes: the dispatcher
     builds an observer and persists the run record there.
     """
@@ -495,16 +488,20 @@ def run(
         from ..obs import RunObserver
 
         obs = owned_obs = RunObserver(events=obs_spec.events)
-    if obs is not None and profile is None:
-        profile = obs.profile
+    if profile is not None:
+        if obs is None:
+            from ..obs import RunObserver
+
+            obs = RunObserver()
+        obs.profile = profile
 
     def dispatch():
         if isinstance(spec, CampaignSpec):
-            return _run_campaign(spec, engine, workers, profile, obs)
+            return _run_campaign(spec, engine, workers, obs)
         if isinstance(spec, SurvivalSpec):
-            return _run_survival(spec, engine, workers, profile, obs)
+            return _run_survival(spec, engine, workers, obs)
         if isinstance(spec, ChaosSpec):
-            return _run_chaos(spec, engine, workers, profile, obs)
+            return _run_chaos(spec, engine, workers, obs)
         raise SpecError(
             f"{type(spec).__name__} is not a runnable spec (expected "
             "CampaignSpec, SurvivalSpec or ChaosSpec)"
@@ -520,7 +517,7 @@ def run(
         workers=eff_workers,
     ):
         result = dispatch()
-    obs.finalize(profile)
+    obs.finalize()
     if owned_obs is not None:
         from ..obs import save_run_record
 

@@ -1,4 +1,4 @@
-"""Unit tests for the analysis utilities (lipschitz, topology, sweep,
+"""Unit tests for the analysis utilities (lipschitz, topology,
 stats)."""
 
 import numpy as np
@@ -17,7 +17,6 @@ from repro.analysis.stats import (
     loglog_slope,
     summarize,
 )
-from repro.analysis.sweep import grid_configurations, parameter_sweep
 from repro.analysis.topology import figure1_network_stats, to_graph, topology_stats
 from repro.network import Sigmoid, build_conv_net, build_mlp
 
@@ -80,38 +79,6 @@ class TestTopology:
         stats = figure1_network_stats(net)
         assert stats["n_clients"] == 4
         assert stats["path_length_input_to_output"] == 4
-
-
-class TestSweep:
-    def test_grid_configurations(self):
-        grid = grid_configurations(a=[1, 2], b=["x"])
-        assert grid == [{"a": 1, "b": "x"}, {"a": 2, "b": "x"}]
-        assert grid_configurations() == [{}]
-
-    def test_serial_sweep(self):
-        result = parameter_sweep(_square, grid_configurations(v=[1, 2, 3]))
-        assert result.values() == [1, 4, 9]
-        assert result.column("v") == [1, 2, 3]
-
-    def test_rows_merge_dict_results(self):
-        result = parameter_sweep(_square_dict, grid_configurations(v=[2]))
-        rows = result.as_rows()
-        assert rows == [{"v": 2, "sq": 4}]
-
-    @pytest.mark.slow
-    def test_parallel_matches_serial(self):
-        cfgs = grid_configurations(v=list(range(8)))
-        serial = parameter_sweep(_square, cfgs)
-        parallel = parameter_sweep(_square, cfgs, n_workers=2)
-        assert serial.values() == parallel.values()
-
-
-def _square(v):
-    return v * v
-
-
-def _square_dict(v):
-    return {"sq": v * v}
 
 
 class TestStats:

@@ -447,6 +447,22 @@ class TestDispatch:
         assert obs.metrics.value("repro_adaptive_stop_epoch") == rep.n_scenarios
         assert obs.metrics.value("repro_adaptive_looks") == rep.looks
 
+    def test_run_profile_alone_matches_plain_run(self, net_path):
+        spec = _campaign_spec(net_path)
+        profile = PhaseProfile()
+        profiled = run(spec, profile=profile)
+        assert np.array_equal(profiled.errors, run(spec).errors)
+        assert profile.scenarios == spec.n_scenarios
+        assert profile.seconds["gemm"] > 0
+
+    def test_run_profile_becomes_the_observer_profile(self, net_path):
+        profile, obs = PhaseProfile(), RunObserver()
+        run(_campaign_spec(net_path), profile=profile, obs=obs)
+        assert obs.profile is profile
+        assert obs.metrics.value(
+            "repro_phase_seconds", phase="gemm"
+        ) == profile.seconds["gemm"]
+
     def test_obs_spec_autorecords_to_disk(self, net_path, tmp_path):
         record_path = tmp_path / "rec"
         spec = _campaign_spec(
@@ -552,6 +568,20 @@ class TestRecordAndCli:
         assert "obs record ->" in capsys.readouterr().out
         assert load_run_record(record)["spec"]["spec"] == "campaign"
 
+    def test_cli_campaign_profile_alone_writes_no_record(
+        self, net_path, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "campaign", str(net_path), "--distribution", "2,1",
+            "--n-scenarios", "400", "--profile",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "phase" in out and "gemm" in out
+        assert "obs record" not in out
+        assert list(tmp_path.iterdir()) == []
+
     def test_cli_survival_profile_and_obs(self, net_path, tmp_path, capsys):
         record = tmp_path / "sur_rec"
         code = main([
@@ -573,17 +603,24 @@ class TestParallelProfiling:
     def test_profile_folds_across_workers(self, net, probes):
         injector = FaultInjector(net)
         sampler = FixedDistributionSampler(net, (2, 1))
-        profile = PhaseProfile()
+        obs = RunObserver()
         serial = sampled_campaign_errors(
             injector, probes, sampler, 2300, seed=5
         )
         parallel = sampled_campaign_errors(
-            injector, probes, sampler, 2300, seed=5, n_workers=2,
-            profile=profile,
+            injector, probes, sampler, 2300, seed=5, n_workers=2, obs=obs,
         )
         assert np.array_equal(serial, parallel)
-        assert profile.scenarios == 2300
-        assert profile.seconds["gemm"] > 0
+        assert obs.profile.scenarios == 2300
+        assert obs.profile.seconds["gemm"] > 0
+
+    def test_chaos_profile_folds_across_workers(self, net, probes):
+        serial_obs, parallel_obs = RunObserver(), RunObserver()
+        _chaos_run(net, probes, obs=serial_obs)
+        _chaos_run(net, probes, n_workers=2, obs=parallel_obs)
+        assert serial_obs.profile.scenarios > 0
+        assert parallel_obs.profile.scenarios == serial_obs.profile.scenarios
+        assert parallel_obs.profile.seconds["gemm"] > 0
 
 
 # -- artifact-store cache accounting -------------------------------------
