@@ -72,7 +72,8 @@ __all__ = [
     "MaskWorkspace",
     "ReplicaStreams",
     "SynapseStageChannels",
-    "static_fault_action",
+    "NEURON_CHANNELS",
+    "empty_mask_batch",
     "fault_channel_action",
     "synapse_fault_action",
     "apply_neuron_fault",
@@ -227,44 +228,17 @@ def _one_generator(rng, what: str) -> np.random.Generator:
     return rng.generator(what) if isinstance(rng, ReplicaStreams) else rng
 
 
-def static_fault_action(fault: FaultModel) -> Optional[tuple[str, float]]:
-    """The input-independent action of a fault, or ``None``.
-
-    Returns one of:
-
-    * ``("zero", 0.0)`` — crash: emission is exactly 0;
-    * ``("set", v)`` — Byzantine with explicit value / stuck-at: the
-      emission is pulled to ``v`` subject to the deviation bound;
-    * ``("add", delta)`` — Byzantine capacity sentinel (``+-inf``, to
-      be resolved to ``+-C``) or a fixed offset: emission is
-      ``y + delta``.
-
-    Stochastic or sign-dependent faults (noise, sign flip) return
-    ``None``; :func:`fault_channel_action` covers those via the
-    stochastic mask channels.
-    """
-    if isinstance(fault, CrashFault):
-        return ("zero", 0.0)
-    if isinstance(fault, ByzantineFault):
-        if fault.value is None:
-            return ("add", fault.sign * np.inf)
-        return ("set", float(fault.value))
-    if isinstance(fault, StuckAtFault):
-        return ("set", float(fault.value))
-    if isinstance(fault, OffsetFault):
-        return ("add", float(fault.offset))
-    return None
-
-
 def fault_channel_action(
     fault: FaultModel,
 ) -> Optional[tuple[str, float, float]]:
     """The mask-channel lowering ``(kind, value, gate_p)`` of a neuron fault.
 
-    Extends :func:`static_fault_action` to the whole neuron-fault
-    taxonomy:
-
-    * ``("zero" | "set" | "add", v, p)`` — the static actions;
+    * ``("zero", 0.0, p)`` — crash: emission is exactly 0;
+    * ``("set", v, p)`` — Byzantine with explicit value / stuck-at: the
+      emission is pulled to ``v`` subject to the deviation bound;
+    * ``("add", delta, p)`` — Byzantine capacity sentinel (``+-inf``,
+      to be resolved to ``+-C``) or a fixed offset: emission is
+      ``y + delta``;
     * ``("scale", s, p)`` — multiplicative faults (sign flip is
       ``s = -1``): emission pulled toward ``s * y`` under the
       deviation bound;
@@ -278,9 +252,16 @@ def fault_channel_action(
     Bernoulli gates).  Returns ``None`` for synapse faults (see
     :func:`synapse_fault_action`) and unknown models.
     """
-    base = static_fault_action(fault)
-    if base is not None:
-        return (*base, 1.0)
+    if isinstance(fault, CrashFault):
+        return ("zero", 0.0, 1.0)
+    if isinstance(fault, ByzantineFault):
+        if fault.value is None:
+            return ("add", fault.sign * np.inf, 1.0)
+        return ("set", float(fault.value), 1.0)
+    if isinstance(fault, StuckAtFault):
+        return ("set", float(fault.value), 1.0)
+    if isinstance(fault, OffsetFault):
+        return ("add", float(fault.offset), 1.0)
     if isinstance(fault, SignFlipFault):
         return ("scale", -1.0, 1.0)
     if isinstance(fault, NoiseFault):
@@ -401,15 +382,19 @@ def apply_mask_channels(
     seeded ``rng`` and raise without one — unseeded campaigns are not
     reproducible.
 
-    Every channel is one gather → compute → scatter over its ``K``
-    affected cells through the transposed ``(S, N, B)`` view, whatever
-    the mask density: permanent cells are selected by one boolean
-    gather, gated and noisy cells by their row-major coordinates, so
-    the work and the draws cost ``(K, B)`` rather than ``(S, B, N)``.
-    The result is elementwise identical to a masked write over the
-    whole tensor (``tests/oracles.py`` keeps that form).  Draw order
-    is fixed (gates per channel in zero / set / scale / add order,
-    then noise), each in row-major cell order, so the stream is
+    Every channel is a gather → compute → scatter over its ``K``
+    affected cells, by their row-major coordinates through the
+    transposed ``(S, N, B)`` view, whatever the mask density, so the
+    work and the draws cost ``(K, B)`` rather than ``(S, B, N)``; its
+    permanent cells and its gated cells (with their Bernoulli draw)
+    run through the same code as two parts.  Zero, set and scale
+    *replace* an emission and share one loop (a missed gate keeps the
+    arriving value); add is an offset (a missed gate adds ``+0.0``)
+    and noise a clipped Gaussian offset.  The
+    result is elementwise identical to a masked write over the whole
+    tensor (``tests/oracles.py`` keeps that form).  Draw order is
+    fixed (gates per channel in zero / set / scale / add order, then
+    noise), each in row-major cell order, so the stream is
     deterministic for a given batch.  A ``workspace`` lets the gate
     draws reuse one growable buffer across chunks (same stream, fewer
     allocations).
@@ -437,103 +422,81 @@ def apply_mask_channels(
             return rng.random(B, rows=rows, out=out)
         return rng.random((rows.size, B), out=out)
 
-    def split(mask: np.ndarray):
-        """Partition a channel mask into (permanent part, gated cells).
+    def cells_of(mask: np.ndarray) -> tuple:
+        """``mask``'s cells in row-major order (``np.nonzero``'s, ~5x
+        faster on a sparse ``(S, N)`` mask)."""
+        return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
-        The gated part comes back as ``(rows, cols, hit)`` with ``hit``
-        the freshly drawn ``(K, B)`` Bernoulli pattern.
-        """
-        if not gated_cells:
-            return mask, None
-        g = mask & (gate_p < 1.0)
-        if not g.any():
-            return mask, None
-        rows, cols = np.nonzero(g)
-        hit = draw_uniform(rows) < gate_p[rows, cols][:, None]
-        return mask & ~g, (rows, cols, hit)
+    def parts(rows: np.ndarray, cols: np.ndarray):
+        """Split the cells ``(rows, cols)`` into ``(idx, hit)`` parts:
+        the permanent cells (``hit=None``), then the gated ones with
+        their freshly drawn ``(K_g, B)`` Bernoulli pattern; ``idx``
+        picks a part's cells out of ``rows``/``cols``."""
+        if gated_cells:
+            gp = gate_p[rows, cols]
+            flaky = gp < 1.0
+            if flaky.any():
+                hit = draw_uniform(rows[flaky]) < gp[flaky][:, None]
+                return ((~flaky, None), (flaky, hit))
+        return ((slice(None), None),)
 
-    if zero.any():
-        dense, gated = split(zero)
-        if dense.any():
-            Yt[dense] = 0.0
-        if gated is not None:
-            rows, cols, hit = gated
+    def bounded(vals: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Requested emissions held within ``+-C`` of the arriving
+        ``cells`` (the deviation bound of Assumption 1)."""
+        if capacity is None:
+            return vals
+        return np.clip(vals, cells - capacity, cells + capacity)
+
+    # The channels that replace an emission, in kernel order.
+    replacing = (
+        (zero, None, lambda c, v: 0.0),
+        (set_mask, set_values, lambda c, v: bounded(v, c)),
+        (scale_mask, scale_values, lambda c, v: bounded(v * c, c)),
+    )
+    for mask, values, emit in replacing:
+        if mask is None or not mask.any():
+            continue
+        all_rows, all_cols = cells_of(mask)
+        for idx, hit in parts(all_rows, all_cols):
+            rows, cols = all_rows[idx], all_cols[idx]
+            if values is None and hit is None:
+                Yt[rows, cols] = 0.0  # a permanent crash reads no arrival
+                continue
             cells = Yt[rows, cols]
-            cells[hit] = 0.0
-            Yt[rows, cols] = cells
-    if set_mask.any():
-        dense, gated = split(set_mask)
-        if dense.any():
-            cells = Yt[dense]
-            vals = np.broadcast_to(set_values[dense][:, None], cells.shape)
-            if capacity is not None:
-                vals = np.clip(vals, cells - capacity, cells + capacity)
-            Yt[dense] = vals
-        if gated is not None:
-            rows, cols, hit = gated
-            cells = Yt[rows, cols]
-            vals = np.broadcast_to(
-                set_values[rows, cols][:, None], cells.shape
-            )
-            if capacity is not None:
-                vals = np.clip(vals, cells - capacity, cells + capacity)
-            Yt[rows, cols] = np.where(hit, vals, cells)
-    if scale_mask is not None and scale_mask.any():
-        dense, gated = split(scale_mask)
-        if dense.any():
-            cells = Yt[dense]
-            vals = scale_values[dense][:, None] * cells
-            if capacity is not None:
-                vals = np.clip(vals, cells - capacity, cells + capacity)
-            Yt[dense] = vals
-        if gated is not None:
-            rows, cols, hit = gated
-            cells = Yt[rows, cols]
-            vals = scale_values[rows, cols][:, None] * cells
-            if capacity is not None:
-                vals = np.clip(vals, cells - capacity, cells + capacity)
-            Yt[rows, cols] = np.where(hit, vals, cells)
+            v = None if values is None else values[rows, cols][:, None]
+            vals = emit(cells, v)
+            if hit is not None:
+                vals = np.where(hit, vals, cells)
+            Yt[rows, cols] = vals
     if add_mask.any():
-        if capacity is None and not np.all(np.isfinite(add_values[add_mask])):
-            raise ValueError(
-                "capacity-saturating fault under unbounded transmission"
-            )
-        dense, gated = split(add_mask)
-        if dense.any():
-            add = add_values[dense]
-            if capacity is not None:
-                add = np.clip(add, -capacity, capacity)
-            cells = Yt[dense]
-            cells += add[:, None]
-            Yt[dense] = cells
-        if gated is not None:
-            rows, cols, hit = gated
-            add = add_values[rows, cols]
-            if capacity is not None:
-                add = np.clip(add, -capacity, capacity)
-            cells = Yt[rows, cols]
-            cells += np.where(hit, add[:, None], 0.0)
-            Yt[rows, cols] = cells
+        all_rows, all_cols = cells_of(add_mask)
+        add = add_values[all_rows, all_cols][:, None]
+        if capacity is None:
+            if not np.all(np.isfinite(add)):
+                raise ValueError(
+                    "capacity-saturating fault under unbounded transmission"
+                )
+        else:
+            add = np.clip(add, -capacity, capacity)
+        for idx, hit in parts(all_rows, all_cols):
+            a = add[idx] if hit is None else np.where(hit, add[idx], 0.0)
+            Yt[all_rows[idx], all_cols[idx]] += a
     if noise_mask is not None and noise_mask.any():
         if rng is None:
             raise ValueError(
                 "noise mask channels need an rng; pass the campaign generator"
             )
         gen = _one_generator(rng, "noise")
-        rows, cols = np.nonzero(noise_mask)
+        rows, cols = cells_of(noise_mask)
         delta = (
             gen.standard_normal((rows.size, B))
             * noise_sigma[rows, cols][:, None]
         )
         if capacity is not None:
             np.clip(delta, -capacity, capacity, out=delta)
-        if gated_cells:
-            gp = gate_p[rows, cols]
-            gated_idx = gp < 1.0
-            if gated_idx.any():
-                delta[gated_idx] *= (
-                    draw_uniform(rows[gated_idx]) < gp[gated_idx][:, None]
-                )
+        for idx, hit in parts(rows, cols):
+            if hit is not None:
+                delta[idx] *= hit
         Yt[rows, cols] += delta
     return Y
 
@@ -834,6 +797,19 @@ class SynapseStageChannels:
         )
 
 
+#: The neuron fault channels of a :class:`CompiledScenarioBatch`, in
+#: kernel order: kind -> ``(masks attribute, values attribute)``.  A
+#: crash carries no value; scale and noise are optional (``None``
+#: until a fault is marked on them).
+NEURON_CHANNELS = {
+    "zero": ("zero_masks", None),
+    "set": ("set_masks", "set_values"),
+    "scale": ("scale_masks", "scale_values"),
+    "add": ("add_masks", "add_values"),
+    "noise": ("noise_masks", "noise_sigma"),
+}
+
+
 @dataclass
 class CompiledScenarioBatch:
     """Per-layer fault masks for a batch of scenarios.
@@ -889,6 +865,58 @@ class CompiledScenarioBatch:
     def num_scenarios(self) -> int:
         return self.zero_masks[0].shape[0] if self.zero_masks else 0
 
+    def mark(self, kind: str, l0: int, where, value=0.0, gate=1.0) -> None:
+        """Fault cells of layer ``l0`` on the channel ``kind``.
+
+        ``where`` is a boolean ``(S, N_l)`` mask (OR-ed into the
+        channel) or an index tuple (set).  ``value`` (the channel's
+        value, ignored for crashes) and ``gate`` (the ``gate_p`` of the
+        cells) are scalars or ``(S, N_l)`` arrays read at ``where``.
+        The first use of an optional channel, or of a gate below 1,
+        allocates it for every layer.
+        """
+        masks_attr, values_attr = NEURON_CHANNELS[kind]
+        shapes = [m.shape for m in self.zero_masks]
+        if getattr(self, masks_attr) is None:
+            setattr(self, masks_attr, [np.zeros(n, bool) for n in shapes])
+            setattr(self, values_attr, [np.zeros(n) for n in shapes])
+        dense = isinstance(where, np.ndarray)
+
+        def write(arrays, v):
+            if dense:
+                np.copyto(arrays[l0], v, where=where)
+            else:
+                arrays[l0][where] = v
+
+        masks = getattr(self, masks_attr)[l0]
+        if dense:
+            masks |= where
+        else:
+            masks[where] = True
+        if values_attr is not None:
+            write(getattr(self, values_attr), value)
+        if self.gate_p is None and np.any(np.less(gate, 1.0)):
+            self.gate_p = [np.ones(n) for n in shapes]
+        if self.gate_p is not None:
+            write(self.gate_p, gate)
+        self._neuron_clear = None
+
+    def _channels(self):
+        """The mask lists of the channels present, in kernel order."""
+        for masks_attr, _ in NEURON_CHANNELS.values():
+            masks = getattr(self, masks_attr)
+            if masks is not None:
+                yield masks
+
+    def touched(self, l0: int, lo: int = 0, hi: Optional[int] = None):
+        """A fresh ``(hi - lo, N_l)`` mask of the layer-``l0`` cells of
+        scenarios ``lo..hi`` that some neuron channel faults."""
+        masks = [m[l0][lo:hi] for m in self._channels()]
+        out = masks[0].copy()
+        for m in masks[1:]:
+            out |= m
+        return out
+
     @property
     def neuron_channels_clear(self) -> bool:
         """True when no neuron mask channel can touch any activation.
@@ -899,21 +927,14 @@ class CompiledScenarioBatch:
         consumes zero RNG draws — evaluators may skip it per layer and
         stay bitwise-identical.  The scan runs once per batch (cached),
         replacing per-chunk-per-layer channel scans on the hot
-        synapse-only path.
+        synapse-only path; it stops at the first faulted cell.
         """
         if self._neuron_clear is None:
-            clear = not (
-                any(m.any() for m in self.zero_masks)
-                or any(m.any() for m in self.set_masks)
-                or any(m.any() for m in self.add_masks)
+            self._neuron_clear = not (
+                any(m.any() for masks in self._channels() for m in masks)
+                or self.gate_p is not None
+                and any(np.any(g < 1.0) for g in self.gate_p)
             )
-            if clear and self.scale_masks is not None:
-                clear = not any(m.any() for m in self.scale_masks)
-            if clear and self.noise_masks is not None:
-                clear = not any(m.any() for m in self.noise_masks)
-            if clear and self.gate_p is not None:
-                clear = not any(np.any(g < 1.0) for g in self.gate_p)
-            self._neuron_clear = clear
         return self._neuron_clear
 
     @property
@@ -936,6 +957,26 @@ class CompiledScenarioBatch:
         return self.synapse_stages is not None and any(
             stage.is_stochastic for stage in self.synapse_stages
         )
+
+
+def empty_mask_batch(
+    layer_sizes: Sequence[int], n_scenarios: int
+) -> CompiledScenarioBatch:
+    """An all-healthy mask batch for ``n_scenarios`` scenarios.
+
+    The canonical way to build a :class:`CompiledScenarioBatch` by
+    hand: start empty, then :meth:`~CompiledScenarioBatch.mark` the
+    faulty cells.
+    """
+    S = int(n_scenarios)
+    return CompiledScenarioBatch(
+        zero_masks=[np.zeros((S, n), dtype=bool) for n in layer_sizes],
+        set_masks=[np.zeros((S, n), dtype=bool) for n in layer_sizes],
+        set_values=[np.zeros((S, n), dtype=np.float64) for n in layer_sizes],
+        add_masks=[np.zeros((S, n), dtype=bool) for n in layer_sizes],
+        add_values=[np.zeros((S, n), dtype=np.float64) for n in layer_sizes],
+        names=[],
+    )
 
 
 class FaultInjector:
@@ -1121,21 +1162,12 @@ class FaultInjector:
         the taxonomy in :mod:`repro.faults.types` are rejected.
         """
         net = self.network
-        S = len(scenarios)
-        zero_masks = [np.zeros((S, n), dtype=bool) for n in net.layer_sizes]
-        set_masks = [np.zeros((S, n), dtype=bool) for n in net.layer_sizes]
-        set_values = [np.zeros((S, n), dtype=np.float64) for n in net.layer_sizes]
-        add_masks = [np.zeros((S, n), dtype=bool) for n in net.layer_sizes]
-        add_values = [np.zeros((S, n), dtype=np.float64) for n in net.layer_sizes]
-        scale_masks = scale_values = None
-        noise_masks = noise_sigma = None
-        gate_p = None
+        batch = empty_mask_batch(net.layer_sizes, len(scenarios))
         # Per-stage per-kind entry lists: (s, j, i[, value]).
         syn_entries: Optional[List[dict]] = None
-        names = []
         for s_idx, scenario in enumerate(scenarios):
             scenario.validate(net)
-            names.append(scenario.name)
+            batch.names.append(scenario.name)
             for addr, fault in scenario.neuron_faults.items():
                 action = fault_channel_action(fault)
                 if action is None:
@@ -1144,39 +1176,9 @@ class FaultInjector:
                         "extend fault_channel_action or use FaultInjector.run"
                     )
                 kind, value, gate = action
-                l0, i = addr.layer - 1, addr.index
-                if kind == "zero":
-                    zero_masks[l0][s_idx, i] = True
-                elif kind == "set":
-                    set_masks[l0][s_idx, i] = True
-                    set_values[l0][s_idx, i] = value
-                elif kind == "add":
-                    add_masks[l0][s_idx, i] = True
-                    add_values[l0][s_idx, i] = value
-                elif kind == "scale":
-                    if scale_masks is None:
-                        scale_masks = [
-                            np.zeros((S, n), dtype=bool) for n in net.layer_sizes
-                        ]
-                        scale_values = [
-                            np.zeros((S, n)) for n in net.layer_sizes
-                        ]
-                    scale_masks[l0][s_idx, i] = True
-                    scale_values[l0][s_idx, i] = value
-                else:  # "noise"
-                    if noise_masks is None:
-                        noise_masks = [
-                            np.zeros((S, n), dtype=bool) for n in net.layer_sizes
-                        ]
-                        noise_sigma = [
-                            np.zeros((S, n)) for n in net.layer_sizes
-                        ]
-                    noise_masks[l0][s_idx, i] = True
-                    noise_sigma[l0][s_idx, i] = value
-                if gate < 1.0:
-                    if gate_p is None:
-                        gate_p = [np.ones((S, n)) for n in net.layer_sizes]
-                    gate_p[l0][s_idx, i] = gate
+                batch.mark(
+                    kind, addr.layer - 1, (s_idx, addr.index), value, gate
+                )
             for (l, j, i), fault in scenario.synapse_faults.items():
                 action = synapse_fault_action(fault)
                 if action is None:
@@ -1193,7 +1195,7 @@ class FaultInjector:
                 kind, value = action
                 syn_entries[l - 1][kind].append((s_idx, j, i, value))
         # Resolve capacity sentinels (additive +-inf -> +-C) at compile time.
-        for arr in add_values:
+        for arr in batch.add_values:
             if self.capacity is None:
                 if not np.all(np.isfinite(arr)):
                     raise ValueError(
@@ -1201,17 +1203,11 @@ class FaultInjector:
                     )
             else:
                 np.clip(arr, -self.capacity, self.capacity, out=arr)
-        synapse_stages = None
         if syn_entries is not None:
-            synapse_stages = [
+            batch.synapse_stages = [
                 self._compile_synapse_stage(entries) for entries in syn_entries
             ]
-        return CompiledScenarioBatch(
-            zero_masks, set_masks, set_values, add_masks, add_values, names,
-            scale_masks=scale_masks, scale_values=scale_values,
-            noise_masks=noise_masks, noise_sigma=noise_sigma,
-            gate_p=gate_p, synapse_stages=synapse_stages,
-        )
+        return batch
 
     def _compile_synapse_stage(self, entries: dict) -> SynapseStageChannels:
         """COO arrays (with sentinel resolution) for one stage's entries."""

@@ -50,6 +50,7 @@ from ..network.model import FeedForwardNetwork
 from ..obs.recorder import RunObserver
 from ..parallel import bounded_map, fork_once_pool, worker_state
 from .injector import (
+    NEURON_CHANNELS,
     CompiledScenarioBatch,
     FaultInjector,
     MaskWorkspace,
@@ -59,6 +60,7 @@ from .injector import (
     _stage_plan,
     apply_mask_channels,
     apply_synapse_corrections,
+    empty_mask_batch,
     fault_channel_action,
     synapse_fault_action,
 )
@@ -94,25 +96,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Mask batches
 # ---------------------------------------------------------------------------
-
-
-def empty_mask_batch(
-    layer_sizes: Sequence[int], n_scenarios: int
-) -> CompiledScenarioBatch:
-    """An all-healthy mask batch for ``n_scenarios`` scenarios.
-
-    The canonical way to build a :class:`CompiledScenarioBatch` by
-    hand: start empty, then fill the relevant channel masks in place.
-    """
-    S = int(n_scenarios)
-    return CompiledScenarioBatch(
-        zero_masks=[np.zeros((S, n), dtype=bool) for n in layer_sizes],
-        set_masks=[np.zeros((S, n), dtype=bool) for n in layer_sizes],
-        set_values=[np.zeros((S, n), dtype=np.float64) for n in layer_sizes],
-        add_masks=[np.zeros((S, n), dtype=bool) for n in layer_sizes],
-        add_values=[np.zeros((S, n), dtype=np.float64) for n in layer_sizes],
-        names=[],
-    )
 
 
 def _sample_fixed_count_masks(
@@ -293,36 +276,11 @@ class NeuronFaultSampler(MaskSampler):
         """Route per-layer boolean masks into the fault's action channel."""
         S = layer_masks[0].shape[0] if layer_masks else 0
         batch = empty_mask_batch(self.layer_sizes, S)
-        kind, value = self._action_kind, self._action_value
-        if kind == "scale":
-            batch.scale_masks = [
-                np.zeros((S, n), dtype=bool) for n in self.layer_sizes
-            ]
-            batch.scale_values = [np.zeros((S, n)) for n in self.layer_sizes]
-        elif kind == "noise":
-            batch.noise_masks = [
-                np.zeros((S, n), dtype=bool) for n in self.layer_sizes
-            ]
-            batch.noise_sigma = [np.zeros((S, n)) for n in self.layer_sizes]
-        if self._action_gate < 1.0:
-            batch.gate_p = [np.ones((S, n)) for n in self.layer_sizes]
         for l0, mask in enumerate(layer_masks):
-            if kind == "zero":
-                batch.zero_masks[l0] = mask
-            elif kind == "set":
-                batch.set_masks[l0] = mask
-                batch.set_values[l0][mask] = value
-            elif kind == "scale":
-                batch.scale_masks[l0] = mask
-                batch.scale_values[l0][mask] = value
-            elif kind == "noise":
-                batch.noise_masks[l0] = mask
-                batch.noise_sigma[l0][mask] = value
-            else:  # "add" (capacity sentinels resolved by the engine)
-                batch.add_masks[l0] = mask
-                batch.add_values[l0][mask] = value
-            if self._action_gate < 1.0:
-                batch.gate_p[l0][mask] = self._action_gate
+            batch.mark(
+                self._action_kind, l0, mask, self._action_value,
+                self._action_gate,
+            )
         return batch
 
 
@@ -614,16 +572,6 @@ class SynapseBernoulliSampler(SynapseFaultSampler):
         return self._batch_from_hits(hits)
 
 
-def _ensure_channel(batch: CompiledScenarioBatch, masks_attr: str,
-                    values_attr: str, layer_sizes, S: int) -> None:
-    if getattr(batch, masks_attr) is None:
-        setattr(
-            batch, masks_attr,
-            [np.zeros((S, n), dtype=bool) for n in layer_sizes],
-        )
-        setattr(batch, values_attr, [np.zeros((S, n)) for n in layer_sizes])
-
-
 def _merged_stage(stages: List[SynapseStageChannels]) -> SynapseStageChannels:
     """Concatenate stage entries; on duplicate ``(s, j, i)`` the entry
     from the *latest* contributing batch wins (scenario-dict semantics)."""
@@ -683,43 +631,17 @@ def merge_mask_batches(
                 f"cannot merge batches of {b.num_scenarios} and {S} scenarios"
             )
         for l0 in range(len(sizes)):
-            occupied = b.zero_masks[l0] | b.set_masks[l0] | b.add_masks[l0]
-            if b.scale_masks is not None:
-                occupied |= b.scale_masks[l0]
-            if b.noise_masks is not None:
-                occupied |= b.noise_masks[l0]
-            if occupied.any():
-                out.zero_masks[l0] &= ~occupied
-                out.set_masks[l0] &= ~occupied
-                out.add_masks[l0] &= ~occupied
-                if out.scale_masks is not None:
-                    out.scale_masks[l0] &= ~occupied
-                if out.noise_masks is not None:
-                    out.noise_masks[l0] &= ~occupied
-                if out.gate_p is not None:
-                    out.gate_p[l0][occupied] = 1.0
-            out.zero_masks[l0] |= b.zero_masks[l0]
-            out.set_masks[l0] |= b.set_masks[l0]
-            np.copyto(out.set_values[l0], b.set_values[l0],
-                      where=b.set_masks[l0])
-            out.add_masks[l0] |= b.add_masks[l0]
-            np.copyto(out.add_values[l0], b.add_values[l0],
-                      where=b.add_masks[l0])
-            if b.scale_masks is not None and b.scale_masks[l0].any():
-                _ensure_channel(out, "scale_masks", "scale_values", sizes, S)
-                out.scale_masks[l0] |= b.scale_masks[l0]
-                np.copyto(out.scale_values[l0], b.scale_values[l0],
-                          where=b.scale_masks[l0])
-            if b.noise_masks is not None and b.noise_masks[l0].any():
-                _ensure_channel(out, "noise_masks", "noise_sigma", sizes, S)
-                out.noise_masks[l0] |= b.noise_masks[l0]
-                np.copyto(out.noise_sigma[l0], b.noise_sigma[l0],
-                          where=b.noise_masks[l0])
-            if b.gate_p is not None and np.any(b.gate_p[l0] < 1.0):
-                if out.gate_p is None:
-                    out.gate_p = [np.ones((S, n)) for n in sizes]
-                np.copyto(out.gate_p[l0], b.gate_p[l0],
-                          where=b.gate_p[l0] < 1.0)
+            occupied = b.touched(l0)
+            if not occupied.any():
+                continue
+            for masks in out._channels():
+                masks[l0] &= ~occupied
+            gate = 1.0 if b.gate_p is None else b.gate_p[l0]
+            for kind, (masks_attr, values_attr) in NEURON_CHANNELS.items():
+                masks = getattr(b, masks_attr)
+                if masks is not None and masks[l0].any():
+                    values = values_attr and getattr(b, values_attr)[l0]
+                    out.mark(kind, l0, masks[l0], values, gate)
     if any(b.synapse_stages is not None for b in batches):
         n_stages = max(
             len(b.synapse_stages)
@@ -844,7 +766,7 @@ def masks_from_flat_indices(
     for l0 in range(len(sizes)):
         pick = layer_of == l0
         if pick.any():
-            batch.zero_masks[l0][rows[pick], within[pick]] = True
+            batch.mark("zero", l0, (rows[pick], within[pick]))
     return batch
 
 
@@ -1159,11 +1081,7 @@ class MaskCampaignEngine:
             return None
         changed = None
         if not batch.neuron_channels_clear:
-            changed = batch.zero_masks[0][lo:hi] | batch.set_masks[0][lo:hi]
-            changed |= batch.add_masks[0][lo:hi]
-            for masks in (batch.scale_masks, batch.noise_masks):
-                if masks is not None:
-                    changed |= masks[0][lo:hi]
+            changed = batch.touched(0, lo, hi)
         if st0 is not None:
             if changed is None:
                 changed = np.zeros((hi - lo, n), dtype=bool)

@@ -34,17 +34,11 @@ most the blocks already handed out.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-__all__ = ["default_workers", "fork_once_pool", "worker_state", "bounded_map"]
-
-
-def default_workers() -> int:
-    """A sensible process count: cores - 1, at least 1."""
-    return max(1, (os.cpu_count() or 2) - 1)
+__all__ = ["fork_once_pool", "worker_state", "bounded_map"]
 
 
 #: Per-worker shared state, populated once by the pool initializer.

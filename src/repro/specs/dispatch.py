@@ -7,8 +7,7 @@ the single place where data becomes execution:
   ``FaultSpec``/``SamplerSpec`` pair into the mask-sampler family and
   streams scenarios through
   :func:`~repro.faults.masks.sampled_campaign_errors` (or the bulk
-  combination compiler for exhaustive sweeps) — the same engines the
-  deprecated direct-kwargs entry points used;
+  combination compiler for exhaustive sweeps);
 * :class:`~repro.specs.model.SurvivalSpec` evaluates the certified
   Theorem-3 bound or the Monte-Carlo injection estimate;
 * :class:`~repro.specs.model.ChaosSpec` builds its

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core.fep import network_fep
 from repro.experiments.constructions import (
     linear_regime_network,
     linear_regime_probe,
     linear_regime_safety_margin,
     saturated_single_layer,
 )
+from repro.faults.adversary import adversarial_byzantine_scenario
+from repro.faults.injector import FaultInjector
+from repro.faults.masks import MaskCampaignEngine
 
 
 class TestSaturatedSingleLayer:
@@ -60,3 +64,27 @@ class TestLinearRegimeNetwork:
         net = linear_regime_network((6, 5, 4, 3), k=0.5)
         probe = linear_regime_probe(net)
         assert linear_regime_safety_margin(net, probe) > 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize(
+    "sizes, distribution",
+    [((8, 8), (1, 1)), ((8, 8), (3, 2)), ((16, 16, 16), (1, 1, 1))],
+)
+def test_multilayer_byzantine_error_within_fep(sizes, distribution):
+    """Theorem 2 on its equality-case net: the sign-aligned Byzantine
+    faults in two or more layers must stay within Fep, through the
+    scalar oracle and the engine alike.  Both exceed it today (+1.41%,
+    +4.11% and +0.86%): a failed neuron's ``+-C`` is clipped around
+    the propagated, not the fault-free, activation."""
+    C = 0.1
+    net = linear_regime_network(sizes)
+    x = np.random.default_rng(0).uniform(0.0, 1.0, (16, net.input_dim))
+    scenario = adversarial_byzantine_scenario(
+        net, distribution, x, capacity=C
+    )
+    injector = FaultInjector(net, capacity=C)
+    bound = network_fep(net, distribution, capacity=C) * (1 + 1e-12)
+    engine = MaskCampaignEngine(injector, x)
+    assert injector.output_error(x, scenario) <= bound
+    assert engine.evaluate(injector.compile_batch([scenario]))[0] <= bound

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.faults.injector import apply_neuron_fault, static_fault_action
+from repro.faults.injector import apply_neuron_fault, fault_channel_action
 from repro.faults.types import (
     ByzantineFault,
     CrashFault,
@@ -95,22 +95,28 @@ class TestSynapseFaultModels:
 
 class TestStaticFaultAction:
     def test_crash(self):
-        assert static_fault_action(CrashFault()) == ("zero", 0.0)
+        assert fault_channel_action(CrashFault()) == ("zero", 0.0, 1.0)
 
     def test_byzantine_explicit(self):
-        assert static_fault_action(ByzantineFault(value=2.0)) == ("set", 2.0)
+        assert fault_channel_action(ByzantineFault(value=2.0)) == (
+            "set", 2.0, 1.0
+        )
 
     def test_byzantine_sentinel(self):
-        kind, v = static_fault_action(ByzantineFault(sign=-1))
-        assert kind == "add" and np.isneginf(v)
+        kind, v, gate = fault_channel_action(ByzantineFault(sign=-1))
+        assert kind == "add" and np.isneginf(v) and gate == 1.0
 
     def test_stuck_and_offset(self):
-        assert static_fault_action(StuckAtFault(0.3)) == ("set", 0.3)
-        assert static_fault_action(OffsetFault(offset=-0.2)) == ("add", -0.2)
+        assert fault_channel_action(StuckAtFault(0.3)) == ("set", 0.3, 1.0)
+        assert fault_channel_action(OffsetFault(offset=-0.2)) == (
+            "add", -0.2, 1.0
+        )
 
     def test_dynamic_faults_are_not_static(self):
-        assert static_fault_action(NoiseFault()) is None
-        assert static_fault_action(SignFlipFault()) is None
+        assert fault_channel_action(NoiseFault(sigma=0.2)) == (
+            "noise", 0.2, 1.0
+        )
+        assert fault_channel_action(SignFlipFault()) == ("scale", -1.0, 1.0)
 
 
 class TestApplyNeuronFault:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.faults.injector import FaultInjector, apply_mask_channels
 from repro.faults.masks import MaskCampaignEngine
@@ -349,3 +351,101 @@ class TestChannelScatter:
         assert kernel(apply_mask_channels) == kernel(
             apply_mask_channels_reference
         )
+
+
+@st.composite
+def kernel_cases(draw):
+    """One layer's channels for :func:`apply_mask_channels`.
+
+    S, B and N are drawn; every cell carries at most one channel, each
+    channel's density is drawn (0 leaves it empty) and scale and noise
+    may be absent.  Gates are absent, all 1 or mixed below 1 (0 to
+    0.99, healthy cells included); the capacity is ``None`` or finite.
+    Activations and set/scale/add values mix in
+    :attr:`TestChannelScatter.SPECIAL`, except that add values stay
+    finite when the capacity is ``None`` (the kernel rejects them
+    there).
+    """
+    S = draw(st.integers(1, 24))
+    B = draw(st.integers(1, 6))
+    N = draw(st.integers(1, 12))
+    capacity = draw(st.sampled_from([None, 1e-3, 0.5, 2.0]))
+    gates = draw(st.sampled_from(["absent", "ones", "mixed"]))
+    has_scale, has_noise = draw(st.booleans()), draw(st.booleans())
+    density = {
+        kind: draw(st.sampled_from([0.0, 0.1, 0.4, 1.0]))
+        for kind in ("zero", "set", "scale", "add", "noise")
+    }
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def specials(a):
+        spots = rng.random(a.shape) < 0.2
+        a[spots] = rng.choice(TestChannelScatter.SPECIAL, spots.sum())
+        return a
+
+    free = np.ones((S, N), dtype=bool)
+    masks = {}
+    for kind, d in density.items():
+        masks[kind] = free & (rng.random((S, N)) < d)
+        free &= ~masks[kind]
+    add_values = rng.standard_normal((S, N))
+    if capacity is not None:
+        specials(add_values)
+    gate_p = None
+    if gates != "absent":
+        gate_p = np.ones((S, N))
+        if gates == "mixed":
+            flaky = rng.random((S, N)) < 0.5
+            gate_p[flaky] = rng.choice([0.0, 0.3, 0.5, 0.99], flaky.sum())
+    args = (
+        specials(rng.standard_normal((S, B, N)) * 1e3),
+        masks["zero"],
+        masks["set"],
+        specials(rng.standard_normal((S, N))),
+        masks["add"],
+        add_values,
+        capacity,
+    )
+    kwargs = dict(
+        scale_mask=masks["scale"] if has_scale else None,
+        scale_values=specials(rng.standard_normal((S, N)))
+        if has_scale else None,
+        noise_mask=masks["noise"] if has_noise else None,
+        noise_sigma=rng.uniform(0.0, 2.0, (S, N)) if has_noise else None,
+        gate_p=gate_p,
+    )
+    return args, kwargs
+
+
+def check_kernel_matches_reference(case):
+    """Same bytes and same generator state as the whole-tensor masked
+    writes of ``tests/oracles.py``."""
+    args, kwargs = case
+
+    def run(kernel):
+        gen = np.random.default_rng(31)
+        with np.errstate(all="ignore"):
+            out = kernel(args[0].copy(), *args[1:], rng=gen, **kwargs)
+        return out.tobytes(), gen.bit_generator.state
+
+    assert run(apply_mask_channels) == run(apply_mask_channels_reference)
+
+
+_KERNEL_SETTINGS = dict(
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    derandomize=True,
+)
+
+
+@settings(max_examples=150, **_KERNEL_SETTINGS)
+@given(case=kernel_cases())
+def test_generated_channels_match_reference(case):
+    check_kernel_matches_reference(case)
+
+
+@pytest.mark.slow_stats
+@settings(max_examples=3000, **_KERNEL_SETTINGS)
+@given(case=kernel_cases())
+def test_generated_channels_match_reference_deep(case):
+    check_kernel_matches_reference(case)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.distributed.simulator import DistributedNetwork
-from repro.faults.injector import FaultInjector, static_fault_action
+from repro.faults.injector import FaultInjector, fault_channel_action
 from repro.faults.scenarios import FailureScenario, crash_scenario
 from repro.faults.types import ByzantineFault, CrashFault, IntermittentFault
 from repro.network import build_mlp
@@ -40,7 +40,9 @@ class TestIntermittentFault:
             IntermittentFault(p=0.5, fault="crash")
 
     def test_not_static(self):
-        assert static_fault_action(IntermittentFault(p=0.5)) is None
+        assert fault_channel_action(IntermittentFault(p=0.5)) == (
+            "zero", 0.0, 0.5
+        )
 
     def test_injection_damage_between_nominal_and_permanent(
         self, small_net, batch

@@ -20,7 +20,7 @@ from repro.faults.campaign import (
     exhaustive_crash_campaign,
     run_campaign,
 )
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import NEURON_CHANNELS, FaultInjector
 from repro.faults.masks import (
     BernoulliSampler,
     FixedDistributionSampler,
@@ -29,6 +29,7 @@ from repro.faults.masks import (
     MixedFaultSampler,
     SynapseBernoulliSampler,
     combination_index_array,
+    empty_mask_batch,
     masks_from_flat_indices,
     merge_mask_batches,
     sampled_campaign_errors,
@@ -1093,3 +1094,116 @@ class TestMixedFaultSampler:
     def test_merge_empty_list(self, small_net):
         merged = merge_mask_batches(small_net.layer_sizes, [])
         assert merged.num_scenarios == 0
+
+
+#: The neuron faults, one per lowering the channels can carry.
+NEURON_FAULTS = {
+    "crash": CrashFault(),
+    "byzantine+": ByzantineFault(sign=1),
+    "byzantine-": ByzantineFault(sign=-1),
+    "byzantine-value": ByzantineFault(value=0.8),
+    "stuck-at": StuckAtFault(0.3),
+    "offset": OffsetFault(offset=-0.2),
+    "sign-flip": SignFlipFault(),
+    "noise": NoiseFault(sigma=0.3),
+    "intermittent-crash": IntermittentFault(p=0.4),
+    "intermittent-byzantine": IntermittentFault(
+        p=0.6, fault=ByzantineFault(value=0.9)
+    ),
+    "intermittent-noise": IntermittentFault(
+        p=0.5, fault=NoiseFault(sigma=0.4)
+    ),
+}
+
+
+def _channel_arrays(batch):
+    """Every neuron channel's per-layer arrays (``None`` when absent),
+    keyed by attribute, plus ``gate_p``."""
+    attrs = [a for pair in NEURON_CHANNELS.values() for a in pair if a]
+    return {a: getattr(batch, a) for a in attrs + ["gate_p"]}
+
+
+def _assert_same_channels(got, want):
+    got, want = _channel_arrays(got), _channel_arrays(want)
+    for attr in want:
+        assert (got[attr] is None) == (want[attr] is None), attr
+        if want[attr] is not None:
+            for g, w in zip(got[attr], want[attr], strict=True):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), attr
+
+
+class TestChannelWriter:
+    """``CompiledScenarioBatch.mark`` is the one writer of the neuron
+    channels: the samplers, ``compile_batch`` and the merge go through
+    it, so they lay out the same cells identically."""
+
+    C = 0.5
+
+    @pytest.mark.parametrize(
+        "fault", NEURON_FAULTS.values(), ids=NEURON_FAULTS.keys()
+    )
+    def test_sampler_and_compile_batch_write_the_same_channels(
+        self, small_net, rng, fault
+    ):
+        sampled = FixedDistributionSampler(
+            small_net, (3, 2), fault=fault
+        ).sample(24, rng)
+        scenarios = [
+            FailureScenario(
+                {
+                    NeuronAddress(l0 + 1, int(i)): fault
+                    for l0 in range(small_net.depth)
+                    for i in np.flatnonzero(sampled.touched(l0)[s])
+                }
+            )
+            for s in range(24)
+        ]
+        compiled = FaultInjector(
+            small_net, capacity=self.C
+        ).compile_batch(scenarios)
+        # compile_batch resolves the capacity sentinels eagerly.
+        sampled.add_values = [
+            np.clip(v, -self.C, self.C) for v in sampled.add_values
+        ]
+        _assert_same_channels(sampled, compiled)
+
+    def test_first_use_allocates_the_channel_for_every_layer(
+        self, small_net
+    ):
+        sizes = small_net.layer_sizes
+        batch = empty_mask_batch(sizes, 4)
+        assert batch.scale_masks is batch.noise_masks is batch.gate_p is None
+        batch.mark("scale", 1, (2, 3), -1.0)
+        assert [m.shape for m in batch.scale_masks] == [(4, n) for n in sizes]
+        assert [v.shape for v in batch.scale_values] == [(4, n) for n in sizes]
+        assert batch.noise_masks is None and batch.gate_p is None
+        batch.mark("noise", 0, (1, 0), 0.3, gate=0.5)
+        assert [m.shape for m in batch.noise_masks] == [(4, n) for n in sizes]
+        assert [g.shape for g in batch.gate_p] == [(4, n) for n in sizes]
+        assert batch.gate_p[0][1, 0] == 0.5
+        assert np.count_nonzero(np.concatenate(batch.gate_p, axis=1) < 1) == 1
+        assert batch.scale_masks[1][2, 3] and batch.scale_values[1][2, 3] == -1
+        assert batch.noise_masks[0][1, 0] and batch.noise_sigma[0][1, 0] == 0.3
+
+    @pytest.mark.parametrize("kind", NEURON_CHANNELS)
+    def test_mask_and_index_write_the_same_arrays(self, small_net, kind):
+        rng = np.random.default_rng(4)
+        by_mask = empty_mask_batch(small_net.layer_sizes, 6)
+        by_index = empty_mask_batch(small_net.layer_sizes, 6)
+        for l0, n in enumerate(small_net.layer_sizes):
+            where = rng.random((6, n)) < 0.4
+            by_mask.mark(kind, l0, where, 0.7, gate=0.25)
+            by_index.mark(kind, l0, np.nonzero(where), 0.7, gate=0.25)
+        _assert_same_channels(by_mask, by_index)
+
+    def test_touched_is_a_fresh_union(self, small_net):
+        batch = empty_mask_batch(small_net.layer_sizes, 3)
+        assert batch.neuron_channels_clear
+        batch.mark("zero", 0, (0, 1))
+        batch.mark("noise", 0, (2, 4), 0.1)
+        assert not batch.neuron_channels_clear  # marking drops the cache
+        touched = batch.touched(0)
+        assert np.flatnonzero(touched).tolist() == [1, 2 * 8 + 4]
+        np.testing.assert_array_equal(batch.touched(0, 1, 3), touched[1:3])
+        touched[:] = True
+        assert batch.zero_masks[0].sum() == 1
