@@ -48,9 +48,11 @@ says the host, not the program, moved between runs.
 perfbench scales its latencies by a host factor of its own, measured
 in the benchmarked process, and also prints the p50 latency it
 measured before that scaling (``unscaled latency p50``; for
-``service-mixed``, ``unscaled: hit p50``).  The summary prints each
-side's median and IQR of that figure beside the verdicts: a scaled
-move that the unscaled figures do not show comes from the in-process
+``service-mixed``, ``unscaled: hit p50``).  The pairs where both sides
+printed that figure get a row of their own in the table
+(``unscaled_p50_ms``: lower is better, under the latency bound), with
+the same medians, IQRs, wins and verdict as the metrics: a scaled
+move that the unscaled row does not show comes from the in-process
 host factor, not from the program (DESIGN.md, Benchmarks).
 
 The share of failed operations is compared as well.  The last line of
@@ -227,20 +229,23 @@ def summarise(metric: dict, base: list, head: list) -> dict:
     }
 
 
-def unscaled_values(results: list) -> list:
-    """The unscaled p50s (ms) of the runs that printed one."""
-    return [r["unscaled_p50_ms"] for r in results
-            if r.get("unscaled_p50_ms") is not None]
+def unscaled_metric(manifest: dict) -> dict:
+    """The unscaled p50 row's metric: lower is better, under the bound
+    of ``BENCHMARK.json``'s ``latency_p50_ms``."""
+    latency = next(m for m in manifest["end_to_end"]
+                   if m["name"] == "latency_p50_ms")
+    return {"name": "unscaled_p50_ms", "better": "lower",
+            "bound": latency["bound"]}
 
 
-def unscaled_medians(runs: dict) -> dict:
-    """Each side's median unscaled p50 (ms), None where no run
-    printed one."""
-    out = {}
-    for side, results in runs.items():
-        values = unscaled_values(results)
-        out[side] = percentile(values, 50) if values else None
-    return out
+def unscaled_pairs(runs: dict) -> tuple:
+    """The base and the head unscaled p50s (ms) of the pairs where both
+    sides printed one."""
+    pairs = [(b["unscaled_p50_ms"], h["unscaled_p50_ms"])
+             for b, h in zip(runs["base"], runs["head"])
+             if b.get("unscaled_p50_ms") is not None
+             and h.get("unscaled_p50_ms") is not None]
+    return [b for b, _ in pairs], [h for _, h in pairs]
 
 
 def failed_share(results: list) -> float:
@@ -307,29 +312,22 @@ def main(argv=None) -> int:
                   f"{'wins':>6}  verdict")
             for metric in manifest["end_to_end"]:
                 name = metric["name"]
-                row = summarise(
+                rows[name] = summarise(
                     metric,
                     [r["metrics"][name]["value"] for r in runs["base"]],
                     [r["metrics"][name]["value"] for r in runs["head"]],
                 )
-                rows[name] = row
+            base_unscaled, head_unscaled = unscaled_pairs(runs)
+            if base_unscaled:
+                rows["unscaled_p50_ms"] = summarise(
+                    unscaled_metric(manifest), base_unscaled, head_unscaled
+                )
+            for name, row in rows.items():
                 print(f"  {name:<18} {row['base_median']:>12.5g} "
                       f"{row['base_iqr']:>9.3g} {row['head_median']:>12.5g} "
                       f"{row['head_iqr']:>9.3g} {row['change']:>+8.1%} "
                       f"{row['wins']:>3}/{row['pairs']:<2}  {row['verdict']}"
                       f" (bound {row['bound']:.0%})")
-            unscaled = unscaled_medians(runs)
-            spreads = {}
-            for side in runs:
-                values = unscaled_values(runs[side])
-                if values:
-                    q25, _, q75 = quartiles(values)
-                    spreads[side] = q75 - q25
-            if None not in unscaled.values() and unscaled["base"]:
-                print(f"  unscaled p50 (ms, median [IQR]): base "
-                      f"{unscaled['base']:.5g} [{spreads['base']:.3g}], "
-                      f"head {unscaled['head']:.5g} [{spreads['head']:.3g}] "
-                      f"({unscaled['head'] / unscaled['base'] - 1:+.1%})")
             shares = {side: failed_share(runs[side]) for side in runs}
             print(f"  failed share: base {shares['base']:.3g}, "
                   f"head {shares['head']:.3g}"
@@ -343,9 +341,7 @@ def main(argv=None) -> int:
                   f"IQR {spread['iqr_rel']:.1%} of the median, "
                   f"range {spread['min']:.3f}-{spread['max']:.3f}")
             report["workloads"][workload] = {
-                "metrics": rows, "unscaled_p50_ms": unscaled,
-                "unscaled_p50_iqr_ms": spreads,
-                "failed_share": shares,
+                "metrics": rows, "failed_share": shares,
                 "host_factors": hosts, "host_spread": spread,
             }
     finally:

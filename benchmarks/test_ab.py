@@ -110,16 +110,27 @@ def test_unscaled_p50_is_read_from_perfbench_stdout():
     assert ab.unscaled_p50('{"metrics": {}}') is None
 
 
-def test_unscaled_medians_per_side():
+def test_unscaled_p50_pairs_get_a_verdict():
+    """Only the pairs where both sides printed an unscaled p50 are
+    summarised, lower is better, under the latency bound."""
+    manifest = {"end_to_end": [THROUGHPUT, LATENCY]}
+    metric = ab.unscaled_metric(manifest)
+    assert metric == {"name": "unscaled_p50_ms", "better": "lower",
+                      "bound": 0.25}
+    base = [84.6, 84.8, 85.0, 84.9]
+    head = [80.0, None, 82.0, 81.0]
     runs = {
-        "base": [{"unscaled_p50_ms": v} for v in (84.6, 84.8, 85.0)],
-        "head": [{"unscaled_p50_ms": 80.0}, {"unscaled_p50_ms": None},
-                 {"unscaled_p50_ms": 82.0}],
+        "base": [{"unscaled_p50_ms": v} for v in base] + [{}],
+        "head": [{"unscaled_p50_ms": v} for v in head] + [
+            {"unscaled_p50_ms": 70.0}],
     }
-    assert ab.unscaled_medians(runs) == {"base": 84.8, "head": 81.0}
-    assert ab.unscaled_medians({"base": [{}], "head": []}) == {
-        "base": None, "head": None,
-    }
+    pairs = ab.unscaled_pairs(runs)
+    assert pairs == ([84.6, 85.0, 84.9], [80.0, 82.0, 81.0])
+    row = ab.summarise(metric, *pairs)
+    assert row["pairs"] == 3 and row["wins"] == 3
+    assert row["base_median"] == 84.9 and row["head_median"] == 81.0
+    assert row["verdict"] == "same"  # a gain needs ten pairs
+    assert ab.unscaled_pairs({"base": [{}], "head": [{}]}) == ([], [])
 
 
 def test_export_worktree_copies_the_tree_as_it_stands(tmp_path):

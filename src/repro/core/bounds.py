@@ -168,12 +168,10 @@ def check_theorem3(
         raise ValueError(
             f"failure distribution length {len(failures)} != depth {network.depth}"
         )
-    if any(f >= n for f, n in zip(failures, network.layer_sizes)):
-        # Theorem 3 requires f_l < N_l: at least one correct neuron per layer.
-        fep = network_fep(network, failures, capacity=capacity, mode=mode)
-        return BoundCheck(False, fep, budget, "theorem3")
     fep = network_fep(network, failures, capacity=capacity, mode=mode)
-    return BoundCheck(fep <= budget + 1e-12, fep, budget, "theorem3")
+    # Theorem 3 requires f_l < N_l: at least one correct neuron per layer.
+    spare = all(f < n for f, n in zip(failures, network.layer_sizes))
+    return BoundCheck(spare and fep <= budget + 1e-12, fep, budget, "theorem3")
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,23 @@ with the convention ``N_{L+1} = 1``, ``f_{L+1} = 0``.  The bound is
 *tight* (worst-case constructions attain it) and computing it needs
 only the topology — no input sweep, no configuration enumeration.
 
-This module provides the scalar bound, its per-layer decomposition
-(useful to see which layer dominates), vectorised evaluation over many
-distributions at once, and network-aware wrappers that pull
-``N_l, w_m, K`` straight from a :class:`FeedForwardNetwork`.
+Every bound here is one sum of the same per-layer terms: an error
+``e_l`` at layer ``l``'s output, pushed through the squashing stages
+and correct fan-outs on its right (one private kernel, a reversed
+``cumprod``)::
+
+    term_l = e_l * K^(L-l) * prod_{l'=l+1}^{L+1} (N_l' - f_l') * w_m^(l')
+
+Theorem 2's Fep takes ``e_l = C * f_l``; Theorem 4's synapse bound
+takes ``e_l = C * K * w_m^(l)`` per faulty stage-``l`` synapse
+(Lemma 2) with ``f = 0``; the combined bound adds both; Theorem 5's
+precision bound takes ``e_l = lambda_l * N_l`` with ``f = 0``; the
+per-layer-K refinement swaps ``K^(L-l)`` for the downstream product
+of the ``K_l'``.  One input check serves them all.  Fep, its per-layer
+decomposition and the vectorised :func:`fep_many` agree bit for bit
+(the tolerance decisions compare them with the budget); network-aware
+wrappers pull ``N_l, w_m, K`` straight from a
+:class:`FeedForwardNetwork`.
 
 Crash-only variant (Section IV-B): when no neuron is Byzantine, ``C``
 can be replaced by ``sup phi`` (1 for the sigmoid) — the most a correct
@@ -49,39 +62,105 @@ __all__ = [
 
 
 def _validate(
-    failures: Sequence[int],
+    failures: Optional[Sequence[int]],
     layer_sizes: Sequence[int],
     weight_maxes: Sequence[float],
-    lipschitz: float,
-    capacity: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    f = np.asarray(failures, dtype=np.float64)
+    lipschitz: "float | Sequence[float]",
+    capacity: float = 1.0,
+    *,
+    batch: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The checked float arrays ``(f, n, w, K)`` every bound reads.
+
+    ``failures`` counts the failed neurons per layer (``None``: none),
+    one ``(M, L)`` row per distribution with ``batch``; ``lipschitz``
+    is one ``K`` or one per layer.
+    """
     n = np.asarray(layer_sizes, dtype=np.float64)
+    f = (
+        np.zeros_like(n)
+        if failures is None
+        else np.asarray(failures, dtype=np.float64)
+    )
     w = np.asarray(weight_maxes, dtype=np.float64)
-    L = f.shape[-1]
-    if n.shape != (L,):
-        raise ValueError(f"layer_sizes length {n.shape} != failures length {L}")
+    k = np.asarray(lipschitz, dtype=np.float64)
+    if n.ndim != 1 or f.ndim != 1 + batch or f.shape[-1] != n.size:
+        raise ValueError(
+            f"failures of shape {f.shape} do not match layer_sizes "
+            f"of length {n.shape}{' (need (M, L))' if batch else ''}"
+        )
+    L = n.size
     if w.shape != (L + 1,):
         raise ValueError(
             f"weight_maxes must have length L+1={L + 1} "
             f"(w_m^(1)..w_m^(L+1)), got {w.shape}"
         )
-    if np.any(f < 0):
+    if k.shape not in ((), (L,)):
+        raise ValueError(f"need one Lipschitz constant or L={L}, got {k.shape}")
+    if not np.all(f >= 0):
         raise ValueError("failure counts must be non-negative")
     if np.any(f > n):
         raise ValueError(f"failures {failures} exceed layer sizes {tuple(layer_sizes)}")
-    if np.any(n <= 0):
+    if not np.all(n > 0):
         raise ValueError("layer sizes must be positive")
-    if np.any(w < 0):
+    if not np.all(w >= 0):
         raise ValueError("weight maxima must be non-negative")
-    if lipschitz <= 0:
-        raise ValueError(f"Lipschitz constant must be positive, got {lipschitz}")
-    if capacity <= 0 or not np.isfinite(capacity):
+    if not np.all((k > 0) & np.isfinite(k)):
+        raise ValueError(
+            f"Lipschitz constant must be positive and finite, got {lipschitz}"
+        )
+    if not (capacity > 0 and np.isfinite(capacity)):
         raise ValueError(
             f"capacity must be positive and finite, got {capacity} "
             "(unbounded transmission tolerates nothing — Lemma 1)"
         )
-    return f, n, w
+    return f, n, w, k
+
+
+def _nonnegative(values: Sequence[float], length: int, what: str) -> np.ndarray:
+    """``values`` as a checked ``(length,)`` float array."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.shape != (length,):
+        raise ValueError(f"{what} must have length {length}, got {v.shape}")
+    if not np.all(v >= 0):
+        raise ValueError(f"{what} must be non-negative")
+    return v
+
+
+def _propagate(
+    sources: np.ndarray,
+    f: np.ndarray,
+    n: np.ndarray,
+    w: np.ndarray,
+    k: np.ndarray,
+) -> np.ndarray:
+    """The per-layer terms every bound sums: ``(..., L)`` with::
+
+        term_l = sources_l * K^(L-l) * prod_{l'=l+1}^{L+1} (N_l' - f_l') * w_m^(l')
+
+    (``N_{L+1} = 1``, ``f_{L+1} = 0``): an error of ``sources_l`` at
+    layer ``l``'s output, amplified by the squashing stages and the
+    correct fan-outs on its right.  A per-layer ``k`` replaces
+    ``K^(L-l)`` by the product of the downstream ``K_l'``.  ``sources``
+    and ``f`` may carry a leading batch axis.
+    """
+    L = n.size
+    # suffix[..., l0] = prod_{l'=l0+2..L+1} (N_l' - f_l') * w_m^(l') in
+    # 1-based layer terms, i.e. the product attached to term l = l0+1.
+    # w holds w_m^(1)..w_m^(L+1) at indices 0..L, so stage l' reads
+    # w[l'-1].  Reversed cumprod realises all L suffix products in one
+    # pass.
+    n_ext = np.concatenate([n, [1.0]])
+    f_ext = np.concatenate([f, np.zeros(f.shape[:-1] + (1,))], axis=-1)
+    mult = (n_ext[1:] - f_ext[..., 1:]) * w[1:]  # stages 2..L+1
+    suffix = np.cumprod(mult[..., ::-1], axis=-1)[..., ::-1]
+    if k.ndim == 0:
+        powers = k ** np.arange(L - 1, -1, -1, dtype=np.float64)
+    else:  # downstream activations l+1..L
+        powers = np.append(np.cumprod(k[:0:-1])[::-1], 1.0)
+    # Kept as (sources * powers) * suffix: Theorem 3's budget tests
+    # compare against these bits.
+    return sources * powers * suffix
 
 
 def fep_terms(
@@ -100,19 +179,8 @@ def fep_terms(
     effect of a failure grows exponentially (``K^(L-l)``) with the
     depth at which it occurs (for ``K > 1``; it *shrinks* for ``K < 1``).
     """
-    f, n, w = _validate(failures, layer_sizes, weight_maxes, lipschitz, capacity)
-    L = f.shape[0]
-    # Extended arrays with the output-node convention appended.
-    n_ext = np.concatenate([n, [1.0]])
-    f_ext = np.concatenate([f, [0.0]])
-    # suffix[l0] = prod_{l'=l0+2..L+1} (N_l' - f_l') * w_m^(l') in 1-based
-    # layer terms, i.e. the product attached to term l = l0+1.  w holds
-    # w_m^(1)..w_m^(L+1) at indices 0..L, so stage l' reads w[l'-1].
-    # Reversed cumprod realises all L suffix products in one pass.
-    mult = (n_ext[1:] - f_ext[1:]) * w[1:]  # (L,): stages 2..L+1
-    suffix = np.cumprod(mult[::-1])[::-1]
-    powers = lipschitz ** np.arange(L - 1, -1, -1, dtype=np.float64)
-    return capacity * f * powers * suffix
+    f, n, w, k = _validate(failures, layer_sizes, weight_maxes, lipschitz, capacity)
+    return _propagate(capacity * f, f, n, w, k)
 
 
 def forward_error_propagation(
@@ -155,28 +223,10 @@ def fep_many(
     Used by the tolerance-region solvers, which scan thousands of
     candidate distributions.
     """
-    F = np.asarray(failure_matrix, dtype=np.float64)
-    if F.ndim != 2:
-        raise ValueError(f"failure_matrix must be 2-D (M, L), got {F.shape}")
-    M, L = F.shape
-    n = np.asarray(layer_sizes, dtype=np.float64)
-    w = np.asarray(weight_maxes, dtype=np.float64)
-    if n.shape != (L,) or w.shape != (L + 1,):
-        raise ValueError("layer_sizes / weight_maxes lengths inconsistent with F")
-    if np.any(F < 0) or np.any(F > n):
-        raise ValueError("failure counts outside [0, N_l]")
-    if lipschitz <= 0 or capacity <= 0 or not np.isfinite(capacity):
-        raise ValueError("lipschitz and capacity must be positive (capacity finite)")
-
-    n_ext = np.concatenate([n, [1.0]])[None, :]  # (1, L+1)
-    F_ext = np.concatenate([F, np.zeros((M, 1))], axis=1)  # (M, L+1)
-    mult = (n_ext[:, 1:] - F_ext[:, 1:]) * w[None, 1:]  # (M, L): stages 2..L+1
-    # suffix[:, l0] = prod over columns l0..L-1 of mult — one reversed
-    # cumprod along the layer axis instead of a per-column Python loop.
-    suffix = np.cumprod(mult[:, ::-1], axis=1)[:, ::-1]
-    powers = lipschitz ** np.arange(L - 1, -1, -1, dtype=np.float64)
-    terms = capacity * F * powers[None, :] * suffix
-    return terms.sum(axis=1)
+    F, n, w, k = _validate(
+        failure_matrix, layer_sizes, weight_maxes, lipschitz, capacity, batch=True
+    )
+    return _propagate(capacity * F, F, n, w, k).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -275,37 +325,16 @@ def synapse_fep(
     output is already corrupted by those stage-``l'`` synapse faults
     (conservatively 0 here — keeping all ``N_l'`` multipliers is the
     worst case, and matches the paper's statement with ``f'_l`` the
-    neuron-failure counts, zero in a pure-synapse scenario).
+    neuron-failure counts, zero in a pure-synapse scenario).  This is
+    :func:`combined_fep` without neuron failures: ``g`` is the ``f``
+    handed to the propagation kernel.
 
     The ``l = L+1`` term is ``C * f_{L+1} * w_m^(L+1)`` — no Lipschitz
     factor, since the output node is linear.
     """
-    f = np.asarray(failures, dtype=np.float64)
-    n = np.asarray(layer_sizes, dtype=np.float64)
-    w = np.asarray(weight_maxes, dtype=np.float64)
-    L = n.shape[0]
-    if f.shape != (L + 1,):
-        raise ValueError(f"failures must have length L+1={L + 1}, got {f.shape}")
-    if w.shape != (L + 1,):
-        raise ValueError(f"weight_maxes must have length L+1={L + 1}, got {w.shape}")
-    if np.any(f < 0):
-        raise ValueError("failure counts must be non-negative")
-    if lipschitz <= 0 or capacity <= 0 or not np.isfinite(capacity):
-        raise ValueError("lipschitz and capacity must be positive (capacity finite)")
-
-    n_ext = np.concatenate([n, [1.0]])  # extended sizes, stage l' multiplier base
-    total = 0.0
-    for l in range(1, L + 2):  # stage index, 1-based
-        if f[l - 1] == 0:
-            continue
-        # K exponent: L+1-l squashings on the path (the corrupted emission
-        # passes through layers l..L; stage L+1 contributes none).
-        k_pow = lipschitz ** (L + 1 - l)
-        prod = 1.0
-        for lp in range(l + 1, L + 2):
-            prod *= n_ext[lp - 1] * w[lp - 1]
-        total += f[l - 1] * k_pow * w[l - 1] * prod
-    return float(capacity * total)
+    return combined_fep(
+        None, failures, layer_sizes, weight_maxes, lipschitz, capacity
+    )
 
 
 def network_synapse_fep(
@@ -347,32 +376,10 @@ def heterogeneous_fep(
     reason the original is: each traversed activation multiplies the
     incoming perturbation by at most its own constant.
     """
-    f = np.asarray(failures, dtype=np.float64)
-    n = np.asarray(layer_sizes, dtype=np.float64)
-    w = np.asarray(weight_maxes, dtype=np.float64)
-    ks = np.asarray(lipschitz_constants, dtype=np.float64)
-    L = n.shape[0]
-    if f.shape != (L,) or w.shape != (L + 1,) or ks.shape != (L,):
-        raise ValueError(
-            f"inconsistent lengths: f{f.shape}, N({L},), w{w.shape}, K{ks.shape}"
-        )
-    if np.any(f < 0) or np.any(f > n):
-        raise ValueError("failure counts outside [0, N_l]")
-    if np.any(ks <= 0) or capacity <= 0 or not np.isfinite(capacity):
-        raise ValueError("Lipschitz constants and capacity must be positive")
-
-    n_ext = np.concatenate([n, [1.0]])
-    f_ext = np.concatenate([f, [0.0]])
-    total = 0.0
-    for l in range(1, L + 1):
-        if f[l - 1] == 0:
-            continue
-        k_prod = float(np.prod(ks[l:]))  # downstream activations l+1..L
-        carrier = 1.0
-        for lp in range(l + 1, L + 2):
-            carrier *= (n_ext[lp - 1] - f_ext[lp - 1]) * w[lp - 1]
-        total += f[l - 1] * k_prod * carrier
-    return float(capacity * total)
+    f, n, w, ks = _validate(
+        failures, layer_sizes, weight_maxes, lipschitz_constants, capacity
+    )
+    return float(_propagate(capacity * f, f, n, w, ks).sum())
 
 
 def network_heterogeneous_fep(
@@ -415,32 +422,16 @@ def combined_fep(
 
     evaluated with the *same* ``(N_l - f_l)`` carrier counts.
     """
-    f = np.asarray(neuron_failures, dtype=np.float64)
-    s = np.asarray(synapse_failures, dtype=np.float64)
-    n = np.asarray(layer_sizes, dtype=np.float64)
-    w = np.asarray(weight_maxes, dtype=np.float64)
-    L = n.shape[0]
-    if f.shape != (L,) or s.shape != (L + 1,):
-        raise ValueError(
-            f"need neuron failures of length L={L} and synapse failures of "
-            f"length L+1={L + 1}, got {f.shape} and {s.shape}"
-        )
-    neuron_part = forward_error_propagation(f, n, w, lipschitz, capacity)
-    # Synapse part, with carriers discounted by the failed neurons.
-    if np.any(s < 0):
-        raise ValueError("synapse failure counts must be non-negative")
-    n_ext = np.concatenate([n, [1.0]])
-    f_ext = np.concatenate([f, [0.0]])
-    total = 0.0
-    for l in range(1, L + 2):
-        if s[l - 1] == 0:
-            continue
-        k_pow = lipschitz ** (L + 1 - l)
-        prod = 1.0
-        for lp in range(l + 1, L + 2):
-            prod *= (n_ext[lp - 1] - f_ext[lp - 1]) * w[lp - 1]
-        total += s[l - 1] * k_pow * w[l - 1] * prod
-    return float(neuron_part + capacity * total)
+    f, n, w, k = _validate(
+        neuron_failures, layer_sizes, weight_maxes, lipschitz, capacity
+    )
+    s = _nonnegative(synapse_failures, n.size + 1, "synapse failure counts")
+    # Lemma 2: a faulty stage-l synapse is a layer-l error of C*K*w_m^(l);
+    # one into the linear output node adds C*w_m^(L+1) directly.
+    sources = capacity * (f + s[:-1] * w[:-1] * k)
+    return float(
+        _propagate(sources, f, n, w, k).sum() + capacity * s[-1] * w[-1]
+    )
 
 
 def network_combined_fep(
@@ -485,25 +476,10 @@ def precision_error_bound(
     [31]; :mod:`repro.quantization` produces the ``lambda_l`` for
     concrete fixed-point schemes.
     """
-    lam = np.asarray(lambdas, dtype=np.float64)
-    n = np.asarray(layer_sizes, dtype=np.float64)
-    w = np.asarray(weight_maxes, dtype=np.float64)
-    L = n.shape[0]
-    if lam.shape != (L,):
-        raise ValueError(f"lambdas must have length L={L}, got {lam.shape}")
-    if w.shape != (L + 1,):
-        raise ValueError(f"weight_maxes must have length L+1={L + 1}, got {w.shape}")
-    if np.any(lam < 0):
-        raise ValueError("per-layer error magnitudes must be non-negative")
-    if lipschitz <= 0:
-        raise ValueError(f"Lipschitz constant must be positive, got {lipschitz}")
-
-    # suffix[l0] = prod_{l'=l..L} N_l' * w_m^(l'+1), 0-based l0 = l-1.
-    suffix = np.ones(L + 1, dtype=np.float64)
-    for idx in range(L - 1, -1, -1):
-        suffix[idx] = suffix[idx + 1] * n[idx] * w[idx + 1]
-    powers = lipschitz ** np.arange(L - 1, -1, -1, dtype=np.float64)
-    return float(np.sum(powers * lam * suffix[:L]))
+    f, n, w, k = _validate(None, layer_sizes, weight_maxes, lipschitz)
+    lam = _nonnegative(lambdas, n.size, "lambdas")
+    # Every neuron of layer l errs, so layer l's error is lambda_l*N_l.
+    return float(_propagate(lam * n, f, n, w, k).sum())
 
 
 def network_precision_bound(

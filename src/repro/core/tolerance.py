@@ -23,7 +23,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..network.model import FeedForwardNetwork
-from .fep import fep_many, forward_error_propagation, network_fep
+from .bounds import _validate_epsilons
+from .fep import (
+    _network_capacity,
+    fep_many,
+    forward_error_propagation,
+    network_fep,
+    network_synapse_fep,
+)
 
 __all__ = [
     "max_failures_single_layer",
@@ -34,22 +41,6 @@ __all__ = [
     "max_weight_scale_for_distribution",
     "max_synapse_failures_single_stage",
 ]
-
-
-def _budget(epsilon: float, epsilon_prime: float) -> float:
-    if not (0 < epsilon_prime <= epsilon):
-        raise ValueError(
-            f"need 0 < epsilon_prime <= epsilon, got {epsilon}, {epsilon_prime}"
-        )
-    return epsilon - epsilon_prime
-
-
-def _resolve_capacity(
-    network: FeedForwardNetwork, capacity: Optional[float], mode: str
-) -> float:
-    from .fep import _network_capacity
-
-    return _network_capacity(network, capacity, mode)
 
 
 def max_failures_single_layer(
@@ -70,8 +61,8 @@ def max_failures_single_layer(
     """
     if not 1 <= layer <= network.depth:
         raise ValueError(f"layer {layer} outside 1..{network.depth}")
-    budget = _budget(epsilon, epsilon_prime)
-    c = _resolve_capacity(network, capacity, mode)
+    budget = _validate_epsilons(epsilon, epsilon_prime)
+    c = _network_capacity(network, capacity, mode)
     sizes = network.layer_sizes
     # Per-unit cost of one failure in `layer`:
     unit = np.zeros(network.depth, dtype=int)
@@ -102,8 +93,8 @@ def max_uniform_fraction(
     scan rather than bisect; in practice the tolerated set is an
     interval containing 0).
     """
-    budget = _budget(epsilon, epsilon_prime)
-    c = _resolve_capacity(network, capacity, mode)
+    budget = _validate_epsilons(epsilon, epsilon_prime)
+    c = _network_capacity(network, capacity, mode)
     sizes = np.asarray(network.layer_sizes)
     best = 0.0
     fractions = np.linspace(0.0, 1.0, resolution + 1)
@@ -143,8 +134,8 @@ def greedy_max_total_failures(
     :func:`tolerated_distributions` gives the exact frontier for small
     networks.
     """
-    budget = _budget(epsilon, epsilon_prime)
-    c = _resolve_capacity(network, capacity, mode)
+    budget = _validate_epsilons(epsilon, epsilon_prime)
+    c = _network_capacity(network, capacity, mode)
     sizes = network.layer_sizes
     w = network.weight_maxes()
     K = network.lipschitz_constant
@@ -188,8 +179,8 @@ def tolerated_distributions(
     call, and the Pareto filter shifts the tolerated-set lattice along
     each axis instead of probing a Python set point by point.
     """
-    budget = _budget(epsilon, epsilon_prime)
-    c = _resolve_capacity(network, capacity, mode)
+    budget = _validate_epsilons(epsilon, epsilon_prime)
+    c = _network_capacity(network, capacity, mode)
     sizes = network.layer_sizes
     grid_size = int(np.prod(sizes))
     if grid_size > max_grid:
@@ -233,9 +224,7 @@ def max_synapse_failures_single_stage(
     """
     if not 1 <= stage <= network.depth + 1:
         raise ValueError(f"stage {stage} outside 1..{network.depth + 1}")
-    budget = _budget(epsilon, epsilon_prime)
-    from .fep import network_synapse_fep
-
+    budget = _validate_epsilons(epsilon, epsilon_prime)
     unit = [0] * (network.depth + 1)
     unit[stage - 1] = 1
     cost = network_synapse_fep(network, unit, capacity=capacity)
@@ -262,7 +251,7 @@ def max_capacity_for_distribution(
     consistent with Lemma 1: any actual Byzantine neuron forces a
     finite capacity.
     """
-    budget = _budget(epsilon, epsilon_prime)
+    budget = _validate_epsilons(epsilon, epsilon_prime)
     unit_fep = network_fep(network, failures, capacity=1.0, mode="byzantine")
     if unit_fep == 0.0:
         return float("inf")
@@ -286,8 +275,8 @@ def max_weight_scale_for_distribution(
     is found by bisection.  This quantifies the Section V-C weight
     trade-off: smaller weights buy robustness.
     """
-    budget = _budget(epsilon, epsilon_prime)
-    c = _resolve_capacity(network, capacity, mode)
+    budget = _validate_epsilons(epsilon, epsilon_prime)
+    c = _network_capacity(network, capacity, mode)
     sizes = network.layer_sizes
     w = np.asarray(network.weight_maxes())
     K = network.lipschitz_constant

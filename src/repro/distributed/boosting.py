@@ -312,7 +312,6 @@ def boosting_report(
     speedups = []
     batch = empty_mask_batch(network.layer_sizes, n_trials)
     batch.names.extend(f"trial{t}" for t in range(n_trials))
-    zero_masks = batch.zero_masks
     for t in range(n_trials):
         latency = LatencyModel.uniform_random(
             network,
@@ -328,7 +327,7 @@ def boosting_report(
             float("inf") if boosted == 0 else baseline_times[-1] / boosted
         )
         for l0, resets in enumerate(reset_sets):
-            zero_masks[l0][t, resets] = True
+            batch.mark("zero", l0, (t, resets))
 
     injector = FaultInjector(network, capacity=network.output_bound)
     engine = MaskCampaignEngine(injector, xb)

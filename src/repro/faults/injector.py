@@ -820,8 +820,10 @@ class CompiledScenarioBatch:
     * ``zero_masks`` — crashed neurons (emission exactly 0);
     * ``set_masks`` / ``set_values`` — value-pulling faults (Byzantine
       with explicit value, stuck-at), applied under the deviation
-      bound at run time;
-    * ``add_masks`` / ``add_values`` — additive faults.  Values may
+      bound at run time; the values are ``None`` until a fault is
+      marked on the channel;
+    * ``add_masks`` / ``add_values`` — additive faults (values ``None``
+      likewise until first marked).  Values may
       carry capacity sentinels (``+-inf`` meaning "deviate as much as
       allowed"); every consumer resolves them against its capacity at
       evaluation time (``compile_batch`` additionally resolves eagerly
@@ -844,9 +846,9 @@ class CompiledScenarioBatch:
 
     zero_masks: List[np.ndarray]
     set_masks: List[np.ndarray]
-    set_values: List[np.ndarray]
+    set_values: Optional[List[np.ndarray]]
     add_masks: List[np.ndarray]
-    add_values: List[np.ndarray]
+    add_values: Optional[List[np.ndarray]]
     names: List[str]
     scale_masks: Optional[List[np.ndarray]] = None
     scale_values: Optional[List[np.ndarray]] = None
@@ -872,13 +874,15 @@ class CompiledScenarioBatch:
         channel) or an index tuple (set).  ``value`` (the channel's
         value, ignored for crashes) and ``gate`` (the ``gate_p`` of the
         cells) are scalars or ``(S, N_l)`` arrays read at ``where``.
-        The first use of an optional channel, or of a gate below 1,
-        allocates it for every layer.
+        The first use of a channel's values (or of an optional
+        channel's masks, or of a gate below 1) allocates them for every
+        layer.
         """
         masks_attr, values_attr = NEURON_CHANNELS[kind]
         shapes = [m.shape for m in self.zero_masks]
         if getattr(self, masks_attr) is None:
             setattr(self, masks_attr, [np.zeros(n, bool) for n in shapes])
+        if values_attr is not None and getattr(self, values_attr) is None:
             setattr(self, values_attr, [np.zeros(n) for n in shapes])
         dense = isinstance(where, np.ndarray)
 
@@ -972,9 +976,9 @@ def empty_mask_batch(
     return CompiledScenarioBatch(
         zero_masks=[np.zeros((S, n), dtype=bool) for n in layer_sizes],
         set_masks=[np.zeros((S, n), dtype=bool) for n in layer_sizes],
-        set_values=[np.zeros((S, n), dtype=np.float64) for n in layer_sizes],
+        set_values=None,
         add_masks=[np.zeros((S, n), dtype=bool) for n in layer_sizes],
-        add_values=[np.zeros((S, n), dtype=np.float64) for n in layer_sizes],
+        add_values=None,
         names=[],
     )
 
@@ -1195,7 +1199,7 @@ class FaultInjector:
                 kind, value = action
                 syn_entries[l - 1][kind].append((s_idx, j, i, value))
         # Resolve capacity sentinels (additive +-inf -> +-C) at compile time.
-        for arr in batch.add_values:
+        for arr in batch.add_values or ():
             if self.capacity is None:
                 if not np.all(np.isfinite(arr)):
                     raise ValueError(

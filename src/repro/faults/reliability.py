@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.fep import fep_many
+from ..core.bounds import _validate_epsilons
+from ..core.fep import _network_capacity, fep_many
 from ..network.model import FeedForwardNetwork
 from .injector import FaultInjector
 from .masks import (
@@ -55,8 +56,6 @@ def _tolerated_mask(
     products), so no per-layer marginal exists; the mask has shape
     ``(N_1+1, ..., N_L+1)``.
     """
-    from ..core.fep import _network_capacity
-
     c = _network_capacity(network, capacity, mode)
     sizes = network.layer_sizes
     grids = np.meshgrid(*[np.arange(n + 1) for n in sizes], indexing="ij")
@@ -95,8 +94,7 @@ def certified_survival_probability(
     """
     if not 0 <= p_fail <= 1:
         raise ValueError(f"p_fail must be in [0,1], got {p_fail}")
-    if not (0 < epsilon_prime <= epsilon):
-        raise ValueError("need 0 < epsilon_prime <= epsilon")
+    budget = _validate_epsilons(epsilon, epsilon_prime)
     sizes = network.layer_sizes
     grid_size = int(np.prod([n + 1 for n in sizes]))
     if grid_size > max_grid:
@@ -104,7 +102,6 @@ def certified_survival_probability(
             f"count grid has {grid_size} points (> {max_grid}); use "
             "monte_carlo_survival instead"
         )
-    budget = epsilon - epsilon_prime
     (ok,) = _tolerated_mask(network, budget, capacity=capacity, mode=mode)
     from scipy import stats as sps
 
@@ -201,7 +198,7 @@ def monte_carlo_survival(
     """
     if not 0 <= p_fail <= 1:
         raise ValueError(f"p_fail must be in [0,1], got {p_fail}")
-    budget = epsilon - epsilon_prime
+    budget = _validate_epsilons(epsilon, epsilon_prime)
     fault = fault if fault is not None else CrashFault()
     # An intermittent fault behaves like its wrapped fault where it
     # hits; capacity defaults and the certificate mode follow the
@@ -441,7 +438,7 @@ def mean_failures_to_violation(
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    budget = epsilon - epsilon_prime
+    budget = _validate_epsilons(epsilon, epsilon_prime)
     if engine is None:
         injector = FaultInjector(network, capacity=network.output_bound)
         engine = MaskCampaignEngine(injector, x)
@@ -482,10 +479,8 @@ def mean_failures_to_violation(
         masks = ranks[:, None, :] <= steps[None, :, None]  # (m, total, total)
         flat = masks.reshape(m * total, total)
         batch = empty_mask_batch(sizes, m * total)
-        batch.zero_masks = [
-            np.ascontiguousarray(flat[:, offsets[l0] : offsets[l0 + 1]])
-            for l0 in range(len(sizes))
-        ]
+        for l0 in range(len(sizes)):
+            batch.mark("zero", l0, flat[:, offsets[l0] : offsets[l0 + 1]])
         errors = engine.evaluate(batch).reshape(m, total)
         exceed = errors > budget + 1e-12
         counts.append(

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.fep import precision_error_bound
+from ..core.fep import _propagate, _validate
 from ..network.model import FeedForwardNetwork
 from .quantizers import FixedPointQuantizer, QuantizedNetwork
 
@@ -41,18 +41,13 @@ def layer_error_coefficients(network: FeedForwardNetwork) -> np.ndarray:
     ``c_l = K**(L-l) * prod_{l'=l..L} N_l' * w_m^(l'+1)`` — the
     Theorem-5 propagation weight of layer ``l``'s implementation error.
     """
-    L = network.depth
-    coeffs = np.empty(L, dtype=np.float64)
-    for l in range(1, L + 1):
-        unit = np.zeros(L)
-        unit[l - 1] = 1.0
-        coeffs[l - 1] = precision_error_bound(
-            unit,
-            network.layer_sizes,
-            network.weight_maxes(),
-            network.lipschitz_constant,
-        )
-    return coeffs
+    f, n, w, k = _validate(
+        None,
+        network.layer_sizes,
+        network.weight_maxes(),
+        network.lipschitz_constant,
+    )
+    return _propagate(n, f, n, w, k)
 
 
 def _bound_for_bits(coeffs: np.ndarray, bits: np.ndarray) -> float:

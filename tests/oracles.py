@@ -26,7 +26,13 @@ associativity otherwise.  None of them is imported by the package.
   the oracle of the lockstep job loop
   (:func:`repro.chaos.campaign._simulate_job`);
 * :class:`DamageAttributionOracle` — naive per-step damage counts, the
-  oracle of the recorder's ground-truth channels.
+  oracle of the recorder's ground-truth channels;
+* :func:`fep_terms_reference` — Theorem 2's per-layer terms as one
+  reversed ``cumprod``, the bits :mod:`repro.core.fep`'s Fep, its
+  decomposition and ``fep_many`` must keep; :func:`synapse_fep_loops`,
+  :func:`heterogeneous_fep_loops`, :func:`combined_fep_loops` and
+  :func:`precision_error_bound_loops` — the paper's other bounds as
+  explicit per-layer loops.
 """
 
 from __future__ import annotations
@@ -489,3 +495,82 @@ class PerBlockDriver:
                 )
             results.append(job)
         return results
+
+
+# ---------------------------------------------------------------------------
+# The bounds of repro.core.fep, written out (inputs assumed valid)
+# ---------------------------------------------------------------------------
+
+
+def fep_terms_reference(f, n, w, K, C) -> np.ndarray:
+    """Theorem 2's terms ``C * f_l * K^(L-l) * prod_{l'>l} (N_l' - f_l')
+    * w_m^(l')``: the suffix products by one reversed ``cumprod``,
+    associated as ``((C * f) * K-powers) * suffix``."""
+    f, n, w = (np.asarray(a, dtype=np.float64) for a in (f, n, w))
+    L = f.shape[0]
+    n_ext = np.concatenate([n, [1.0]])
+    f_ext = np.concatenate([f, [0.0]])
+    mult = (n_ext[1:] - f_ext[1:]) * w[1:]
+    suffix = np.cumprod(mult[::-1])[::-1]
+    powers = K ** np.arange(L - 1, -1, -1, dtype=np.float64)
+    return C * f * powers * suffix
+
+
+def synapse_fep_loops(s, n, w, K, C) -> float:
+    """Theorem 4: ``C * sum_{l=1}^{L+1} s_l * K^(L+1-l) * w_m^(l) *
+    prod_{l'>l} N_l' * w_m^(l')``, the output stage without a K."""
+    L = len(n)
+    n_ext = list(n) + [1.0]
+    total = 0.0
+    for l in range(1, L + 2):
+        prod = 1.0
+        for lp in range(l + 1, L + 2):
+            prod *= n_ext[lp - 1] * w[lp - 1]
+        total += s[l - 1] * K ** (L + 1 - l) * w[l - 1] * prod
+    return C * total
+
+
+def heterogeneous_fep_loops(f, n, w, ks, C) -> float:
+    """Fep with the downstream product of per-layer ``K_l'`` in place
+    of ``K^(L-l)``."""
+    L = len(n)
+    n_ext = list(n) + [1.0]
+    f_ext = list(f) + [0.0]
+    total = 0.0
+    for l in range(1, L + 1):
+        k_prod = 1.0
+        for lp in range(l + 1, L + 1):
+            k_prod *= ks[lp - 1]
+        carrier = 1.0
+        for lp in range(l + 1, L + 2):
+            carrier *= (n_ext[lp - 1] - f_ext[lp - 1]) * w[lp - 1]
+        total += f[l - 1] * k_prod * carrier
+    return C * total
+
+
+def combined_fep_loops(f, s, n, w, K, C) -> float:
+    """Fep of the neuron failures ``f`` plus Theorem 4's synapse sum,
+    its carriers discounted by ``f``."""
+    L = len(n)
+    n_ext = list(n) + [1.0]
+    f_ext = list(f) + [0.0]
+    total = 0.0
+    for l in range(1, L + 2):
+        prod = 1.0
+        for lp in range(l + 1, L + 2):
+            prod *= (n_ext[lp - 1] - f_ext[lp - 1]) * w[lp - 1]
+        total += s[l - 1] * K ** (L + 1 - l) * w[l - 1] * prod
+    return float(fep_terms_reference(f, n, w, K, C).sum()) + C * total
+
+
+def precision_error_bound_loops(lam, n, w, K) -> float:
+    """Theorem 5: ``sum_l K^(L-l) * lambda_l * prod_{l'=l}^{L} N_l' *
+    w_m^(l'+1)``."""
+    L = len(n)
+    total = 0.0
+    for l in range(1, L + 1):
+        prod = 1.0
+        for lp in range(l, L + 1):
+            prod *= n[lp - 1] * w[lp]
+        total += K ** (L - l) * lam[l - 1] * prod
+    return total

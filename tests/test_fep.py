@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from repro.core.fep import (
+    combined_fep,
     fep_many,
     fep_terms,
     forward_error_propagation,
+    heterogeneous_fep,
     network_fep,
     network_fep_terms,
     network_precision_bound,
@@ -114,6 +116,41 @@ class TestValidation:
             forward_error_propagation([1], [3], [1, 1], 1.0, 0.0)
         with pytest.raises(ValueError, match="Lemma 1"):
             forward_error_propagation([1], [3], [1, 1], 1.0, np.inf)
+
+
+    @pytest.mark.parametrize(
+        "bound, args",
+        [
+            (fep_many, ([[1, 0]], [3, 3], [1, -1, 1], 1.0, 1.0)),
+            (synapse_fep, ([1, 0, 0], [3, 3], [1, -1, 1], 1.0, 1.0)),
+            (heterogeneous_fep, ([1, 0], [3, 3], [1, -1, 1], [1.0, 1.0], 1.0)),
+            (combined_fep, ([1, 0], [0, 0, 0], [3, 3], [1, -1, 1], 1.0, 1.0)),
+            (precision_error_bound, ([0.1, 0.1], [3, 3], [1, -1, 1], 1.0)),
+            (synapse_fep, ([1, 0, 0], [3, 0], [1, 1, 1], 1.0, 1.0)),
+            (forward_error_propagation, ([1], [3], [1, 1], np.nan, 1.0)),
+            (precision_error_bound, ([0.1], [3], [1, 1], np.inf)),
+            (heterogeneous_fep, ([1, 0], [3, 3], [1, 1, 1], [1.0, np.nan], 1.0)),
+            (forward_error_propagation, ([[1]], [3], [1, 1], 1.0, 1.0)),
+        ],
+        ids=[
+            "many-negative-weight",
+            "synapse-negative-weight",
+            "heterogeneous-negative-weight",
+            "combined-negative-weight",
+            "precision-negative-weight",
+            "synapse-empty-layer",
+            "fep-nan-k",
+            "precision-infinite-k",
+            "heterogeneous-nan-k",
+            "fep-batch-of-one",
+        ],
+    )
+    def test_every_bound_rejects_what_fep_terms_rejects(self, bound, args):
+        """One input check serves all six bounds: none returns a
+        (negative, nan or batch-summed) value for a topology that
+        ``fep_terms`` refuses."""
+        with pytest.raises(ValueError):
+            bound(*args)
 
 
 class TestFepMany:

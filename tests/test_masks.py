@@ -1161,10 +1161,12 @@ class TestChannelWriter:
         compiled = FaultInjector(
             small_net, capacity=self.C
         ).compile_batch(scenarios)
-        # compile_batch resolves the capacity sentinels eagerly.
-        sampled.add_values = [
-            np.clip(v, -self.C, self.C) for v in sampled.add_values
-        ]
+        # compile_batch resolves the capacity sentinels eagerly; a
+        # batch with no additive fault has no add values to resolve.
+        if sampled.add_values is not None:
+            sampled.add_values = [
+                np.clip(v, -self.C, self.C) for v in sampled.add_values
+            ]
         _assert_same_channels(sampled, compiled)
 
     def test_first_use_allocates_the_channel_for_every_layer(

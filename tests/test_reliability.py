@@ -246,6 +246,33 @@ class TestMeanFailuresToViolation:
             )
 
 
+class TestEpsilonPair:
+    """Every survival function refuses the epsilon pairs Theorem 3
+    refuses (``0 < epsilon_prime <= epsilon``) instead of reading a
+    negative budget."""
+
+    @pytest.mark.parametrize("eps, eps_prime", [(0.1, 0.5), (0.5, 0.0)])
+    @pytest.mark.parametrize(
+        "survival",
+        [
+            lambda net, e, ep, x: certified_survival_probability(
+                net, 0.05, e, ep
+            ),
+            lambda net, e, ep, x: monte_carlo_survival(
+                net, 0.05, e, ep, x, n_trials=20
+            ),
+            lambda net, e, ep, x: mean_failures_to_violation(
+                net, e, ep, x, n_trials=5
+            ),
+        ],
+        ids=["certified", "monte-carlo", "mean-failures"],
+    )
+    def test_bad_pair_rejected(self, survival, eps, eps_prime, rng):
+        net = build_mlp(3, [6, 5], seed=0)
+        with pytest.raises(ValueError, match="epsilon_prime <= epsilon"):
+            survival(net, eps, eps_prime, rng.random((4, 3)))
+
+
 class TestEngineReuse:
     def test_shared_engine_matches_per_call_engines(self, robust_net, rng):
         from repro.faults.injector import FaultInjector
