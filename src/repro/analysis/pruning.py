@@ -22,6 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from ..core.bounds import _validate_epsilons
 from ..core.fep import network_fep
 from ..network.layers import DenseLayer
 from ..network.model import FeedForwardNetwork, NeuronAddress
@@ -137,16 +138,17 @@ def certified_prune(
     """
     from ..core.tolerance import greedy_max_total_failures
 
+    budget = _validate_epsilons(epsilon, epsilon_prime)
     if distribution is None:
         distribution = greedy_max_total_failures(
             network, epsilon, epsilon_prime, mode="crash"
         )
     distribution = tuple(int(f) for f in distribution)
     fep = network_fep(network, distribution, mode="crash")
-    if fep > (epsilon - epsilon_prime) + 1e-12:
+    if fep > budget + 1e-12:
         raise ValueError(
             f"distribution {distribution} is not tolerated "
-            f"(Fep {fep:.6g} > budget {epsilon - epsilon_prime:.6g})"
+            f"(Fep {fep:.6g} > budget {budget:.6g})"
         )
     victims = lowest_influence_neurons(network, distribution, x)
     if not victims:

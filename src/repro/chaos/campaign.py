@@ -52,6 +52,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from ..core.bounds import _validate_epsilons
 from ..faults.injector import FaultInjector
 from ..faults.masks import DEFAULT_CHUNK, MaskCampaignEngine, _run_blocks
 from ..network.model import FeedForwardNetwork
@@ -350,8 +351,7 @@ def _run_chaos_campaign(
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     if epochs_chunk < 1:
         raise ValueError(f"epochs_chunk must be >= 1, got {epochs_chunk}")
-    if not (0 < epsilon_prime <= epsilon):
-        raise ValueError("need 0 < epsilon_prime <= epsilon")
+    _validate_epsilons(epsilon, epsilon_prime)
     if not processes:
         raise ValueError("need at least one fault process")
     names = [d.name for d in detectors]

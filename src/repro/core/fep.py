@@ -69,12 +69,13 @@ def _validate(
     capacity: float = 1.0,
     *,
     batch: bool = False,
+    per_layer_k: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The checked float arrays ``(f, n, w, K)`` every bound reads.
 
     ``failures`` counts the failed neurons per layer (``None``: none),
     one ``(M, L)`` row per distribution with ``batch``; ``lipschitz``
-    is one ``K`` or one per layer.
+    is one ``K``, or one per layer with ``per_layer_k``.
     """
     n = np.asarray(layer_sizes, dtype=np.float64)
     f = (
@@ -95,8 +96,9 @@ def _validate(
             f"weight_maxes must have length L+1={L + 1} "
             f"(w_m^(1)..w_m^(L+1)), got {w.shape}"
         )
-    if k.shape not in ((), (L,)):
-        raise ValueError(f"need one Lipschitz constant or L={L}, got {k.shape}")
+    want = (L,) if per_layer_k else ()
+    if k.shape != want:
+        raise ValueError(f"Lipschitz constants must have shape {want}, got {k.shape}")
     if not np.all(f >= 0):
         raise ValueError("failure counts must be non-negative")
     if np.any(f > n):
@@ -377,7 +379,8 @@ def heterogeneous_fep(
     incoming perturbation by at most its own constant.
     """
     f, n, w, ks = _validate(
-        failures, layer_sizes, weight_maxes, lipschitz_constants, capacity
+        failures, layer_sizes, weight_maxes, lipschitz_constants, capacity,
+        per_layer_k=True,
     )
     return float(_propagate(capacity * f, f, n, w, ks).sum())
 

@@ -131,6 +131,12 @@ class TestValidation:
             (precision_error_bound, ([0.1], [3], [1, 1], np.inf)),
             (heterogeneous_fep, ([1, 0], [3, 3], [1, 1, 1], [1.0, np.nan], 1.0)),
             (forward_error_propagation, ([[1]], [3], [1, 1], 1.0, 1.0)),
+            (forward_error_propagation, ([1, 0], [3, 3], [1, 1, 1], [1.0, 2.0], 1.0)),
+            (fep_many, ([[1, 0]], [3, 3], [1, 1, 1], [1.0, 2.0], 1.0)),
+            (synapse_fep, ([1, 0, 0], [3, 3], [1, 1, 1], [1.0, 2.0], 1.0)),
+            (combined_fep, ([1, 0], [1, 0, 0], [3, 3], [1, 1, 1], [1.0, 2.0], 1.0)),
+            (precision_error_bound, ([0.1, 0.1], [3, 3], [1, 1, 1], [1.0, 2.0])),
+            (heterogeneous_fep, ([1, 0], [3, 3], [1, 1, 1], 1.0, 1.0)),
         ],
         ids=[
             "many-negative-weight",
@@ -143,12 +149,19 @@ class TestValidation:
             "precision-infinite-k",
             "heterogeneous-nan-k",
             "fep-batch-of-one",
+            "fep-per-layer-k",
+            "many-per-layer-k",
+            "synapse-per-layer-k",
+            "combined-per-layer-k",
+            "precision-per-layer-k",
+            "heterogeneous-one-k",
         ],
     )
     def test_every_bound_rejects_what_fep_terms_rejects(self, bound, args):
         """One input check serves all six bounds: none returns a
         (negative, nan or batch-summed) value for a topology that
-        ``fep_terms`` refuses."""
+        ``fep_terms`` refuses, and only the per-layer-K refinement
+        reads a list of Lipschitz constants (the others take one ``K``)."""
         with pytest.raises(ValueError):
             bound(*args)
 

@@ -100,6 +100,16 @@ class TestCertifiedPrune:
         with pytest.raises(ValueError, match="not tolerated"):
             certified_prune(net, 0.2, 0.1, rng.random((8, 2)), distribution=(3, 2))
 
+    @pytest.mark.parametrize("eps, eps_prime", [(0.1, 0.5), (0.5, 0.0)])
+    def test_bad_epsilon_pair_rejected(self, eps, eps_prime, rng):
+        """An explicit distribution skips the greedy solver; the pair is
+        still refused as Theorem 3 refuses it, not read as a budget."""
+        net = self._tolerant_net()
+        with pytest.raises(ValueError, match="epsilon_prime <= epsilon"):
+            certified_prune(
+                net, eps, eps_prime, rng.random((8, 2)), distribution=(0, 0)
+            )
+
     def test_zero_distribution_returns_copy(self, rng):
         net = self._tolerant_net()
         x = rng.random((8, 2))
