@@ -4,15 +4,12 @@
    computing Fep "only requires looking at the topology", while the
    empirical check faces a combinatorial explosion.  We time both on
    the same question and assert the gap is orders of magnitude.
-2. *Mask engine vs scalar injection* — the batched masked-GEMM path
-   (``test_bench_mask_engine_eval_only``, 256 scenarios) against the
-   per-scenario scalar oracle (``test_bench_injector_scalar_loop``, 16
-   scenarios); compare per-scenario cost (the hot-path design of
-   DESIGN.md).
-3. *Simulator vs injector* — the process-grained semantic reference is
-   expected to be slow; its cost is recorded to justify keeping it as
-   a reference next to the mask engine rather than on the hot path.
-4. *Mask-native pipeline* — sampling, evaluation and the object-scenario
+2. *Batched vs per-scenario engine calls* — the batched masked-GEMM
+   path (``test_bench_mask_engine_eval_only``, 256 scenarios) against
+   one ``FaultInjector.run`` engine call per scenario
+   (``test_bench_injector_per_scenario_run``, 16 scenarios); compare
+   per-scenario cost (the hot-path design of DESIGN.md).
+3. *Mask-native pipeline* — sampling, evaluation and the object-scenario
    ("seed") pipeline at S=1k and S=100k.
 """
 
@@ -28,7 +25,6 @@ from repro.faults.masks import (
     sampled_campaign_errors,
 )
 from repro.faults.scenarios import random_failure_scenario
-from repro.distributed.simulator import DistributedNetwork
 from repro.network import build_mlp
 
 
@@ -74,26 +70,17 @@ def test_bench_exhaustive_experiment(benchmark, setup):
     assert result.num_scenarios == 378
 
 
-def test_bench_injector_scalar_loop(benchmark, setup):
+def test_bench_injector_per_scenario_run(benchmark, setup):
+    """One engine build, compile and evaluation per scenario."""
     net, x, scenarios = setup
     injector = FaultInjector(net, capacity=1.0)
-    subset = scenarios[:16]  # scalar path; keep the round affordable
+    subset = scenarios[:16]
 
-    def scalar_loop():
+    def per_scenario_loop():
         return [injector.run(x, sc) for sc in subset]
 
-    outs = benchmark(scalar_loop)
+    outs = benchmark(per_scenario_loop)
     assert len(outs) == 16
-
-
-def test_bench_simulator_reference(benchmark, setup):
-    net, x, scenarios = setup
-    sim = DistributedNetwork(net, capacity=1.0)
-    sim.apply_scenario(scenarios[0])
-    out = benchmark.pedantic(
-        sim.run_batch, args=(x[:8],), rounds=3, iterations=1, warmup_rounds=0
-    )
-    assert out.shape == (8, 1)
 
 
 def test_bench_compile_scenarios(benchmark, setup):

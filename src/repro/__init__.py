@@ -30,7 +30,7 @@ Subpackages
 - :mod:`repro.network` — the from-scratch network substrate;
 - :mod:`repro.training` — backprop trainer (incl. Fep regulariser);
 - :mod:`repro.faults` — fault models, injection, campaigns;
-- :mod:`repro.distributed` — process-per-neuron simulator, boosting;
+- :mod:`repro.distributed` — Corollary-2 boosting, replication baseline;
 - :mod:`repro.chaos` — temporal chaos campaigns over deployed fleets;
 - :mod:`repro.specs` — the declarative run-spec layer + ``repro.run``;
 - :mod:`repro.quantization` — Theorem-5 precision reduction;

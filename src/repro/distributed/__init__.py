@@ -1,6 +1,5 @@
-"""The network as a distributed system: process-per-neuron synchronous
-message-passing simulator (the paper's literal Section II-A model) and
-the Corollary-2 boosting scheme.
+"""The network as a distributed system: the Corollary-2 boosting
+scheme and the whole-network replication baseline.
 """
 
 from .boosting import (
@@ -9,25 +8,14 @@ from .boosting import (
     boosting_report,
     simulate_boosted_run,
 )
-from .channels import SynapseChannel
-from .events import ComponentState, Reset, RoundTrace, Signal
-from .neuron import NeuronProcess
 from .replication import (
     ReplicaState,
     ReplicatedEnsemble,
     smr_neuron_cost,
     smr_tolerance,
 )
-from .simulator import DistributedNetwork
 
 __all__ = [
-    "Signal",
-    "Reset",
-    "RoundTrace",
-    "ComponentState",
-    "SynapseChannel",
-    "NeuronProcess",
-    "DistributedNetwork",
     "LatencyModel",
     "BoostingResult",
     "simulate_boosted_run",

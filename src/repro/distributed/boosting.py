@@ -26,9 +26,9 @@ import numpy as np
 
 from ..core.bounds import corollary2_required_signals
 from ..core.fep import network_fep
-from ..faults.scenarios import FailureScenario, crash_scenario
 from ..faults.injector import FaultInjector
-from ..network.model import FeedForwardNetwork, NeuronAddress
+from ..faults.masks import MaskCampaignEngine, empty_mask_batch
+from ..network.model import FeedForwardNetwork
 
 __all__ = [
     "LatencyModel",
@@ -247,23 +247,15 @@ def simulate_boosted_run(
         network, latency, tolerated
     )
 
-    # --- values ---------------------------------------------------------
+    # --- values: both outputs from one engine, so a run without
+    # resets reads the baseline bit for bit -----------------------------
+    batch = empty_mask_batch(network.layer_sizes, 1)
+    for l0, resets in enumerate(reset_sets):
+        batch.mark("zero", l0, (0, resets))
     injector = FaultInjector(network, capacity=network.output_bound)
-    addresses = [
-        NeuronAddress(l0 + 1, int(i))
-        for l0, resets in enumerate(reset_sets)
-        for i in resets
-    ]
-    scenario = (
-        crash_scenario(addresses, name="boosting-resets")
-        if addresses
-        else FailureScenario(name="boosting-none")
-    )
-    xb = np.asarray(x, dtype=np.float64)
-    if xb.ndim == 1:
-        xb = xb[None, :]
-    out_boosted = injector.run(xb, scenario)
-    out_baseline = network.forward(xb)
+    engine = MaskCampaignEngine(injector, x)
+    out_boosted = engine.outputs(batch)[0]
+    out_baseline = engine.nominal
 
     bound = network_fep(network, tolerated, mode="crash")
     return BoostingResult(
@@ -297,10 +289,8 @@ def boosting_report(
     Timing is simulated per trial (cheap), but the value computation is
     batched: every trial's reset set becomes one row of a crash-mask
     batch, evaluated in a single sweep on the mask-native engine
-    instead of ``n_trials`` scalar injector runs (see DESIGN.md).
+    instead of ``n_trials`` per-scenario engine calls (see DESIGN.md).
     """
-    from ..faults.masks import MaskCampaignEngine, empty_mask_batch
-
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     quotas = corollary2_required_signals(network, tolerated, epsilon, epsilon_prime)

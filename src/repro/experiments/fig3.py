@@ -65,7 +65,7 @@ def run_figure3(
     The Monte-Carlo points run on the mask-native campaign engine
     (array-level placement sampling + streamed evaluation), so the
     per-point effort can be raised far beyond the default without the
-    scenario-object overhead of the scalar path.
+    scenario-object overhead of the object path.
 
     Parameters
     ----------

@@ -27,6 +27,7 @@ import numpy as np
 
 from ..network.model import FeedForwardNetwork, NeuronAddress
 from .injector import FaultInjector
+from .masks import MaskCampaignEngine
 from .scenarios import FailureScenario
 from .types import ByzantineFault, CrashFault
 
@@ -202,10 +203,15 @@ def worst_input_search(
         ).reshape(d, -1).T
         candidates.append(corners)
     xs = np.vstack(candidates)
+    batch = injector.compile_batch([scenario])
 
-    nominal = injector.network.forward(xs)
-    faulty = injector.run(xs, scenario)
-    errs = np.abs(nominal - faulty).max(axis=1)
+    def errors(points: np.ndarray) -> np.ndarray:
+        """Per-point output errors; the faulty and the nominal outputs
+        come from one engine, so a fault-free scenario reads 0."""
+        engine = MaskCampaignEngine(injector, points)
+        return np.abs(engine.outputs(batch)[0] - engine.nominal).max(axis=1)
+
+    errs = errors(xs)
     best_idx = int(np.argmax(errs))
     best_x = xs[best_idx].copy()
     best_err = float(errs[best_idx])
@@ -215,9 +221,7 @@ def worst_input_search(
         proposals = np.clip(
             best_x[None, :] + rng.normal(0.0, scale, size=(16, d)), 0.0, 1.0
         )
-        nom = injector.network.forward(proposals)
-        fau = injector.run(proposals, scenario)
-        perrs = np.abs(nom - fau).max(axis=1)
+        perrs = errors(proposals)
         k = int(np.argmax(perrs))
         if perrs[k] > best_err:
             best_err = float(perrs[k])

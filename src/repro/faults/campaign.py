@@ -3,17 +3,16 @@
 A campaign evaluates the empirical output error of a network over many
 failure scenarios — the "costly experiment ... facing a discouraging
 combinatorial explosion" that the paper's analytic bounds replace.  We
-make the experiment affordable enough to *validate* the bounds.  Two
-engines back the same API (see DESIGN.md):
+make the experiment affordable enough to *validate* the bounds.  One
+engine, the mask-native :mod:`repro.faults.masks`, evaluates every
+campaign (see DESIGN.md); scenarios reach it two ways:
 
-* the **mask-native engine** (:mod:`repro.faults.masks`) — scenarios
-  are sampled, compiled and evaluated as array-level mask channels end
-  to end.  The *entire* fault taxonomy routes here: static and
-  stochastic neuron faults, synapse faults, and mixed populations;
-* the **object path** — expressive :class:`FailureScenario` objects
-  are lowered per chunk by ``compile_batch`` onto the same engine; the
-  per-scenario scalar injector survives only as the fallback for
-  custom fault models outside the taxonomy.
+* **sampled masks** — scenarios are sampled, compiled and evaluated
+  as array-level mask channels end to end.  The *entire* fault
+  taxonomy routes here: static and stochastic neuron faults, synapse
+  faults, and mixed populations;
+* **the object path** — expressive :class:`FailureScenario` objects
+  are lowered per chunk by ``compile_batch`` onto the same engine.
 
 Either way chunking bounds peak memory (``chunk x batch x width``
 floats), chunks can fan out over worker processes through the shared
@@ -127,27 +126,13 @@ def _evaluate_chunk(engine: MaskCampaignEngine, shared, job) -> np.ndarray:
 
     ``job`` is ``(size, scenarios, SeedSequence)``.  Scenarios lower
     through ``compile_batch`` (the whole fault taxonomy compiles to mask
-    channels) and stream through the campaign engine; the per-scenario
-    scalar path survives only as the fallback for fault models outside
-    the taxonomy.  The seed drives the stochastic draws: each chunk
-    evaluates with a stream spawned off the campaign seed, so no two
-    chunks replay the same noise.
+    channels) and stream through the campaign engine.  The seed drives
+    the stochastic draws: each chunk evaluates with a stream spawned
+    off the campaign seed, so no two chunks replay the same noise.
     """
     _, chunk, seed = job
-    injector = engine.injector
-    rng = np.random.default_rng(seed)
-    try:
-        batch = injector.compile_batch(chunk)
-    except ValueError:
-        # Fault models with no mask-channel lowering (custom
-        # subclasses): scalar path per scenario.
-        return np.array([
-            injector.output_error(
-                engine.xb64, sc, rng=rng, reduction=engine.reduction
-            )
-            for sc in chunk
-        ])
-    return engine.evaluate(batch, rng=rng)
+    batch = engine.injector.compile_batch(chunk)
+    return engine.evaluate(batch, rng=np.random.default_rng(seed))
 
 
 def run_campaign(
@@ -180,10 +165,10 @@ def run_campaign(
         Either way the scenario stream is consumed lazily, chunk by
         chunk.
     seed:
-        Campaign seed for the *stochastic-fault* fallback path: each
-        chunk evaluates with an RNG spawned from this seed, so noise is
-        independent across chunks yet reproducible (default 0 keeps
-        repeated calls deterministic; pass ``None`` for fresh entropy).
+        Campaign seed for the stochastic faults: each chunk evaluates
+        with an RNG spawned from this seed, so noise is independent
+        across chunks yet reproducible (default 0 keeps repeated calls
+        deterministic; pass ``None`` for fresh entropy).
     """
     names: List[str] = []
     seed_root = np.random.SeedSequence(seed)
@@ -237,7 +222,7 @@ def _monte_carlo_campaign(
     are then ignored.
 
     ``dtype=float32`` selects the fast evaluation path; the default
-    float64 matches the scalar injector to float associativity.
+    float64 matches the scalar reference loop to float associativity.
     """
     if sampler is None:
         fault = fault if fault is not None else CrashFault()

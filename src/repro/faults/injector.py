@@ -20,19 +20,20 @@ masked tensor algebra:
   error is at most ``w_m * C``, the per-synapse term of Theorem 4 and
   Lemma 2); a crashed synapse delivers ``v = 0``.
 
-This module holds the scalar oracle and the mask kernels:
+This module holds the mask kernels and the object API around them:
 
-* :meth:`FaultInjector.run` — one scenario, batch of inputs; supports
-  every fault model including stochastic ones.  It is the reference
-  the batched evaluator is tested against.
 * :func:`apply_mask_channels` / :func:`apply_synapse_corrections` —
-  the per-layer mask kernels of the one dense evaluator,
+  the per-layer mask kernels of the one evaluator,
   :class:`repro.faults.masks.MaskCampaignEngine`, which runs a *batch
   of scenarios* with one GEMM per layer for all S x B (scenario,
   input) pairs.  The whole fault taxonomy lowers: static faults as
   value channels, stochastic faults (noise, intermittent gates) as
   evaluation-time draws from a threaded RNG, synapse faults as sparse
   per-stage received-sum corrections.
+* :meth:`FaultInjector.run` / :meth:`FaultInjector.output_error` —
+  one scenario on a batch of inputs, through that same engine.  Its
+  scalar twin, neuron by neuron and synapse by synapse, is the test
+  suite's oracle (``tests/oracles.py::run_reference``).
 
 :meth:`FaultInjector.compile_batch` is the thin adapter that lowers
 object scenarios into the :class:`CompiledScenarioBatch` mask
@@ -62,8 +63,6 @@ from .types import (
     SynapseByzantineFault,
     SynapseCrashFault,
     SynapseNoiseFault,
-    fault_is_stochastic,
-    unseeded_rng,
 )
 
 __all__ = [
@@ -76,7 +75,6 @@ __all__ = [
     "empty_mask_batch",
     "fault_channel_action",
     "synapse_fault_action",
-    "apply_neuron_fault",
     "apply_mask_channels",
     "apply_synapse_corrections",
 ]
@@ -296,47 +294,6 @@ def synapse_fault_action(fault: FaultModel) -> Optional[tuple[str, float]]:
     return None
 
 
-def apply_neuron_fault(
-    fault: FaultModel,
-    nominal: np.ndarray,
-    capacity: Optional[float],
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Faulty emission under the deviation-bounded semantics.
-
-    Crash emits exactly 0; every other fault emits
-    ``nominal + clip(requested - nominal, -C, +C)`` (Theorem 2's
-    ``y + lambda`` with ``|lambda| <= C``).  Unbounded capacity passes
-    finite requests through and rejects capacity sentinels.
-
-    Intermittent faults are resolved here (not via
-    ``IntermittentFault.apply``) so the wrapped fault keeps its own
-    semantics elementwise — in particular an intermittent *crash*
-    emits exactly 0 on hit (Definition 2: crashes do not interact with
-    the capacity), where the old path clipped the crash deviation to
-    ``+-C`` like a Byzantine value.
-    """
-    nominal = np.asarray(nominal, dtype=np.float64)
-    if isinstance(fault, CrashFault):
-        return np.zeros_like(nominal)
-    if isinstance(fault, IntermittentFault):
-        if rng is None:
-            rng = unseeded_rng("apply_neuron_fault(IntermittentFault)")
-        hit = rng.random(nominal.shape) < fault.p
-        faulty = apply_neuron_fault(fault.fault, nominal, capacity, rng)
-        return np.where(hit, faulty, nominal)
-    requested = fault.apply(nominal, rng=rng)
-    if capacity is None:
-        if not np.all(np.isfinite(requested)):
-            raise ValueError(
-                "capacity-saturating fault (value=None) under unbounded "
-                "transmission: specify an explicit Byzantine value"
-            )
-        return requested
-    deviation = np.clip(requested - nominal, -capacity, capacity)
-    return nominal + deviation
-
-
 def apply_mask_channels(
     Y: np.ndarray,
     zero: np.ndarray,
@@ -370,8 +327,8 @@ def apply_mask_channels(
       deviation bound (sign flip is ``scale = -1``);
     * ``noise`` cells gain elementwise Gaussian noise
       ``clip(N(0, sigma), -C, +C)``, drawn per ``(scenario, input,
-      neuron)`` from ``rng`` — exactly the scalar injector's draw
-      distribution;
+      neuron)`` from ``rng`` — the distribution of
+      :meth:`NoiseFault.apply <repro.faults.types.NoiseFault.apply>`;
     * ``gate_p`` (1.0 = permanent) Bernoulli-gates whichever channel a
       cell carries, per ``(scenario, input, neuron)`` — the
       intermittent-fault semantics.
@@ -1007,121 +964,24 @@ class FaultInjector:
         self.network = network
         self.capacity = None if capacity is None else float(capacity)
 
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-
-    def _clip_synapse_error(self, deviation: np.ndarray) -> np.ndarray:
-        """Bound a synapse's emission deviation by the capacity (Lemma 2)."""
-        if self.capacity is None:
-            if not np.all(np.isfinite(deviation)):
-                raise ValueError(
-                    "capacity-saturating synapse fault under unbounded "
-                    "transmission: specify an explicit offset"
-                )
-            return deviation
-        return np.clip(deviation, -self.capacity, self.capacity)
-
-    def _neuron_faults_by_layer(
-        self, scenario: FailureScenario
-    ) -> List[list[tuple[int, FaultModel]]]:
-        per_layer: List[list[tuple[int, FaultModel]]] = [
-            [] for _ in range(self.network.depth)
-        ]
-        for addr, fault in scenario.neuron_faults.items():
-            self.network.check_address(addr)
-            per_layer[addr.layer - 1].append((addr.index, fault))
-        return per_layer
-
-    def _synapse_faults_by_stage(
-        self, scenario: FailureScenario
-    ) -> List[list[tuple[int, int, FaultModel]]]:
-        per_stage: List[list[tuple[int, int, FaultModel]]] = [
-            [] for _ in range(self.network.depth + 1)
-        ]
-        for (l, j, i), fault in scenario.synapse_faults.items():
-            per_stage[l - 1].append((j, i, fault))
-        return per_stage
-
-    # ------------------------------------------------------------------
-    # Scalar path (one scenario, any fault model)
-    # ------------------------------------------------------------------
-
     def run(
         self,
         x: np.ndarray,
         scenario: FailureScenario,
         *,
         rng: Optional[np.random.Generator] = None,
-        return_taps: bool = False,
-    ):
+    ) -> np.ndarray:
         """Faulty forward pass ``Ffail(X)`` for a batch of inputs.
 
-        Returns ``(B, n_outputs)`` outputs (or ``(outputs, taps)`` with
-        per-layer faulty activations when ``return_taps`` is set).
+        Returns ``(B, n_outputs)`` outputs (``(n_outputs,)`` for one
+        input vector): ``scenario`` lowered by :meth:`compile_batch`
+        and evaluated by the mask engine on ``x``.
         """
-        scenario.validate(self.network)
-        net = self.network
-        xb, squeeze = net._as_batch(x)
-        if rng is None:
-            # Stochastic scenarios on a fresh generator silently break
-            # campaign reproducibility — warn once (the campaign layers
-            # always thread a seeded generator down to this point).
-            stochastic = any(
-                fault_is_stochastic(f)
-                for faults in (scenario.neuron_faults, scenario.synapse_faults)
-                for f in faults.values()
-            )
-            rng = (
-                unseeded_rng("FaultInjector.run")
-                if stochastic
-                else np.random.default_rng()
-            )
+        from .masks import MaskCampaignEngine
 
-        neuron_faults = self._neuron_faults_by_layer(scenario)
-        synapse_faults = self._synapse_faults_by_stage(scenario)
-
-        y = xb
-        taps: List[np.ndarray] = []
-        for l0, layer in enumerate(net.layers):
-            s = layer.pre_activation(y)
-            if synapse_faults[l0]:
-                weights = layer.dense_weights()
-                s = s.copy()
-                for j, i, fault in synapse_faults[l0]:
-                    nominal_emission = y[:, i]
-                    faulty_emission = fault.apply(
-                        nominal_emission, rng=rng, capacity=self.capacity
-                    )
-                    deviation = self._clip_synapse_error(
-                        faulty_emission - nominal_emission
-                    )
-                    s[:, j] += weights[j, i] * deviation
-            y = layer.activation(s)
-            if neuron_faults[l0]:
-                y = y.copy()
-                for i, fault in neuron_faults[l0]:
-                    y[:, i] = apply_neuron_fault(fault, y[:, i], self.capacity, rng)
-            if return_taps:
-                taps.append(y)
-
-        out = net.readout(y)
-        stage = net.depth  # 0-based index of stage L+1 in synapse_faults
-        if synapse_faults[stage]:
-            out = out.copy()
-            for j, i, fault in synapse_faults[stage]:
-                nominal_emission = y[:, i]
-                faulty_emission = fault.apply(
-                    nominal_emission, rng=rng, capacity=self.capacity
-                )
-                deviation = self._clip_synapse_error(
-                    faulty_emission - nominal_emission
-                )
-                out[:, j] += net.output_weights[j, i] * deviation
-
-        if squeeze:
-            out = out[0]
-        return (out, taps) if return_taps else out
+        engine = MaskCampaignEngine(self, x)
+        out = engine.outputs(self.compile_batch([scenario]), rng=rng)[0]
+        return out[0] if np.ndim(x) == 1 else out
 
     def output_error(
         self,
@@ -1134,17 +994,12 @@ class FaultInjector:
         """``sup_X |Fneu(X) - Ffail(X)|`` over the supplied batch.
 
         ``reduction`` is ``"max"`` (the paper's worst-case metric) or
-        ``"mean"``.
+        ``"mean"``; the nominal is the engine's own fault-free pass.
         """
-        xb, _ = self.network._as_batch(x)
-        nominal = self.network.forward(xb)
-        faulty = self.run(xb, scenario, rng=rng)
-        err = np.abs(nominal - faulty).max(axis=1)
-        if reduction == "max":
-            return float(err.max())
-        if reduction == "mean":
-            return float(err.mean())
-        raise ValueError(f"unknown reduction {reduction!r}")
+        from .masks import MaskCampaignEngine
+
+        engine = MaskCampaignEngine(self, x, reduction=reduction)
+        return float(engine.evaluate(self.compile_batch([scenario]), rng=rng)[0])
 
     # ------------------------------------------------------------------
     # Lowering to mask channels (evaluated by MaskCampaignEngine)
@@ -1177,7 +1032,7 @@ class FaultInjector:
                 if action is None:
                     raise ValueError(
                         f"fault {fault!r} has no mask-channel lowering; "
-                        "extend fault_channel_action or use FaultInjector.run"
+                        "extend fault_channel_action"
                     )
                 kind, value, gate = action
                 batch.mark(
@@ -1188,8 +1043,7 @@ class FaultInjector:
                 if action is None:
                     raise ValueError(
                         f"synapse fault {fault!r} has no weight-level "
-                        "lowering; extend synapse_fault_action or use "
-                        "FaultInjector.run"
+                        "lowering; extend synapse_fault_action"
                     )
                 if syn_entries is None:
                     syn_entries = [

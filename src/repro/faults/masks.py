@@ -30,10 +30,11 @@ makes the whole pipeline live at the array level (see DESIGN.md):
   (Monte-Carlo) or combination index blocks (exhaustive), so results
   are deterministic and identical to the serial path.
 
-``FailureScenario`` remains the expressive scalar-path API;
+``FailureScenario`` remains the expressive object API;
 ``FaultInjector.compile_batch`` lowers object scenarios into the same
 :class:`~repro.faults.injector.CompiledScenarioBatch` mask
-representation this engine consumes.
+representation this engine consumes, and ``FaultInjector.run`` is one
+such scenario through this engine.
 """
 
 from __future__ import annotations
@@ -811,8 +812,8 @@ class MaskCampaignEngine:
     not depend on the slicing).  Peak memory is therefore bounded by
     the step, not the campaign.
 
-    ``dtype=float64`` (default) matches the scalar injector bit-for-bit
-    up to float associativity; ``dtype=float32`` halves memory traffic
+    ``dtype=float64`` (default) matches the scalar reference loop of
+    the test suite up to float associativity; ``dtype=float32`` halves memory traffic
     and roughly doubles GEMM throughput at ~1e-6 relative error —
     plenty for Monte-Carlo campaign statistics (see DESIGN.md).
     """
@@ -892,7 +893,7 @@ class MaskCampaignEngine:
         self._base_pre0_t = np.ascontiguousarray(self._base_pre[0].T)
 
         width = max(max(self.network.layer_sizes), self.network.n_outputs)
-        row_bytes = self.batch_size * width * self.dtype.itemsize
+        row_bytes = max(1, self.batch_size * width * self.dtype.itemsize)
         self._tile_rows = min(self.chunk_size, max(1, TILE_BYTES // row_bytes))
         self._buffers: Optional[List[np.ndarray]] = None
         self._out_buffer: Optional[np.ndarray] = None
@@ -1327,7 +1328,14 @@ class MaskCampaignEngine:
         cell's block, so one call over several blocks' rows draws, per
         block, what a call on that block's rows alone draws (given the
         same slicing).  Noise draws need a one-block stream.
+
+        An empty probe batch has no output error: it raises
+        ``ValueError``.
         """
+        if self.batch_size == 0:
+            raise ValueError(
+                "empty probe batch: an output error needs at least one input"
+            )
         if batch.num_scenarios == 0:
             return np.empty(0, dtype=np.float64)
         pieces = self._sliced(batch, False, rng)
@@ -1341,9 +1349,12 @@ class MaskCampaignEngine:
     ) -> np.ndarray:
         """Faulty outputs ``(S, B, n_outputs)`` (materialised; prefer
         :meth:`evaluate` for large campaigns); ``rng`` as in
-        :meth:`evaluate`."""
-        if batch.num_scenarios == 0:
-            return np.empty((0, self.batch_size, self.network.n_outputs))
+        :meth:`evaluate`.  An empty probe batch gives
+        ``(S, 0, n_outputs)``."""
+        if batch.num_scenarios == 0 or self.batch_size == 0:
+            return np.empty(
+                (batch.num_scenarios, self.batch_size, self.network.n_outputs)
+            )
         return np.concatenate(self._sliced(batch, True, rng))
 
     @property

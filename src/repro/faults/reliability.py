@@ -428,7 +428,7 @@ def mean_failures_to_violation(
     A trial's sequential crash accumulation is a *prefix-mask batch*:
     row ``k`` of the trial crashes the first ``k + 1`` neurons of the
     trial's permutation, so one streamed engine evaluation replaces
-    ``num_neurons`` scalar ``injector.output_error`` calls and the
+    ``num_neurons`` per-scenario ``injector.output_error`` calls and the
     first row whose error exceeds the budget is the trial's count.
     Trials are chunked (``trials_per_chunk`` rows of ``num_neurons``
     scenarios each) to bound the mask batch; ``engine`` lets callers

@@ -4,7 +4,7 @@ A channel carries the producer's *emission*; the consumer applies the
 synaptic weight on receipt (the weight "models the importance a neuron
 j gives to the signals emitted by neuron i").  Faulty channels corrupt
 the emission in transit, with the deviation bounded by the capacity
-``C`` (Assumption 1 / Lemma 2) — matching the vectorised injector's
+``C`` (Assumption 1 / Lemma 2) — matching the mask engine's
 semantics exactly, which the test suite verifies by equivalence.
 """
 

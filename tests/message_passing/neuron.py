@@ -14,9 +14,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..faults.injector import apply_neuron_fault
-from ..faults.types import ByzantineFault, NeuronFault
-from ..network.activations import Activation
+from oracles import apply_neuron_fault
+from repro.faults.types import ByzantineFault, NeuronFault
+from repro.network.activations import Activation
+
 from .events import ComponentState, Signal
 
 __all__ = ["NeuronProcess"]
@@ -77,8 +78,8 @@ class NeuronProcess:
         """Attach a (non-crash) fault model; applied at every fire.
 
         The emission follows the deviation-bounded semantics of
-        :func:`repro.faults.injector.apply_neuron_fault` — identical to
-        the vectorised engine, which the tests verify by equivalence.
+        :func:`oracles.apply_neuron_fault` — identical to the mask
+        engine, which the tests verify by equivalence.
         """
         self.state = ComponentState.BYZANTINE
         self._fault = fault

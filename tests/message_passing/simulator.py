@@ -5,11 +5,12 @@ neuron, one channel per synapse, and ``L + 1`` synchronous rounds per
 computation (round ``l`` delivers layer ``l-1``'s broadcast to layer
 ``l``; the final round feeds the linear output node).
 
-The simulator is the *semantic reference*: the vectorised
-:class:`repro.faults.FaultInjector` is validated against it by exact
-(up to float associativity) equivalence on identical failure
-scenarios.  It is intentionally process-grained and per-input — use
-the injector for campaigns.
+The simulator is a *semantic reference*: the mask engine
+(:class:`repro.faults.masks.MaskCampaignEngine`, and
+:meth:`repro.faults.FaultInjector.run` on top of it) is validated
+against it by exact (up to float associativity) equivalence on
+identical failure scenarios.  It is intentionally process-grained and
+per-input, and lives in the test suite, not in the package.
 """
 
 from __future__ import annotations
@@ -18,15 +19,16 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..faults.scenarios import FailureScenario
-from ..faults.types import (
+from repro.faults.scenarios import FailureScenario
+from repro.faults.types import (
     CrashFault,
     NeuronFault,
     SynapseByzantineFault,
     SynapseCrashFault,
     SynapseFault,
 )
-from ..network.model import FeedForwardNetwork
+from repro.network.model import FeedForwardNetwork
+
 from .channels import SynapseChannel
 from .events import ComponentState, RoundTrace, Signal
 from .neuron import NeuronProcess
@@ -109,7 +111,7 @@ class DistributedNetwork:
 
         Any neuron fault model is accepted (the process applies it at
         fire time with the same deviation-bounded semantics as the
-        vectorised injector); synapse faults may be crash or
+        mask engine); synapse faults may be crash or
         Byzantine-with-offset.
         """
         scenario.validate(self.network)

@@ -4,9 +4,16 @@ Each function here is the reference a vectorised kernel is checked
 against — bitwise where the contract is bitwise, to float
 associativity otherwise.  None of them is imported by the package.
 
-* :func:`scalar_errors` — per-scenario output errors through the
-  scalar :meth:`FaultInjector.run` path, the oracle for every batched
-  evaluation (:class:`~repro.faults.masks.MaskCampaignEngine`);
+* :func:`run_reference` — one scenario neuron by neuron and synapse by
+  synapse, each fault through its own :meth:`FaultModel.apply` under
+  the deviation bound (:func:`apply_neuron_fault`), with optional
+  per-layer taps: the oracle of the one evaluator in ``src/``,
+  :class:`~repro.faults.masks.MaskCampaignEngine` (and so of
+  :meth:`FaultInjector.run`, which goes through it);
+  :func:`reference_error` / :func:`scalar_errors` are its output errors
+  against the fault-free :meth:`FeedForwardNetwork.forward`.  The
+  message-passing simulator in ``message_passing/`` is the second,
+  process-grained oracle;
 * :func:`apply_mask_channels_reference` — every permanent channel as
   one masked write over the whole ``(S, B, N)`` tensor, the form the
   gather/compute/scatter kernel of
@@ -51,14 +58,126 @@ from repro.faults.injector import (
 )
 from repro.faults.masks import MaskCampaignEngine
 from repro.faults.scenarios import FailureScenario
-from repro.faults.types import CrashFault
+from repro.faults.types import (
+    CrashFault,
+    IntermittentFault,
+    fault_is_stochastic,
+    unseeded_rng,
+)
+
+
+def apply_neuron_fault(fault, nominal, capacity, rng=None) -> np.ndarray:
+    """Faulty emission under the deviation-bounded semantics.
+
+    Crash emits exactly 0; every other fault emits
+    ``nominal + clip(requested - nominal, -C, +C)`` (Theorem 2's
+    ``y + lambda`` with ``|lambda| <= C``).  Unbounded capacity passes
+    finite requests through and rejects capacity sentinels.
+
+    Intermittent faults are resolved here (not via
+    ``IntermittentFault.apply``) so the wrapped fault keeps its own
+    semantics elementwise: an intermittent *crash* emits exactly 0 on
+    hit (Definition 2: crashes do not interact with the capacity).
+    """
+    nominal = np.asarray(nominal, dtype=np.float64)
+    if isinstance(fault, CrashFault):
+        return np.zeros_like(nominal)
+    if isinstance(fault, IntermittentFault):
+        if rng is None:
+            rng = unseeded_rng("apply_neuron_fault(IntermittentFault)")
+        hit = rng.random(nominal.shape) < fault.p
+        faulty = apply_neuron_fault(fault.fault, nominal, capacity, rng)
+        return np.where(hit, faulty, nominal)
+    requested = fault.apply(nominal, rng=rng)
+    if capacity is None:
+        if not np.all(np.isfinite(requested)):
+            raise ValueError(
+                "capacity-saturating fault (value=None) under unbounded "
+                "transmission: specify an explicit Byzantine value"
+            )
+        return requested
+    deviation = np.clip(requested - nominal, -capacity, capacity)
+    return nominal + deviation
+
+
+def run_reference(
+    injector, x, scenario, *, rng=None, return_taps=False
+):
+    """``Ffail(X)`` for one scenario, one fault at a time.
+
+    Layer by layer: each faulty synapse adds ``w_ji * clip(delivered -
+    y_i, ±C)`` to its receiver's sum (``fault.apply`` gives the
+    delivered emission), then each faulty neuron's column goes through
+    :func:`apply_neuron_fault`, in the scenario's dict order.  Returns
+    ``(B, n_outputs)`` outputs, or ``(outputs, taps)`` with the
+    per-layer faulty activations when ``return_taps`` is set.
+    """
+    scenario.validate(injector.network)
+    net = injector.network
+    capacity = injector.capacity
+    xb, squeeze = net._as_batch(x)
+    if rng is None:
+        stochastic = any(
+            fault_is_stochastic(f)
+            for faults in (scenario.neuron_faults, scenario.synapse_faults)
+            for f in faults.values()
+        )
+        rng = (
+            unseeded_rng("run_reference")
+            if stochastic
+            else np.random.default_rng()
+        )
+    neuron_faults = [[] for _ in range(net.depth)]
+    for addr, fault in scenario.neuron_faults.items():
+        neuron_faults[addr.layer - 1].append((addr.index, fault))
+    synapse_faults = [[] for _ in range(net.depth + 1)]
+    for (l, j, i), fault in scenario.synapse_faults.items():
+        synapse_faults[l - 1].append((j, i, fault))
+
+    def corrupt(sums, emissions, weights, faults):
+        sums = sums.copy()
+        for j, i, fault in faults:
+            delivered = fault.apply(emissions[:, i], rng=rng, capacity=capacity)
+            sums[:, j] += weights[j, i] * _bound_deviation(
+                delivered - emissions[:, i], capacity
+            )
+        return sums
+
+    y = xb
+    taps: List[np.ndarray] = []
+    for l0, layer in enumerate(net.layers):
+        s = layer.pre_activation(y)
+        if synapse_faults[l0]:
+            s = corrupt(s, y, layer.dense_weights(), synapse_faults[l0])
+        y = layer.activation(s)
+        if neuron_faults[l0]:
+            y = y.copy()
+            for i, fault in neuron_faults[l0]:
+                y[:, i] = apply_neuron_fault(fault, y[:, i], capacity, rng)
+        if return_taps:
+            taps.append(y)
+    out = net.readout(y)
+    if synapse_faults[net.depth]:
+        out = corrupt(out, y, net.output_weights, synapse_faults[net.depth])
+    if squeeze:
+        out = out[0]
+    return (out, taps) if return_taps else out
+
+
+def reference_error(injector, x, scenario, *, rng=None, reduction="max"):
+    """``output_error`` through :func:`run_reference`, against the
+    fault-free :meth:`FeedForwardNetwork.forward`."""
+    xb, _ = injector.network._as_batch(x)
+    faulty = run_reference(injector, xb, scenario, rng=rng)
+    err = np.abs(injector.network.forward(xb) - faulty).max(axis=1)
+    return float(err.max() if reduction == "max" else err.mean())
 
 
 def scalar_errors(injector, x, scenarios, seed=1234) -> np.ndarray:
-    """Per-scenario ``output_error`` through the scalar injector."""
+    """Per-scenario :func:`reference_error`, one generator for all."""
     rng = np.random.default_rng(seed)
     return np.array(
-        [injector.output_error(x, sc, rng=rng) for sc in scenarios]
+        [reference_error(injector, x, sc, rng=rng) for sc in scenarios]
     )
 
 
@@ -279,7 +398,7 @@ def mean_failures_to_violation_scalar(
         for step, idx in enumerate(order, start=1):
             faults[addresses[idx]] = CrashFault()
             scenario = FailureScenario(dict(faults))
-            err = injector.output_error(x, scenario)
+            err = reference_error(injector, x, scenario)
             if err > budget + 1e-12:
                 violated_at = step
                 break

@@ -11,7 +11,7 @@ from repro.faults.adversary import (
 )
 from repro.faults.campaign import _monte_carlo_campaign, run_campaign
 from repro.faults.injector import FaultInjector
-from repro.faults.scenarios import crash_scenario
+from repro.faults.scenarios import FailureScenario, crash_scenario
 
 
 class TestSensitivities:
@@ -86,6 +86,17 @@ class TestWorstInputSearch:
             np.abs(small_net.forward(random_x) - inj.run(random_x, sc)).max()
         )
         assert best >= random_best - 1e-9
+
+    @pytest.mark.parametrize("net_name", ["small_net", "wide_net"])
+    def test_fault_free_scenario_reads_exactly_zero(self, net_name, request, rng):
+        """Faulty and nominal outputs come from one engine: with no
+        fault every candidate's error is 0, not a rounding residue."""
+        net = request.getfixturevalue(net_name)
+        inj = FaultInjector(net, capacity=1.0)
+        _, best = worst_input_search(
+            inj, FailureScenario(), n_candidates=64, refine_steps=5, rng=rng
+        )
+        assert best == 0.0
 
     def test_returns_point_in_cube(self, small_net, rng):
         inj = FaultInjector(small_net, capacity=1.0)

@@ -10,7 +10,11 @@ from repro.distributed.boosting import (
     boosting_report,
     simulate_boosted_run,
 )
+from repro.faults.injector import FaultInjector
+from repro.faults.scenarios import crash_scenario
 from repro.network import build_mlp
+
+from oracles import run_reference
 
 
 @pytest.fixture
@@ -83,14 +87,20 @@ class TestSimulateBoostedRun:
     def test_resets_are_the_slowest_neurons(self, boost_net, rng):
         lat = LatencyModel.constant(boost_net, 1.0)
         lat.latencies[0][3] = 100.0  # one very slow neuron in layer 1
-        result = simulate_boosted_run(boost_net, rng.random((2, 2)), lat, (1, 0))
-        # The boosted output differs from baseline exactly by crashing (1,3).
-        from repro.faults.injector import FaultInjector
-        from repro.faults.scenarios import crash_scenario
-
-        inj = FaultInjector(boost_net, capacity=1.0)
-        expected = inj.run(rng.random((0, 2)).reshape(0, 2), crash_scenario([(1, 3)]))
+        x = rng.random((2, 2))
+        result = simulate_boosted_run(boost_net, x, lat, (1, 0))
         assert result.resets_per_layer == (1, 0)
+        # The boosted output differs from baseline exactly by crashing (1,3).
+        inj = FaultInjector(boost_net, capacity=boost_net.output_bound)
+        np.testing.assert_allclose(
+            result.output_boosted,
+            run_reference(inj, x, crash_scenario([(1, 3)])),
+            rtol=0, atol=1e-15,
+        )
+        np.testing.assert_allclose(
+            result.output_baseline, boost_net.forward(x), rtol=0, atol=1e-15
+        )
+        assert result.observed_error > 0
 
     def test_budget_validation(self, boost_net, rng):
         lat = LatencyModel.constant(boost_net)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.distributed.channels import SynapseChannel
-from repro.distributed.events import ComponentState
+from message_passing import ComponentState, SynapseChannel
+
 
 
 class TestCorrectChannel:

@@ -37,7 +37,7 @@ from repro.faults.scenarios import crash_scenario
 from repro.network import build_mlp
 from repro.network.model import NeuronAddress
 
-from oracles import scalar_errors
+from oracles import run_reference, scalar_errors
 
 
 @pytest.fixture
@@ -651,7 +651,7 @@ class TestRejuvenationInterplay:
         injector = FaultInjector(
             sensitive_net, capacity=sensitive_net.output_bound
         )
-        out = injector.run(probes, crash_scenario(addresses))
+        out = run_reference(injector, probes, crash_scenario(addresses))
         np.testing.assert_allclose(out, result.output_boosted)
 
     def test_boosted_reset_masks_validation(self, sensitive_net):

@@ -143,10 +143,11 @@ def _concrete_fault_models():
     return sorted(set(walk(FaultModel)), key=lambda c: c.__name__)
 
 
-def test_every_fault_model_is_mask_supported_or_documented_scalar_only():
-    """Taxonomy gate: a new FaultModel subclass must either lower onto
-    the mask campaign engine (fault_channel_action / synapse_fault_action)
-    or be explicitly documented as scalar-only in DESIGN.md."""
+def test_every_fault_model_lowers_and_has_a_taxonomy_row():
+    """Taxonomy gate: every concrete FaultModel subclass lowers onto
+    the mask campaign engine (fault_channel_action /
+    synapse_fault_action), the one evaluator, and has a row in
+    DESIGN.md's fault-taxonomy table."""
     import re
 
     from repro.faults.injector import fault_channel_action, synapse_fault_action
@@ -156,26 +157,16 @@ def test_every_fault_model_is_mask_supported_or_documented_scalar_only():
     assert models, "no concrete fault models found in repro.faults.types"
     for cls in models:
         instance = cls()  # every taxonomy model has total defaults
-        supported = (
+        assert (
             fault_channel_action(instance) is not None
             or synapse_fault_action(instance) is not None
-        )
+        ), f"{cls.__name__} has no mask-channel lowering"
         # Anchor on taxonomy-table rows ("| `ClassName` | ..."), not bare
         # substrings — CrashFault must not pass via SynapseCrashFault's
-        # row, and "scalar-only" must appear on the model's own line.
-        table_row = re.search(
+        # row.
+        assert re.search(
             rf"^\|\s*`{cls.__name__}`\s*\|.*$", design, flags=re.M
-        )
-        if supported:
-            assert table_row, (
-                f"{cls.__name__} is mask-supported but has no row in "
-                "DESIGN.md's fault-taxonomy table"
-            )
-        else:
-            assert table_row and "scalar-only" in table_row.group(0), (
-                f"{cls.__name__} has no mask-channel lowering and no "
-                "'scalar-only' row in DESIGN.md's fault-taxonomy table"
-            )
+        ), f"{cls.__name__} has no row in DESIGN.md's fault-taxonomy table"
 
 
 def test_paper_map_documents_the_fault_taxonomy():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.distributed.events import ComponentState, Reset, RoundTrace, Signal
+from message_passing import ComponentState, Reset, RoundTrace, Signal
+
 
 
 class TestSignal:

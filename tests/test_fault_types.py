@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.faults.injector import apply_neuron_fault, fault_channel_action
+from repro.faults.injector import fault_channel_action
 from repro.faults.types import (
     ByzantineFault,
     CrashFault,
@@ -15,6 +15,8 @@ from repro.faults.types import (
     SynapseCrashFault,
     SynapseNoiseFault,
 )
+
+from oracles import apply_neuron_fault
 
 NOMINAL = np.array([0.2, 0.8, 0.5])
 
@@ -120,7 +122,8 @@ class TestStaticFaultAction:
 
 
 class TestApplyNeuronFault:
-    """The deviation-bounded semantics (Theorem 2's y + lambda model)."""
+    """The reference loop's deviation-bounded semantics (Theorem 2's
+    y + lambda model)."""
 
     def test_crash_is_exactly_zero_even_with_tiny_capacity(self):
         out = apply_neuron_fault(CrashFault(), NOMINAL, capacity=0.01)

@@ -26,7 +26,7 @@ from repro.faults.types import (
 )
 from repro.network.model import NeuronAddress
 
-from oracles import apply_mask_channels_reference
+from oracles import apply_mask_channels_reference, reference_error, run_reference
 
 
 class TestNominal:
@@ -35,6 +35,18 @@ class TestNominal:
         np.testing.assert_allclose(
             inj.run(batch, NOMINAL), small_net.forward(batch)
         )
+
+    def test_one_input_vector_gives_one_output_row(self, small_net, batch):
+        inj = FaultInjector(small_net, capacity=1.0)
+        sc = crash_scenario([(1, 3)])
+        out = inj.run(batch[0], sc)
+        assert out.shape == (small_net.n_outputs,)
+        np.testing.assert_allclose(out, inj.run(batch, sc)[0], rtol=1e-12)
+
+    def test_empty_probe_batch_runs(self, small_net):
+        inj = FaultInjector(small_net, capacity=1.0)
+        out = inj.run(np.empty((0, small_net.input_dim)), crash_scenario([(1, 3)]))
+        assert out.shape == (0, small_net.n_outputs)
 
     def test_capacity_validation(self, small_net):
         with pytest.raises(ValueError):
@@ -46,7 +58,7 @@ class TestCrashSemantics:
     def test_crashed_neuron_reads_zero_downstream(self, small_net, batch):
         inj = FaultInjector(small_net, capacity=1.0)
         sc = crash_scenario([(1, 3)])
-        _, taps = inj.run(batch, sc, return_taps=True)
+        _, taps = run_reference(inj, batch, sc, return_taps=True)
         assert np.all(taps[0][:, 3] == 0.0)
 
     def test_crash_in_last_layer_removes_contribution(self, small_net, batch):
@@ -70,14 +82,14 @@ class TestByzantineSemantics:
     def test_sentinel_deviates_by_capacity(self, small_net, batch):
         inj = FaultInjector(small_net, capacity=0.7)
         sc = byzantine_scenario([(1, 2)], sign=1)
-        _, taps = inj.run(batch, sc, return_taps=True)
+        _, taps = run_reference(inj, batch, sc, return_taps=True)
         nominal_taps = small_net.hidden_outputs(batch)
         np.testing.assert_allclose(taps[0][:, 2], nominal_taps[0][:, 2] + 0.7)
 
     def test_explicit_value_within_band(self, small_net, batch):
         inj = FaultInjector(small_net, capacity=5.0)
         sc = byzantine_scenario([(1, 0)], value=2.0)
-        _, taps = inj.run(batch, sc, return_taps=True)
+        _, taps = run_reference(inj, batch, sc, return_taps=True)
         np.testing.assert_allclose(taps[0][:, 0], 2.0)
 
     def test_unbounded_rejects_sentinel(self, small_net, batch):
@@ -142,13 +154,13 @@ class TestDynamicFaults:
     def test_sign_flip(self, small_net, batch):
         inj = FaultInjector(small_net, capacity=10.0)
         sc = FailureScenario({NeuronAddress(1, 4): SignFlipFault()})
-        _, taps = inj.run(batch, sc, return_taps=True)
+        _, taps = run_reference(inj, batch, sc, return_taps=True)
         nominal = small_net.hidden_outputs(batch)
         np.testing.assert_allclose(taps[0][:, 4], -nominal[0][:, 4])
 
 
 class TestBatchedPath:
-    """Lowered scenarios on the mask engine vs the scalar injector.
+    """Lowered scenarios on the mask engine vs the scalar reference loop.
 
     The ``run_many`` test names predate the engine becoming the one
     dense evaluator; they keep their ids so the history stays readable.
@@ -174,7 +186,9 @@ class TestBatchedPath:
         scenarios = self._scenarios(small_net, rng)
         outs = self._outputs(inj, batch, scenarios)
         for i, sc in enumerate(scenarios):
-            np.testing.assert_allclose(outs[i], inj.run(batch, sc), atol=1e-12)
+            np.testing.assert_allclose(
+                outs[i], run_reference(inj, batch, sc), atol=1e-12
+            )
 
     def test_run_many_mixed_fault_kinds(self, small_net, batch):
         inj = FaultInjector(small_net, capacity=1.0)
@@ -189,14 +203,16 @@ class TestBatchedPath:
             )
         ]
         outs = self._outputs(inj, batch, scenarios)
-        np.testing.assert_allclose(outs[0], inj.run(batch, scenarios[0]), atol=1e-12)
+        np.testing.assert_allclose(
+            outs[0], run_reference(inj, batch, scenarios[0]), atol=1e-12
+        )
 
     def test_errors_many_matches_output_error(self, small_net, batch, rng):
         inj = FaultInjector(small_net, capacity=1.0)
         scenarios = self._scenarios(small_net, rng, n=8)
         errs = self._errors(inj, batch, scenarios)
         for e, sc in zip(errs, scenarios):
-            assert e == pytest.approx(inj.output_error(batch, sc))
+            assert e == pytest.approx(reference_error(inj, batch, sc))
 
     def test_compile_lowers_synapse_faults(self, small_net, batch):
         inj = FaultInjector(small_net, capacity=1.0)
@@ -204,7 +220,7 @@ class TestBatchedPath:
         compiled = inj.compile_batch([sc])
         assert compiled.has_synapse_faults
         err = MaskCampaignEngine(inj, batch).evaluate(compiled)
-        assert err[0] == pytest.approx(inj.output_error(batch, sc))
+        assert err[0] == pytest.approx(reference_error(inj, batch, sc))
 
     def test_compile_lowers_dynamic_faults(self, small_net):
         inj = FaultInjector(small_net, capacity=1.0)
@@ -242,7 +258,9 @@ class TestBatchedPath:
         ]
         outs = self._outputs(inj, x, scenarios)
         for i, sc in enumerate(scenarios):
-            np.testing.assert_allclose(outs[i], inj.run(x, sc), atol=1e-12)
+            np.testing.assert_allclose(
+                outs[i], run_reference(inj, x, sc), atol=1e-12
+            )
 
     def test_reduction_modes(self, small_net, batch, rng):
         inj = FaultInjector(small_net, capacity=1.0)

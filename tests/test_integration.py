@@ -11,7 +11,6 @@ import pytest
 from repro.core.certification import certify
 from repro.core.fep import network_fep
 from repro.distributed.boosting import LatencyModel, simulate_boosted_run
-from repro.distributed.simulator import DistributedNetwork
 from repro.faults.campaign import _monte_carlo_campaign
 from repro.faults.injector import FaultInjector
 from repro.faults.scenarios import random_failure_scenario
@@ -20,6 +19,8 @@ from repro.quantization.precision import build_quantized_network, greedy_bit_all
 from repro.training.data import gaussian_bump, grid_inputs, sample_dataset, sup_error
 from repro.training.regularizers import MaxNormConstraint
 from repro.training.trainer import Trainer
+
+from message_passing import DistributedNetwork
 
 
 @pytest.fixture(scope="module")

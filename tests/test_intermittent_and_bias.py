@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.distributed.simulator import DistributedNetwork
 from repro.faults.injector import FaultInjector, fault_channel_action
 from repro.faults.scenarios import FailureScenario, crash_scenario
 from repro.faults.types import ByzantineFault, CrashFault, IntermittentFault
 from repro.network import build_mlp
 from repro.network.model import NeuronAddress
+
+from message_passing import DistributedNetwork
+from oracles import run_reference
 
 
 class TestIntermittentFault:
@@ -104,7 +106,9 @@ class TestNonzeroBiasSemantics:
         would have contributed (bias lives inside the neuron)."""
         inj = FaultInjector(biased_net, capacity=1.0)
         x = rng.random((4, 2))
-        _, taps = inj.run(x, crash_scenario([(1, 0)]), return_taps=True)
+        _, taps = run_reference(
+            inj, x, crash_scenario([(1, 0)]), return_taps=True
+        )
         assert np.all(taps[0][:, 0] == 0.0)
 
     def test_output_bias_unaffected_by_failures(self, biased_net, rng):

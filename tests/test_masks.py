@@ -1,10 +1,11 @@
 """Unit tests for the mask-native campaign engine.
 
-Covers the DESIGN.md three-engine equivalence contract: the mask
-engine must agree with the object-path ``compile_batch`` lowering, the
-scalar injector, and the process-grained simulator on identical
-scenarios — plus the statistical contract of the samplers and the
-float32 fast path's tolerance.
+Covers the DESIGN.md equivalence contract: the mask engine, the one
+evaluator, must agree with its two test oracles on identical scenarios
+— the scalar reference loop (``oracles.run_reference``, fed by the
+object-path ``compile_batch`` lowering) and the process-grained
+simulator (``message_passing``) — plus the statistical contract of the
+samplers and the float32 fast path's tolerance.
 """
 
 import itertools
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core.fep import network_fep
-from repro.distributed.simulator import DistributedNetwork
 from repro.faults import masks as masks_mod
 from repro.faults.campaign import (
     _monte_carlo_campaign,
@@ -54,7 +54,8 @@ from repro.faults.types import (
 from repro.network import build_mlp
 from repro.network.model import NeuronAddress
 
-from oracles import scalar_errors
+from message_passing import DistributedNetwork
+from oracles import apply_neuron_fault, reference_error, scalar_errors
 
 
 @pytest.fixture
@@ -98,7 +99,7 @@ class TestEngineEquivalence:
         ]
         compiled = injector.compile_batch(scenarios)
         engine = MaskCampaignEngine(injector, batch)
-        scalar = np.array([injector.output_error(batch, sc) for sc in scenarios])
+        scalar = scalar_errors(injector, batch, scenarios)
         np.testing.assert_allclose(engine.evaluate(compiled), scalar, rtol=1e-12)
 
     def test_matches_simulator_reference(self, small_net, injector, rng):
@@ -178,7 +179,7 @@ class TestEngineEquivalence:
         compiled = injector.compile_batch(scenarios)
         engine = MaskCampaignEngine(injector, batch, reduction="mean")
         scalar = [
-            injector.output_error(batch, sc, reduction="mean")
+            reference_error(injector, batch, sc, reduction="mean")
             for sc in scenarios
         ]
         np.testing.assert_allclose(
@@ -226,6 +227,21 @@ class TestEngineEquivalence:
         engine = MaskCampaignEngine(injector, batch)
         assert engine.evaluate(compiled).shape == (0,)
         assert engine.outputs(compiled).shape[0] == 0
+
+    def test_empty_probe_batch(self, injector, rng):
+        """No inputs: no output rows, and no output error to report."""
+        compiled = injector.compile_batch([
+            random_failure_scenario(injector.network, (2, 1), rng=rng)
+            for _ in range(3)
+        ])
+        engine = MaskCampaignEngine(
+            injector, np.empty((0, injector.network.input_dim))
+        )
+        n_out = injector.network.n_outputs
+        assert engine.nominal.shape == (0, n_out)
+        assert engine.outputs(compiled).shape == (3, 0, n_out)
+        with pytest.raises(ValueError, match="empty probe batch"):
+            engine.evaluate(compiled)
 
 
 class TestWideNetRankK:
@@ -801,8 +817,9 @@ class TestSampledCampaigns:
 
 
 class TestTaxonomyEquivalence:
-    """Satellite: statistical-equivalence suite between the scalar
-    injector and the new mask channels, for every fault kind."""
+    """Equivalence between the scalar reference loop and the mask
+    channels for every fault kind: exact for the deterministic ones,
+    statistical for the stochastic ones."""
 
     from repro.faults.types import (  # noqa: PLC0415 - parametrization aid
         SignFlipFault,
@@ -921,10 +938,9 @@ class TestTaxonomyEquivalence:
         self._assert_statistically_equivalent(scalar, mask)
 
     def test_intermittent_crash_emits_exact_zero_on_hit(self, small_net, batch):
-        """Scalar-path bugfix: an intermittent *crash* is a crash where
-        it hits (exactly 0 — Definition 2), not a Byzantine value whose
-        deviation is clipped to the capacity."""
-        from repro.faults.injector import apply_neuron_fault
+        """An intermittent *crash* is a crash where it hits (exactly 0
+        — Definition 2), not a Byzantine value whose deviation is
+        clipped to the capacity."""
         from repro.faults.types import IntermittentFault
 
         nominal = np.full(2000, 5.0)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.distributed.events import ComponentState, Signal
-from repro.distributed.neuron import NeuronProcess
 from repro.faults.types import ByzantineFault, OffsetFault
 from repro.network.activations import Identity, Sigmoid
+
+from message_passing import ComponentState, NeuronProcess, Signal
 
 
 def make_neuron(weights=(0.5, -0.5), bias=0.0, activation=None):

@@ -18,7 +18,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fep import forward_error_propagation, network_fep
-from repro.distributed.simulator import DistributedNetwork
 from repro.faults.injector import FaultInjector
 from repro.faults.masks import (
     BernoulliSampler,
@@ -38,6 +37,9 @@ from repro.faults.types import (
 )
 from repro.network import build_mlp
 from repro.quantization.quantizers import FixedPointQuantizer, UniformQuantizer
+
+from message_passing import DistributedNetwork
+from oracles import run_reference
 
 COMMON = dict(
     deadline=None,
@@ -273,8 +275,9 @@ class TestBatchedPathProperty:
     @settings(max_examples=25, **COMMON)
     @given(data=st.data())
     def test_engine_outputs_equal_scalar_run(self, data):
-        """``MaskCampaignEngine.outputs`` == ``FaultInjector.run`` on
-        generated networks and scenarios."""
+        """``MaskCampaignEngine.outputs`` == the scalar reference loop
+        (``oracles.run_reference``) on generated networks and
+        scenarios."""
         net = _network_from(data)
         dist = _distribution_from(data, net)
         fault = data.draw(
@@ -293,7 +296,7 @@ class TestBatchedPathProperty:
         batched = engine.outputs(injector.compile_batch(scenarios))
         for i, sc in enumerate(scenarios):
             np.testing.assert_allclose(
-                batched[i], injector.run(x, sc), atol=1e-12
+                batched[i], run_reference(injector, x, sc), atol=1e-12
             )
 
     @settings(max_examples=30, **COMMON)

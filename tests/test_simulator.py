@@ -1,11 +1,10 @@
 """The message-passing simulator must agree exactly with both the plain
-forward pass and the vectorised fault injector — it is the semantic
-reference for the whole failure model."""
+forward pass and the mask engine behind ``FaultInjector.run`` — it is
+the process-grained reference for the whole failure model."""
 
 import numpy as np
 import pytest
 
-from repro.distributed.simulator import DistributedNetwork
 from repro.faults.injector import FaultInjector
 from repro.faults.scenarios import (
     FailureScenario,
@@ -17,6 +16,8 @@ from repro.faults.scenarios import (
 from repro.faults.types import OffsetFault, StuckAtFault, SynapseByzantineFault
 from repro.network import build_conv_net
 from repro.network.model import NeuronAddress
+
+from message_passing import DistributedNetwork
 
 
 class TestStructure:
