@@ -17,7 +17,8 @@ It then restarts the daemon on the same ``results_dir`` and asserts a
 third submission is answered from the store tier
 (``repro_service_cache_hits{tier="store"}`` = 1), again bitwise equal.
 Last, it boots the real entry point, ``python -m repro serve``, as a
-child process, waits for a pong and submits a certified survival spec
+child process, prints the seconds from its spawn to its first pong
+(reported, never asserted), and submits a certified survival spec
 — the daemon's first scipy import, on a job thread — asserting the
 served answer equals a direct ``repro.run``, then drains it and checks
 the ack and the exit code.
@@ -93,9 +94,11 @@ def _campaign(fault: FaultSpec, seed: int) -> CampaignSpec:
     )
 
 
-def _wait_for_pong(proc: subprocess.Popen, socket: str, log: Path) -> float:
-    """Seconds until the child daemon answers a ping."""
-    t0 = time.perf_counter()
+def _wait_for_pong(
+    proc: subprocess.Popen, socket: str, log: Path, t0: float
+) -> float:
+    """Seconds from ``t0`` (the spawn) until the child daemon answers a
+    ping."""
     while True:
         if proc.poll() is not None:
             raise RuntimeError(
@@ -122,6 +125,7 @@ def _child_daemon(tmp: Path) -> None:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
+    t0 = time.perf_counter()
     with open(log, "wb") as out:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--socket", socket,
@@ -129,8 +133,10 @@ def _child_daemon(tmp: Path) -> None:
             env=env, stdin=subprocess.DEVNULL, stdout=out, stderr=out,
         )
     try:
-        print(f"child daemon: pong after "
-              f"{_wait_for_pong(proc, socket, log):.2f}s")
+        # Reported for the CI log, never asserted: a cold-start figure
+        # from run to run, on whatever host the run had.
+        print(f"child daemon: spawn -> first pong "
+              f"{_wait_for_pong(proc, socket, log, t0):.3f} s")
         survival = SurvivalSpec(
             network=NetworkRef(
                 builder="mlp",

@@ -38,118 +38,94 @@ Subpackages
 - :mod:`repro.experiments` — one module per paper figure/claim.
 """
 
-from .chaos import ChaosReport
-from .core import (
-    BoundCheck,
-    RobustnessCertificate,
-    certify,
-    check_theorem1,
-    check_theorem3,
-    check_theorem4,
-    check_theorem5,
-    empirical_audit,
-    forward_error_propagation,
-    network_fep,
-    precision_error_bound,
-    synapse_fep,
-    theorem1_max_crashes,
-)
-from .faults import (
-    ByzantineFault,
-    CrashFault,
-    FailureScenario,
-    FaultInjector,
-    random_failure_scenario,
-    worst_case_crash_scenario,
-)
-from .network import (
-    FeedForwardNetwork,
-    Sigmoid,
-    build_conv_net,
-    build_figure3_network,
-    build_mlp,
-    load_network,
-    save_network,
-)
-from .specs import (
-    SPEC_VERSION,
-    CampaignSpec,
-    ChaosSpec,
-    ServiceSpec,
-    DetectorSpec,
-    EngineSpec,
-    FaultSpec,
-    NetworkRef,
-    ObsSpec,
-    PolicySpec,
-    ProcessSpec,
-    SamplerSpec,
-    StoppingSpec,
-    SpecError,
-    SurvivalSpec,
-    TelemetrySpec,
-    TrafficSpec,
-    load_spec,
-    run,
-    save_spec,
-    spec_from_dict,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "forward_error_propagation",
-    "network_fep",
-    "synapse_fep",
-    "precision_error_bound",
-    "theorem1_max_crashes",
-    "check_theorem1",
-    "check_theorem3",
-    "check_theorem4",
-    "check_theorem5",
-    "BoundCheck",
-    "RobustnessCertificate",
-    "certify",
-    "empirical_audit",
-    # network
-    "FeedForwardNetwork",
-    "Sigmoid",
-    "build_mlp",
-    "build_conv_net",
-    "build_figure3_network",
-    "save_network",
-    "load_network",
-    # faults
-    "FaultInjector",
-    "FailureScenario",
-    "CrashFault",
-    "ByzantineFault",
-    "random_failure_scenario",
-    "worst_case_crash_scenario",
+#: Each public name, grouped by the subpackage that defines it.  Names
+#: resolve on first access (``__getattr__`` below), so ``import repro``
+#: loads no subpackage, numpy included; ``repro.<subpackage>`` itself
+#: also resolves for the subpackages listed here.
+_EXPORTS = {
+    "core": (
+        "forward_error_propagation",
+        "network_fep",
+        "synapse_fep",
+        "precision_error_bound",
+        "theorem1_max_crashes",
+        "check_theorem1",
+        "check_theorem3",
+        "check_theorem4",
+        "check_theorem5",
+        "BoundCheck",
+        "RobustnessCertificate",
+        "certify",
+        "empirical_audit",
+    ),
+    "network": (
+        "FeedForwardNetwork",
+        "Sigmoid",
+        "build_mlp",
+        "build_conv_net",
+        "build_figure3_network",
+        "save_network",
+        "load_network",
+    ),
+    "faults": (
+        "FaultInjector",
+        "FailureScenario",
+        "CrashFault",
+        "ByzantineFault",
+        "random_failure_scenario",
+        "worst_case_crash_scenario",
+    ),
     # chaos (the deployment-lifecycle subsystem)
-    "ChaosReport",
+    "chaos": ("ChaosReport",),
     # the declarative run-spec layer (the stable public API)
-    "run",
-    "SPEC_VERSION",
-    "SpecError",
-    "NetworkRef",
-    "FaultSpec",
-    "SamplerSpec",
-    "StoppingSpec",
-    "EngineSpec",
-    "ObsSpec",
-    "CampaignSpec",
-    "SurvivalSpec",
-    "ProcessSpec",
-    "DetectorSpec",
-    "PolicySpec",
-    "TrafficSpec",
-    "TelemetrySpec",
-    "ChaosSpec",
-    "ServiceSpec",
-    "spec_from_dict",
-    "load_spec",
-    "save_spec",
-]
+    "specs": (
+        "run",
+        "SPEC_VERSION",
+        "SpecError",
+        "NetworkRef",
+        "FaultSpec",
+        "SamplerSpec",
+        "StoppingSpec",
+        "EngineSpec",
+        "ObsSpec",
+        "CampaignSpec",
+        "SurvivalSpec",
+        "ProcessSpec",
+        "DetectorSpec",
+        "PolicySpec",
+        "TrafficSpec",
+        "TelemetrySpec",
+        "ChaosSpec",
+        "ServiceSpec",
+        "spec_from_dict",
+        "load_spec",
+        "save_spec",
+    ),
+}
+
+_SUBPACKAGE_OF = {
+    name: subpackage
+    for subpackage, names in _EXPORTS.items()
+    for name in names
+}
+
+__all__ = ["__version__", *_SUBPACKAGE_OF]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    subpackage = _SUBPACKAGE_OF.get(name)
+    if subpackage is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{subpackage}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SUBPACKAGE_OF) | set(_EXPORTS))

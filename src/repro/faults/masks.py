@@ -144,9 +144,14 @@ def _sample_fixed_count_masks(
     if count == 1:
         kth = keys.min(axis=1)
     elif count == 2:
-        scratch = keys.copy()
-        scratch[np.arange(n_scenarios), scratch.argmin(axis=1)] = np.inf
-        kth = scratch.min(axis=1)
+        # The second minimum, in place: mask each row's minimum with
+        # inf, take the min again, then restore the minima.
+        rows = np.arange(n_scenarios)
+        first = keys.argmin(axis=1)
+        minima = keys[rows, first]
+        keys[rows, first] = np.inf
+        kth = keys.min(axis=1)
+        keys[rows, first] = minima
     else:
         kth = np.partition(keys, count - 1, axis=1)[:, count - 1]
     np.less_equal(keys, kth[:, None], out=masks)
@@ -1299,7 +1304,7 @@ class MaskCampaignEngine:
         S = batch.num_scenarios
         rng = self._resolve_rng(batch, rng)
         step = self._step(batch)
-        self._ensure_buffers(step)
+        self._ensure_buffers(min(step, S))
         return [
             self._evaluate_slice(
                 batch, lo, min(lo + step, S), want_outputs, rng

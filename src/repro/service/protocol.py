@@ -38,8 +38,6 @@ import dataclasses
 import json
 from typing import Any, Dict, Mapping, Optional
 
-import numpy as np
-
 from ..specs import CampaignSpec, ChaosSpec, Spec, SurvivalSpec
 
 __all__ = [
@@ -163,6 +161,8 @@ def _report_dict(report) -> Optional[Dict[str, Any]]:
     """JSON view of an adaptive/stratified report dataclass (or None)."""
     if report is None:
         return None
+    import numpy as np
+
     payload = {"report": type(report).__name__}
     for field in dataclasses.fields(report):
         value = getattr(report, field.name)
@@ -182,6 +182,8 @@ def result_payload(spec: Spec, outcome: Any) -> Dict[str, Any]:
     outcome always yields the same bytes (the cache/coalesce identity).
     """
     if isinstance(spec, CampaignSpec):
+        import numpy as np
+
         errors = np.asarray(outcome.errors, dtype=np.float64)
         return {
             "kind": "campaign",

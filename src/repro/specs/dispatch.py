@@ -21,9 +21,7 @@ plus one lowering rule here — no CLI fork, no new keyword entry point.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Mapping, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .model import (
     CampaignSpec,
@@ -41,6 +39,9 @@ from .model import (
 
 __all__ = ["run", "build_sampler", "build_detector", "build_policy"]
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def _probe_batch(spec, network) -> np.ndarray:
     """The random probe inputs a spec evaluates over.
@@ -49,6 +50,8 @@ def _probe_batch(spec, network) -> np.ndarray:
     as the CLI has always drawn them — so a spec replays the argparse
     path bit for bit.
     """
+    import numpy as np
+
     seed = spec.probe_seed if spec.probe_seed is not None else spec.seed
     rng = np.random.default_rng(seed)
     return rng.random((max(1, spec.batch), network.input_dim))
@@ -294,6 +297,8 @@ def _run_campaign(spec: CampaignSpec, engine, workers, obs=None):
                 engine=engine,
                 obs=obs,
             )
+            import numpy as np
+
             return CampaignResult(
                 np.asarray([]), [], spec.engine.reduction, report
             )

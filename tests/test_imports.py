@@ -3,6 +3,9 @@
 Starting the daemon or running a campaign/chaos spec must not load
 scipy, networkx or the experiment registry: those cost most of a cold
 start and none of these paths use them (DESIGN.md, "Cold start").
+``import repro`` and the path to the daemon's first pong load no numpy
+and no engine either; a campaign loads its engines on its first job,
+and never the chaos subsystem.
 Each case runs in a fresh interpreter, because this test process has
 long since imported everything; the checks are on module names, never
 on times.
@@ -22,13 +25,19 @@ SPECS = ROOT / "tests" / "fixtures" / "specs"
 #: Top-level modules the serve and run paths must leave unloaded.
 HEAVY = ("scipy", "networkx", "repro.experiments")
 
+#: What ``import repro`` and the path to the first pong leave unloaded.
+ENGINES = (
+    "numpy", "repro.faults", "repro.network", "repro.core", "repro.chaos",
+    "repro.distributed",
+)
 
-def loaded_after(code: str) -> list:
-    """Which of ``HEAVY`` a fresh interpreter has loaded after ``code``."""
+
+def loaded_after(code: str, modules: tuple = HEAVY) -> list:
+    """Which of ``modules`` a fresh interpreter has loaded after ``code``."""
     probe = (
         f"{code}\n"
         "import json, sys\n"
-        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
+        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -57,6 +66,18 @@ def run_fixture(name: str) -> str:
 )
 def test_import_stays_light(module):
     assert loaded_after(f"import {module}") == []
+
+
+@pytest.mark.parametrize(
+    "module", ["repro", "repro.cli", "repro.service.daemon"]
+)
+def test_import_loads_no_numpy_and_no_engine(module):
+    assert loaded_after(f"import {module}", ENGINES) == []
+
+
+def test_campaign_run_and_encode_load_no_chaos():
+    code = run_fixture("campaign_crash.json")
+    assert loaded_after(code, ("repro.chaos",)) == []
 
 
 @pytest.mark.parametrize(

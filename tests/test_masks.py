@@ -543,8 +543,8 @@ class TestDeterministicTiles:
             return len(bufs[0])
 
         engine.evaluate(sampler.sample(40, np.random.default_rng(1)))
-        assert rows() == self.TILE
-        assert len(engine._rank_k_buffer) == self.TILE
+        assert rows() == 40  # the batch, not the 256-row step
+        assert len(engine._rank_k_buffer) == 40
         engine.evaluate(
             gated.sample(600, np.random.default_rng(1)),
             rng=np.random.default_rng(2),
@@ -553,6 +553,15 @@ class TestDeterministicTiles:
         assert len(engine._rank_k_buffer) == 512  # re-derived on growth
         engine.evaluate(sampler.sample(600, np.random.default_rng(1)))
         assert rows() == 512
+
+    def test_one_scenario_call_allocates_one_row(self, net, inj, probes):
+        scenario = FailureScenario(
+            neuron_faults={NeuronAddress(1, 0): CrashFault()}
+        )
+        engine = MaskCampaignEngine(inj, probes)
+        engine.outputs(inj.compile_batch([scenario]))
+        assert engine._buffers[0].shape[0] == 1
+        assert engine._out_buffer.shape[0] == 1
 
     def test_quantized_deterministic_batch_is_tile_invariant(
         self, net, inj, probes
@@ -610,6 +619,37 @@ class TestSamplers:
             obj_freq = obj_counts[l0] / S
             assert np.all(np.abs(mask_freq - p) < 6 * sigma)
             assert np.all(np.abs(obj_freq - p) < 6 * sigma)
+
+    @staticmethod
+    def _second_min_by_copy(keys):
+        """The count-2 threshold on a copy of the key block."""
+        scratch = keys.copy()
+        scratch[np.arange(len(keys)), scratch.argmin(axis=1)] = np.inf
+        return scratch.min(axis=1)
+
+    def test_two_of_a_row_bitwise_with_tied_keys(self):
+        """The in-place second minimum picks what a masked copy picks,
+        tied keys (and the argpartition fallback) included, and leaves
+        the key block as it was."""
+        keys = np.random.default_rng(4).random((64, 192))
+        keys[0, [3, 7]] = keys[0].min() / 2  # a tied minimum
+        keys[1, [5, 9, 11]] = keys[1].min() / 2  # ties past the threshold
+        keys[2, 4] = keys[2, 8] = np.partition(keys[2], 1)[1]
+        before = keys.copy()
+        got = masks_mod._sample_fixed_count_masks(
+            None, len(keys), keys.shape[1], 2, keys=keys
+        )
+        np.testing.assert_array_equal(keys, before)
+        kth = self._second_min_by_copy(before)
+        want = before <= kth[:, None]
+        bad = want.sum(axis=1) != 2
+        assert bad[1] and bad[2] and not bad[0]
+        rows = np.nonzero(bad)[0]
+        want[rows] = False
+        picks = np.argpartition(before[rows], 1, axis=1)[:, :2]
+        want[rows[:, None], picks] = True
+        np.testing.assert_array_equal(got, want)
+        assert (got.sum(axis=1) == 2).all()
 
     def test_full_layer_and_zero_counts(self, small_net, rng):
         sizes = small_net.layer_sizes

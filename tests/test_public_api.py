@@ -55,6 +55,33 @@ class TestImports:
         assert repro.__version__ == "1.0.0"
 
 
+class TestLazyExports:
+    """``repro`` resolves its exports on first access (PEP 562)."""
+
+    def test_dir_covers_all(self):
+        import repro
+
+        assert set(repro.__all__) <= set(dir(repro))
+
+    def test_unknown_name_raises_attribute_error(self):
+        import repro
+
+        with pytest.raises(AttributeError, match="no_such_export"):
+            repro.no_such_export
+        assert not hasattr(repro, "no_such_export")
+
+    def test_each_name_is_the_object_of_its_defining_module(self):
+        import repro
+
+        for name in set(repro.__all__) - {"__version__"}:
+            obj = getattr(repro, name)
+            home = getattr(obj, "__module__", None)
+            if home is None:  # a constant: compare with its subpackage
+                home = f"repro.{repro._SUBPACKAGE_OF[name]}"
+            assert getattr(importlib.import_module(home), name) is obj, name
+            assert vars(repro)[name] is obj  # resolved once, then cached
+
+
 class TestTopLevelPromises:
     def test_readme_quickstart_names(self):
         """The names used by README's quickstart must be top-level."""
