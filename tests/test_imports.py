@@ -65,14 +65,7 @@ def run_fixture(name: str) -> str:
     "module", ["repro", "repro.cli", "repro.service.daemon"]
 )
 def test_import_stays_light(module):
-    assert loaded_after(f"import {module}") == []
-
-
-@pytest.mark.parametrize(
-    "module", ["repro", "repro.cli", "repro.service.daemon"]
-)
-def test_import_loads_no_numpy_and_no_engine(module):
-    assert loaded_after(f"import {module}", ENGINES) == []
+    assert loaded_after(f"import {module}", HEAVY + ENGINES) == []
 
 
 def test_campaign_run_and_encode_load_no_chaos():
